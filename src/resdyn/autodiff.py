@@ -1,14 +1,18 @@
 """Minimal dense-tensor reverse-mode autodiff and Adam optimizer.
 
 Define-by-run: every op returns a Tensor holding the forward value and a
-closure that scatters the upstream gradient to its parents. The graph is
-rebuilt each minibatch and freed with it. float64 everywhere: the models
+closure that scatters the upstream gradient, passed in as its argument, to
+its parents. A closure never references its own output node, so a graph
+holds no reference cycle: it is rebuilt each minibatch and freed by
+reference counting as soon as it is dropped. float64 everywhere: the models
 trained here are tiny and Cholesky robustness matters more than speed.
 """
 
 from __future__ import annotations
 
+import ctypes
 import json
+import sys
 
 import numpy as np
 from scipy.linalg import solve_triangular
@@ -17,6 +21,37 @@ from scipy.special import expit
 from .core import ValidationError
 
 SQRT5 = np.sqrt(5.0)
+
+# glibc mallopt parameter numbers, from malloc.h
+_M_TRIM_THRESHOLD = -1
+_M_MMAP_THRESHOLD = -3
+
+
+def _keep_freed_heap() -> None:
+    """Fix glibc's heap thresholds so memory freed with a graph is reused.
+
+    A graph is freed in one go when its last reference drops, at the end
+    of every training step. Under glibc's default sliding thresholds that
+    leaves the graph's memory free at the top of the heap, which is
+    trimmed, and the next step page-faults it back in. On a 2-CPU VM that
+    was 9k minor faults and about a third of a cnn training step (B=256, a
+    35 MB graph), and 108k faults on an lstm step (B=64, a 420 MB graph).
+    With arrays up to 32 MB kept on the heap and trimming only beyond 1 GB
+    free, neither step faults. Other C libraries keep their defaults.
+    """
+    if not sys.platform.startswith("linux"):
+        return
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except AttributeError:
+        return
+    mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
+    mallopt.restype = ctypes.c_int
+    mallopt(_M_MMAP_THRESHOLD, 32 << 20)
+    mallopt(_M_TRIM_THRESHOLD, 1 << 30)
+
+
+_keep_freed_heap()
 
 
 class Tensor:
@@ -79,9 +114,9 @@ class Tensor:
         x = self
         out = Tensor(x.data[key], _parents=(x,))
         if out.requires_grad:
-            def _bwd():
+            def _bwd(g):
                 gx = np.zeros_like(x.data)
-                np.add.at(gx, key, out.grad)
+                np.add.at(gx, key, g)
                 x._acc(gx)
             out._backward = _bwd
         return out
@@ -134,7 +169,7 @@ def backward(loss: Tensor) -> None:
     loss.grad = np.ones_like(loss.data)
     for node in reversed(topo):
         if node._backward is not None:
-            node._backward()
+            node._backward(node.grad)
 
 
 def _unbroadcast(g: np.ndarray, shape: tuple) -> np.ndarray:
@@ -159,8 +194,7 @@ def _binary(a, b, fwd, da, db):
         raise ValidationError(f"shape mismatch: {a.data.shape} vs {b.data.shape}") from exc
     out = Tensor(data, _parents=(a, b))
     if out.requires_grad:
-        def _bwd():
-            g = out.grad
+        def _bwd(g):
             if a.requires_grad:
                 a._acc(_unbroadcast(da(g, a.data, b.data), a.data.shape))
             if b.requires_grad:
@@ -193,8 +227,9 @@ def _unary(x, fwd, dfn):
     data = fwd(x.data)
     out = Tensor(data, _parents=(x,))
     if out.requires_grad:
-        def _bwd():
-            x._acc(dfn(out.grad, x.data, out.data))
+        y = out.data
+        def _bwd(g):
+            x._acc(dfn(g, x.data, y))
         out._backward = _bwd
     return out
 
@@ -250,8 +285,7 @@ def tsum(x, axis=None, keepdims=False):
     x = as_tensor(x)
     out = Tensor(x.data.sum(axis=axis, keepdims=keepdims), _parents=(x,))
     if out.requires_grad:
-        def _bwd():
-            g = out.grad
+        def _bwd(g):
             if axis is not None and not keepdims:
                 g = np.expand_dims(g, axis)
             x._acc(np.broadcast_to(g, x.data.shape))
@@ -273,8 +307,8 @@ def reshape(x, shape):
     x = as_tensor(x)
     out = Tensor(x.data.reshape(shape), _parents=(x,))
     if out.requires_grad:
-        def _bwd():
-            x._acc(out.grad.reshape(x.data.shape))
+        def _bwd(g):
+            x._acc(g.reshape(x.data.shape))
         out._backward = _bwd
     return out
 
@@ -284,8 +318,8 @@ def transpose(x, axes=None):
     out = Tensor(x.data.transpose(axes), _parents=(x,))
     if out.requires_grad:
         inv = None if axes is None else np.argsort(axes)
-        def _bwd():
-            x._acc(out.grad.transpose(inv))
+        def _bwd(g):
+            x._acc(g.transpose(inv))
         out._backward = _bwd
     return out
 
@@ -296,8 +330,8 @@ def concat(tensors, axis=0):
                  _parents=tuple(tensors))
     if out.requires_grad:
         sizes = np.cumsum([t.data.shape[axis] for t in tensors])[:-1]
-        def _bwd():
-            pieces = np.split(out.grad, sizes, axis=axis)
+        def _bwd(g):
+            pieces = np.split(g, sizes, axis=axis)
             for t, g in zip(tensors, pieces):
                 if t.requires_grad:
                     t._acc(g)
@@ -319,8 +353,7 @@ def matmul(a, b):
             f"matmul shape mismatch: {a.data.shape} @ {b.data.shape}") from exc
     out = Tensor(data, _parents=(a, b))
     if out.requires_grad:
-        def _bwd():
-            g = out.grad
+        def _bwd(g):
             if a.requires_grad:
                 a._acc(_unbroadcast(g @ np.swapaxes(b.data, -1, -2), a.data.shape))
             if b.requires_grad:
@@ -336,8 +369,7 @@ def softmax(x, axis=-1):
     y = e / e.sum(axis=axis, keepdims=True)
     out = Tensor(y, _parents=(x,))
     if out.requires_grad:
-        def _bwd():
-            g = out.grad
+        def _bwd(g):
             x._acc((g - (g * y).sum(axis=axis, keepdims=True)) * y)
         out._backward = _bwd
     return out
@@ -356,8 +388,8 @@ def cholesky(a):
     l_data = np.linalg.cholesky(a.data)
     out = Tensor(l_data, _parents=(a,))
     if out.requires_grad:
-        def _bwd():
-            p = _phi_half_diag(l_data.T @ out.grad)
+        def _bwd(g):
+            p = _phi_half_diag(l_data.T @ g)
             tmp = solve_triangular(l_data, p, lower=True, trans="T")
             s = solve_triangular(l_data, tmp.T, lower=True, trans="T").T
             a._acc(0.5 * (s + s.T))
@@ -373,8 +405,7 @@ def trisolve(l, b, trans: bool = False):
     x_data = solve_triangular(l.data, b.data, lower=True, trans="T" if trans else "N")
     out = Tensor(x_data, _parents=(l, b))
     if out.requires_grad:
-        def _bwd():
-            g = out.grad
+        def _bwd(g):
             if trans:
                 gb = solve_triangular(l.data, g, lower=True, trans="N")
                 gl = -x_data @ gb.T
@@ -419,8 +450,9 @@ def conv1d(x, w, bias=None, stride: int = 1, dilation: int = 1):
     parents = (x, w) if bias is None else (x, w, bias)
     out = Tensor(data[0] if squeeze else data, _parents=parents)
     if out.requires_grad:
-        def _bwd():
-            g = out.grad[None] if squeeze else out.grad
+        def _bwd(g):
+            if squeeze:
+                g = g[None]
             if w.requires_grad:
                 w._acc(np.einsum("bclk,bol->ock", cols, g, optimize=True))
             if x.requires_grad:

@@ -1,7 +1,10 @@
-"""Shared domain types and pose integration.
+"""Shared domain types, pose integration and CSV I/O.
 
-Everything here is immutable after construction; operations are pure
-functions, safe to call from parallel workers.
+The dataclasses check their fields once, where data comes in (logs,
+CSV rows, rollout start states). `integrate_step` works on plain floats
+so per-tick loops build no objects. Everything here is immutable after
+construction; operations are pure functions, safe to call from parallel
+workers.
 """
 
 from __future__ import annotations
@@ -31,12 +34,15 @@ def wrap_angle(theta: float) -> float:
         raise ValidationError(f"non-finite angle: {theta!r}")
     if -math.pi < theta <= math.pi:
         return theta
-    return math.pi - (math.pi - theta) % (2.0 * math.pi)
+    # the modulo rounds up to 2*pi just above pi, e.g. at nextafter(pi, 4)
+    w = math.pi - (math.pi - theta) % (2.0 * math.pi)
+    return math.pi if w == -math.pi else w
 
 
 def wrap_angle_array(theta: np.ndarray) -> np.ndarray:
     """Vectorized wrap to (-pi, pi]."""
-    return np.pi - np.mod(np.pi - np.asarray(theta, dtype=float), 2.0 * np.pi)
+    w = np.pi - np.mod(np.pi - np.asarray(theta, dtype=float), 2.0 * np.pi)
+    return np.where(w == -np.pi, np.pi, w)
 
 
 @dataclass(frozen=True)
@@ -144,24 +150,25 @@ class Trajectory:
         return float(self.timestamps[-1] - self.timestamps[0])
 
 
-def integrate_step(pose: Pose, speed: float, accel: float,
-                   heading_rate: float, dt: float) -> tuple[Pose, float]:
+def integrate_step(x: float, y: float, heading: float, speed: float,
+                   accel: float, heading_rate: float, dt: float
+                   ) -> tuple[float, float, float, float]:
     """One forward-Euler tick: velocity and heading sampled at interval start.
 
-    Speed clamps at zero (no reverse). Returns the new pose and new speed.
+    Speed clamps at zero (no reverse) and the heading is wrapped to
+    (-pi, pi]. Returns the new (x, y, heading, speed).
     """
-    vals = (pose.x, pose.y, pose.heading, speed, accel, heading_rate, dt)
+    vals = (x, y, heading, speed, accel, heading_rate, dt)
     if not all(math.isfinite(v) for v in vals):
         raise ValidationError(f"non-finite integrate_step input: {vals}")
     if dt <= 0.0:
         raise ValidationError(f"dt must be positive, got {dt}")
     if speed < 0.0:
         raise ValidationError(f"negative speed {speed}")
-    new_speed = max(0.0, speed + accel * dt)
-    x = pose.x + speed * math.cos(pose.heading) * dt
-    y = pose.y + speed * math.sin(pose.heading) * dt
-    heading = wrap_angle(pose.heading + heading_rate * dt)
-    return Pose(x, y, heading), new_speed
+    return (x + speed * math.cos(heading) * dt,
+            y + speed * math.sin(heading) * dt,
+            wrap_angle(heading + heading_rate * dt),
+            max(0.0, speed + accel * dt))
 
 
 def records_to_trajectory(records: list[LogRecord]) -> Trajectory:
@@ -192,7 +199,7 @@ def write_log_csv(path, records: list[LogRecord]) -> None:
         w = csv.writer(fh)
         w.writerow(LOG_CSV_FIELDS)
         for r in records:
-            w.writerow([repr(v) for v in (
+            w.writerow([repr(float(v)) for v in (
                 r.timestamp, r.command.throttle, r.command.brake,
                 r.command.steering, r.state.speed, r.state.acceleration,
                 r.state.heading, r.pose.x, r.pose.y)])

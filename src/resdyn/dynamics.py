@@ -1,8 +1,11 @@
 """Open-loop dynamic models: per-tick (command, state) -> (accel, heading rate).
 
 Two flavors: a rule-based kinematic bicycle with an affine actuator map
-(deadzone + quadratic drag), and a small learned MLP. Both are integrated
-tick by tick into a trajectory by rollout().
+(deadzone + quadratic drag), and a small learned MLP. A model's `tick`
+takes (throttle, brake, steering, speed, acceleration) as floats and
+returns (accel, heading rate). `rollout_states` is the one rollout loop:
+it integrates the ticks into a state table on plain floats, and
+`rollout` derives its Trajectory from that table.
 """
 
 from __future__ import annotations
@@ -17,8 +20,6 @@ from .autodiff import Adam, Tensor, backward, load_checkpoint, parameter, save_c
 from .core import (DEFAULT_DT, ControlCommand, LogRecord, Pose, Trajectory,
                    ValidationError, VehicleState, integrate_step)
 from .rng import seeded_rng
-
-DM_INPUT_FIELDS = ("throttle", "brake", "steering", "speed", "acceleration")
 
 
 @dataclass(frozen=True)
@@ -58,20 +59,15 @@ class RuleBasedModel:
     def __init__(self, params: RuleBasedParams | None = None):
         self.params = params or RuleBasedParams()
 
-    def tick(self, cmd: ControlCommand, state: VehicleState) -> tuple[float, float]:
+    def tick(self, throttle: float, brake: float, steering: float,
+             speed: float, acceleration: float) -> tuple[float, float]:
+        """(accel, heading rate) for speed >= 0; acceleration is unused."""
         p = self.params
-        accel = (p.throttle_gain * max(0.0, cmd.throttle - p.throttle_deadzone)
-                 - p.brake_gain * max(0.0, cmd.brake - p.brake_deadzone)
-                 - p.drag_coeff * state.speed * state.speed * np.sign(state.speed))
-        heading_rate = (state.speed
-                        * math.tan(cmd.steering * p.max_front_wheel_angle)
-                        / p.wheelbase)
+        accel = (p.throttle_gain * max(0.0, throttle - p.throttle_deadzone)
+                 - p.brake_gain * max(0.0, brake - p.brake_deadzone)
+                 - p.drag_coeff * speed * speed)
+        heading_rate = speed * math.tan(steering * p.max_front_wheel_angle) / p.wheelbase
         return accel, heading_rate
-
-
-def dm_rb_tick(cmd: ControlCommand, state: VehicleState,
-               params: RuleBasedParams) -> tuple[float, float]:
-    return RuleBasedModel(params).tick(cmd, state)
 
 
 class MlpDynamicModel:
@@ -99,18 +95,15 @@ class MlpDynamicModel:
         self.out_mean = np.asarray(out_mean, dtype=float)
         self.out_std = np.asarray(out_std, dtype=float)
 
-    def tick(self, cmd: ControlCommand, state: VehicleState) -> tuple[float, float]:
-        x = np.array([cmd.throttle, cmd.brake, cmd.steering,
-                      state.speed, state.acceleration])
-        out = self.forward_raw((x - self.in_mean) / self.in_std)
-        accel, rate = out * self.out_std + self.out_mean
+    def tick(self, throttle: float, brake: float, steering: float,
+             speed: float, acceleration: float) -> tuple[float, float]:
+        accel, rate = self.tick_batch(np.array([throttle, brake, steering,
+                                                speed, acceleration]))
         return float(accel), float(rate)
 
-    def forward_raw(self, xn: np.ndarray) -> np.ndarray:
-        h = np.maximum(xn @ self.weights["w1"] + self.weights["b1"], 0.0)
-        return h @ self.weights["w2"] + self.weights["b2"]
-
     def tick_batch(self, features: np.ndarray) -> np.ndarray:
+        """Rows of (throttle, brake, steering, speed, acceleration), or one
+        such 1-D row, to (accel, heading rate)."""
         xn = (features - self.in_mean) / self.in_std
         h = np.maximum(xn @ self.weights["w1"] + self.weights["b1"], 0.0)
         return (h @ self.weights["w2"] + self.weights["b2"]) * self.out_std + self.out_mean
@@ -126,11 +119,6 @@ class MlpDynamicModel:
         a = load_checkpoint(path)
         weights = {k: a[k] for k in ("w1", "b1", "w2", "b2")}
         return cls(weights, a["in_mean"], a["in_std"], a["out_mean"], a["out_std"])
-
-
-def dm_lb_tick(cmd: ControlCommand, state: VehicleState,
-               model: MlpDynamicModel) -> tuple[float, float]:
-    return model.tick(cmd, state)
 
 
 def tick_training_pairs(records: list[LogRecord], dt: float) -> tuple[np.ndarray, np.ndarray]:
@@ -233,22 +221,8 @@ def rollout(model, start_pose: Pose, start_state: VehicleState,
 
     Returns |commands|+1 poses; only the initial measured state enters.
     """
-    n = len(commands)
-    ts = np.empty(n + 1)
-    poses = np.empty((n + 1, 3))
-    speeds = np.empty(n + 1)
-    pose, speed, accel = start_pose, start_state.speed, start_state.acceleration
-    ts[0] = 0.0
-    poses[0] = (pose.x, pose.y, pose.heading)
-    speeds[0] = speed
-    for i, cmd in enumerate(commands):
-        state = VehicleState(speed, accel, pose.heading)
-        accel, rate = model.tick(cmd, state)
-        pose, speed = integrate_step(pose, speed, accel, rate, dt)
-        ts[i + 1] = (i + 1) * dt
-        poses[i + 1] = (pose.x, pose.y, pose.heading)
-        speeds[i + 1] = speed
-    return Trajectory(ts, poses, speeds)
+    table = rollout_states(model, start_pose, start_state, commands, dt)
+    return Trajectory(np.arange(len(table)) * dt, table[:, [3, 4, 2]], table[:, 0])
 
 
 def rollout_states(model, start_pose: Pose, start_state: VehicleState,
@@ -258,15 +232,17 @@ def rollout_states(model, start_pose: Pose, start_state: VehicleState,
     rows (speed_i, accel_i, heading_i, x_i, y_i), length |commands|+1.
 
     Row i holds the state consumed by tick i (accel = output of tick i-1,
-    measured state at row 0), mirroring rollout() exactly.
+    measured state at row 0). A non-finite model output raises
+    ValidationError from `integrate_step`.
     """
+    x, y, heading = start_pose.x, start_pose.y, start_pose.heading
+    speed, accel = start_state.speed, start_state.acceleration
+    VehicleState(speed, accel, heading)  # Pose leaves the heading range unchecked
     n = len(commands)
     table = np.empty((n + 1, 5))
-    pose, speed, accel = start_pose, start_state.speed, start_state.acceleration
-    for i in range(n):
-        table[i] = (speed, accel, pose.heading, pose.x, pose.y)
-        state = VehicleState(speed, accel, pose.heading)
-        accel, rate = model.tick(commands[i], state)
-        pose, speed = integrate_step(pose, speed, accel, rate, dt)
-    table[n] = (speed, accel, pose.heading, pose.x, pose.y)
+    for i, cmd in enumerate(commands):
+        table[i] = (speed, accel, heading, x, y)
+        accel, rate = model.tick(cmd.throttle, cmd.brake, cmd.steering, speed, accel)
+        x, y, heading, speed = integrate_step(x, y, heading, speed, accel, rate, dt)
+    table[n] = (speed, accel, heading, x, y)
     return table

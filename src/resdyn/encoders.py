@@ -93,27 +93,18 @@ def make_spec(kind: str, window: int = 100, features: int = 6, **overrides) -> E
     return EncoderSpec(kind=kind, window=window, features=features, **fields)
 
 
-def _min_window(spec: EncoderSpec) -> int:
+def min_window_length(spec: EncoderSpec) -> int:
+    """Smallest window the encoder accepts."""
     if spec.kind in ("lstm", "transformer"):
         return 1
     if spec.kind == "attention":
         return spec.segment ** spec.blocks
-    # conv chain: smallest N for which every layer keeps length >= 1
-    for n in range(1, 100000):
-        length = n
-        ok = True
-        for d in spec.dilations:
-            length = conv1d_output_length(length, spec.kernel, spec.stride, d)
-            if length < 1:
-                ok = False
-                break
-        if ok:
-            return n
-    raise ValidationError("no valid window length below 100000")
-
-
-def min_window_length(spec: EncoderSpec) -> int:
-    return _min_window(spec)
+    # a conv layer keeps m >= 1 outputs iff its input length is at least
+    # (m-1)*stride + dilation*(kernel-1) + 1; walk back from m = 1 at the top
+    length = 1
+    for d in reversed(spec.dilations):
+        length = (length - 1) * spec.stride + d * (spec.kernel - 1) + 1
+    return length
 
 
 def conv_chain_lengths(spec: EncoderSpec) -> list[int]:

@@ -9,9 +9,7 @@ rollouts accumulate a structured, learnable residual.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-
-import numpy as np
+from dataclasses import dataclass
 
 from .core import (DEFAULT_DT, ControlCommand, LogRecord, Pose,
                    ValidationError, VehicleState, wrap_angle)
@@ -81,41 +79,51 @@ class OracleState:
     last_ax: float = 0.0         # realized longitudinal accel (for logging)
 
 
-def _derivatives(s: OracleState, p: OracleParams,
+def _derivatives(s: list[float], p: OracleParams,
                  accel_target: float, wheel_target: float):
-    dx_acc = (accel_target - s.accel_lag) / p.throttle_tau
-    dx_whl = (wheel_target - s.wheel_angle) / p.steering_tau
+    """Time derivatives of the 8-float state (x, y, heading, vx, vy,
+    yaw_rate, accel_lag, wheel_angle), and the realized longitudinal accel."""
+    _, _, heading, vx, vy, yaw_rate, accel_lag, wheel_angle = s
+    dx_acc = (accel_target - accel_lag) / p.throttle_tau
+    dx_whl = (wheel_target - wheel_angle) / p.steering_tau
 
     # rolling resistance tapers in over the first 0.1 m/s so launch
     # dynamics stay continuous (no chattering at standstill)
-    taper = min(s.vx / 0.1, 1.0) if s.vx > 0.0 else 0.0
-    drag = (p.rolling_resistance + p.drag_coeff * s.vx * s.vx) * taper
-    ax = s.accel_lag - drag
+    taper = min(vx / 0.1, 1.0) if vx > 0.0 else 0.0
+    drag = (p.rolling_resistance + p.drag_coeff * vx * vx) * taper
+    ax = accel_lag - drag
 
-    v_safe = max(s.vx, p.low_speed_blend)
-    alpha_f = math.atan2(s.vy + p.lf * s.yaw_rate, v_safe) - s.wheel_angle
-    alpha_r = math.atan2(s.vy - p.lr * s.yaw_rate, v_safe)
+    v_safe = max(vx, p.low_speed_blend)
+    alpha_f = math.atan2(vy + p.lf * yaw_rate, v_safe) - wheel_angle
+    alpha_r = math.atan2(vy - p.lr * yaw_rate, v_safe)
     f_front = -p.cornering_front * alpha_f
     f_rear = -p.cornering_rear * alpha_r
 
-    dvy = (f_front * math.cos(s.wheel_angle) + f_rear) / p.mass - s.yaw_rate * s.vx
-    dr = (p.lf * f_front * math.cos(s.wheel_angle) - p.lr * f_rear) / p.yaw_inertia
+    dvy = (f_front * math.cos(wheel_angle) + f_rear) / p.mass - yaw_rate * vx
+    dr = (p.lf * f_front * math.cos(wheel_angle) - p.lr * f_rear) / p.yaw_inertia
     # cornering drag: longitudinal component of the front lateral force
-    ax -= f_front * math.sin(s.wheel_angle) / p.mass
+    ax -= f_front * math.sin(wheel_angle) / p.mass
 
     # below the blend speed the dynamic tire equations lose validity; pull
     # lateral states toward the kinematic bicycle solution instead
-    if s.vx < p.low_speed_blend:
-        r_kin = s.vx * math.tan(s.wheel_angle) / p.wheelbase
+    if vx < p.low_speed_blend:
+        r_kin = vx * math.tan(wheel_angle) / p.wheelbase
         vy_kin = r_kin * p.lr
-        w = s.vx / p.low_speed_blend
-        dvy = w * dvy + (1.0 - w) * (vy_kin - s.vy) / 0.2
-        dr = w * dr + (1.0 - w) * (r_kin - s.yaw_rate) / 0.2
+        w = vx / p.low_speed_blend
+        dvy = w * dvy + (1.0 - w) * (vy_kin - vy) / 0.2
+        dr = w * dr + (1.0 - w) * (r_kin - yaw_rate) / 0.2
 
-    dvx = ax + s.yaw_rate * s.vy
-    dxw = s.vx * math.cos(s.heading) - s.vy * math.sin(s.heading)
-    dyw = s.vx * math.sin(s.heading) + s.vy * math.cos(s.heading)
-    return np.array([dxw, dyw, s.yaw_rate, dvx, dvy, dr, dx_acc, dx_whl]), ax
+    dvx = ax + yaw_rate * vy
+    dxw = vx * math.cos(heading) - vy * math.sin(heading)
+    dyw = vx * math.sin(heading) + vy * math.cos(heading)
+    return (dxw, dyw, yaw_rate, dvx, dvy, dr, dx_acc, dx_whl), ax
+
+
+def _clamp_forward(s: list[float]) -> list[float]:
+    # forward driving only; a stopped vehicle has no lateral motion either
+    if s[3] <= 0.0:
+        s[3] = s[4] = s[5] = 0.0
+    return s
 
 
 def oracle_step(state: OracleState, cmd: ControlCommand, dt: float,
@@ -128,34 +136,19 @@ def oracle_step(state: OracleState, cmd: ControlCommand, dt: float,
                     - p.brake_gain * max(0.0, cmd.brake - p.brake_deadzone))
     wheel_target = cmd.steering * p.max_front_wheel_angle
 
-    vec = np.array([state.x, state.y, state.heading, state.vx, state.vy,
-                    state.yaw_rate, state.accel_lag, state.wheel_angle])
+    s = [state.x, state.y, state.heading, state.vx, state.vy,
+         state.yaw_rate, state.accel_lag, state.wheel_angle]
     h = dt / SUBSTEPS
-    s = OracleState(*vec)
+    half = 0.5 * h
     ax = state.last_ax
     for _ in range(SUBSTEPS):
         k1, _ = _derivatives(s, p, accel_target, wheel_target)
-        mid_vec = vec + 0.5 * h * k1
-        mid = OracleState(*mid_vec)
-        _clamp_forward(mid)
+        mid = _clamp_forward([v + half * k for v, k in zip(s, k1)])
         k2, ax = _derivatives(mid, p, accel_target, wheel_target)
-        vec = vec + h * k2
-        s = OracleState(*vec)
-        _clamp_forward(s)
-        vec[3] = s.vx
-        vec[4] = s.vy
-        vec[5] = s.yaw_rate
-    s.heading = wrap_angle(s.heading)
-    s.last_ax = ax
-    return s
-
-
-def _clamp_forward(s: OracleState) -> None:
-    # forward driving only; a stopped vehicle has no lateral motion either
-    if s.vx <= 0.0:
-        s.vx = 0.0
-        s.vy = 0.0
-        s.yaw_rate = 0.0
+        s = _clamp_forward([v + h * k for v, k in zip(s, k2)])
+    x, y, heading, vx, vy, yaw_rate, accel_lag, wheel_angle = s
+    return OracleState(x, y, wrap_angle(heading), vx, vy, yaw_rate,
+                       accel_lag, wheel_angle, ax)
 
 
 def oracle_log(commands: list[ControlCommand], dt: float = DEFAULT_DT,

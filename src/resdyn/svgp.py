@@ -163,14 +163,12 @@ class VariationalGP:
         j = jitter
         while True:
             try:
-                np.linalg.cholesky(kzz.data + j * self._eye)
-                break
+                return ad.cholesky(ad.add(kzz, Tensor(j * self._eye))), j
             except np.linalg.LinAlgError:
                 j *= 10.0
                 if j > MAX_JITTER:
                     raise ValidationError(
                         f"K_ZZ not factorizable even at jitter {MAX_JITTER}")
-        return ad.cholesky(ad.add(kzz, Tensor(j * self._eye))), j
 
     def _l_var(self, t: int) -> Tensor:
         """Variational Cholesky factor: strict lower of raw, exp on diagonal."""

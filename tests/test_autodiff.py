@@ -1,3 +1,5 @@
+import gc
+
 import numpy as np
 import pytest
 from fdcheck import check_grads
@@ -44,6 +46,31 @@ class TestBasics:
         b = parameter(np.zeros((2, 2)))
         with pytest.raises(ValidationError, match=r"2, 3.*2, 2"):
             ad.matmul(a, b)
+
+    def test_graph_is_freed_without_cycle_collector(self):
+        # backward closures get the upstream gradient as an argument and
+        # keep no reference to their own node, so no graph is a cycle
+        rng = seeded_rng(0, "acyclic")
+        gc.collect()
+        gc.disable()
+        try:
+            for _ in range(3):
+                a = randt(rng, 4, 4)
+                x = randt(rng, 2, 3, 8)
+                spd = ad.add(ad.matmul(a, ad.transpose(a)), Tensor(4.0 * np.eye(4)))
+                chol = ad.cholesky(spd)
+                solved = ad.trisolve(chol, ad.reshape(ad.softmax(a[1:3]), (4, 2)))
+                conv = ad.conv1d(x, randt(rng, 2, 3, 3), randt(rng, 2))
+                parts = [ad.exp(ad.tanh(solved)), ad.log(ad.sigmoid(solved)),
+                         ad.sqrt(ad.relu(solved) + 1.0), ad.power(solved, 2),
+                         ad.matern52(ad.relu(solved)), ad.sub(solved, 1.0) / 2.0,
+                         ad.tmean(conv, axis=2)]
+                loss = ad.tsum(ad.concat([ad.reshape(q, (-1,)) for q in parts]))
+                backward(loss)
+                del a, x, spd, chol, solved, conv, parts, loss
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
 
     def test_dropout_eval_is_identity(self):
         x = parameter(np.arange(6.0).reshape(2, 3))

@@ -2,11 +2,15 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from resdyn.core import (ControlCommand, Pose, Trajectory, ValidationError,
                          VehicleState, integrate_step, wrap_angle,
                          wrap_angle_array)
+
+# the float boundaries of the (-pi, pi] wrap
+EDGE_ANGLES = (math.pi, -math.pi, math.nextafter(math.pi, 4),
+               math.nextafter(-math.pi, -4), 3 * math.pi, -3 * math.pi)
 
 
 def fine_reference_rollout(pose, speed, accel, heading_rate, dt, n_steps, refine=1000):
@@ -32,6 +36,12 @@ class TestWrapAngle:
         assert wrap_angle(-math.pi) == pytest.approx(math.pi)
 
     @given(st.floats(-50.0, 50.0))
+    @example(EDGE_ANGLES[0])
+    @example(EDGE_ANGLES[1])
+    @example(EDGE_ANGLES[2])
+    @example(EDGE_ANGLES[3])
+    @example(EDGE_ANGLES[4])
+    @example(EDGE_ANGLES[5])
     def test_range_and_congruence(self, theta):
         w = wrap_angle(theta)
         assert -math.pi < w <= math.pi
@@ -39,21 +49,23 @@ class TestWrapAngle:
         assert math.isclose(math.cos(w), math.cos(theta), abs_tol=1e-9)
 
     def test_array_matches_scalar(self):
-        thetas = np.linspace(-20, 20, 401)
+        thetas = np.concatenate([np.linspace(-20, 20, 401), EDGE_ANGLES])
         wrapped = wrap_angle_array(thetas)
         for t, w in zip(thetas, wrapped):
             assert w == pytest.approx(wrap_angle(float(t)), abs=1e-12)
+            assert -math.pi < w <= math.pi
 
 
 class TestIntegrateStep:
+    # integrate_step(x, y, heading, speed, accel, heading_rate, dt)
+    #   -> (x, y, heading, speed)
     def test_stationary(self):
-        p, v = integrate_step(Pose(0, 0, 0), 0.0, 0.0, 0.0, 0.01)
-        assert (p.x, p.y, p.heading, v) == (0.0, 0.0, 0.0, 0.0)
+        assert integrate_step(0, 0, 0, 0.0, 0.0, 0.0, 0.01) == (0.0, 0.0, 0.0, 0.0)
 
     def test_straight_line(self):
-        p, v = integrate_step(Pose(0, 0, 0), 10.0, 0.0, 0.0, 0.01)
-        assert p.x == pytest.approx(0.1)
-        assert p.y == 0.0
+        x, y, _, v = integrate_step(0, 0, 0, 10.0, 0.0, 0.0, 0.01)
+        assert x == pytest.approx(0.1)
+        assert y == 0.0
         assert v == 10.0
 
     @staticmethod
@@ -70,52 +82,52 @@ class TestIntegrateStep:
         # the step rule refined to dt/1000 must approach the analytic arc;
         # one second of curved, accelerating motion
         fine = 0.01 / 1000
-        pose, v = Pose(0, 0, math.pi / 2), 5.0
+        x, y, h, v = 0.0, 0.0, math.pi / 2, 5.0
         for _ in range(100 * 1000):
-            pose, v = integrate_step(pose, v, 2.0, 0.1, fine)
+            x, y, h, v = integrate_step(x, y, h, v, 2.0, 0.1, fine)
         ax, ay = self._analytic_arc(5.0, 2.0, math.pi / 2, 0.1, 1.0)
-        assert math.hypot(pose.x - ax, pose.y - ay) < 1e-3
+        assert math.hypot(x - ax, y - ay) < 1e-3
 
     def test_coarse_step_discretization_scale(self):
         # at the production tick the Euler gap to the true arc stays small
         # but visible (~1e-2 m over 1 s); that gap is part of what the
         # residual corrector later absorbs
-        pose, v = Pose(0, 0, math.pi / 2), 5.0
+        x, y, h, v = 0.0, 0.0, math.pi / 2, 5.0
         for _ in range(100):
-            pose, v = integrate_step(pose, v, 2.0, 0.1, 0.01)
+            x, y, h, v = integrate_step(x, y, h, v, 2.0, 0.1, 0.01)
         ax, ay = self._analytic_arc(5.0, 2.0, math.pi / 2, 0.1, 1.0)
-        gap = math.hypot(pose.x - ax, pose.y - ay)
+        gap = math.hypot(x - ax, y - ay)
         assert 1e-4 < gap < 0.05
 
     def test_rejects_nonfinite(self):
         with pytest.raises(ValidationError):
-            integrate_step(Pose(0, 0, 0), float("nan"), 0.0, 0.0, 0.01)
+            integrate_step(0, 0, 0, float("nan"), 0.0, 0.0, 0.01)
 
     def test_rejects_nonpositive_dt(self):
         with pytest.raises(ValidationError):
-            integrate_step(Pose(0, 0, 0), 1.0, 0.0, 0.0, 0.0)
+            integrate_step(0, 0, 0, 1.0, 0.0, 0.0, 0.0)
 
     @given(st.lists(st.tuples(st.floats(-5, 5), st.floats(-1, 1)),
                     min_size=1, max_size=30))
     def test_speed_never_negative(self, steps):
-        pose, v = Pose(0, 0, 0), 1.0
+        state = (0.0, 0.0, 0.0, 1.0)
         for accel, omega in steps:
-            pose, v = integrate_step(pose, v, accel, omega, 0.01)
-            assert v >= 0.0
+            state = integrate_step(*state, accel, omega, 0.01)
+            assert state[3] >= 0.0
 
     def test_fold_associativity(self):
         # integrating k steps one by one equals folding the same sequence
         rng = np.random.default_rng(7)
         seq = [(rng.uniform(-3, 3), rng.uniform(-1, 1)) for _ in range(50)]
-        pose_a, v_a = Pose(1, 2, 0.3), 4.0
+        state_a = (1.0, 2.0, 0.3, 4.0)
         for a, w in seq:
-            pose_a, v_a = integrate_step(pose_a, v_a, a, w, 0.01)
-        pose_b, v_b = Pose(1, 2, 0.3), 4.0
+            state_a = integrate_step(*state_a, a, w, 0.01)
+        state_b = (1.0, 2.0, 0.3, 4.0)
         for a, w in seq[:20]:
-            pose_b, v_b = integrate_step(pose_b, v_b, a, w, 0.01)
+            state_b = integrate_step(*state_b, a, w, 0.01)
         for a, w in seq[20:]:
-            pose_b, v_b = integrate_step(pose_b, v_b, a, w, 0.01)
-        assert (pose_a, v_a) == (pose_b, v_b)
+            state_b = integrate_step(*state_b, a, w, 0.01)
+        assert state_a == state_b
 
 
 class TestTypes:

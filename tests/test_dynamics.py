@@ -5,8 +5,8 @@ import pytest
 
 from resdyn.core import ControlCommand, Pose, ValidationError, VehicleState
 from resdyn.dynamics import (MlpDynamicModel, RuleBasedModel, RuleBasedParams,
-                             dm_rb_tick, rollout, rollout_states,
-                             tick_training_pairs, train_dm_lb)
+                             rollout, rollout_states, tick_training_pairs,
+                             train_dm_lb)
 from resdyn.rng import seeded_rng
 from resdyn.scenarios import generate_golden_set
 
@@ -21,34 +21,35 @@ def zero_mlp():
 
 
 class TestRuleBased:
+    # tick arguments: throttle, brake, steering, speed, acceleration
     def test_zero_command_at_rest(self):
-        assert dm_rb_tick(CMD0, REST, RuleBasedParams()) == (0.0, 0.0)
+        assert RuleBasedModel(RuleBasedParams()).tick(0, 0, 0, 0, 0) == (0.0, 0.0)
 
     def test_zero_steering_no_turn(self):
         for thr in (0.1, 0.5, 1.0):
-            _, rate = dm_rb_tick(ControlCommand(thr, 0, 0),
-                                 VehicleState(5, 0, 0), RuleBasedParams())
+            _, rate = RuleBasedModel(RuleBasedParams()).tick(thr, 0, 0, 5, 0)
             assert rate == 0.0
 
     def test_heading_rate_closed_form(self):
         p = RuleBasedParams(wheelbase=2.85, max_front_wheel_angle=0.47)
-        _, rate = dm_rb_tick(ControlCommand(0, 0, 0.5), VehicleState(5, 0, 0), p)
+        _, rate = RuleBasedModel(p).tick(0, 0, 0.5, 5, 0)
         assert rate == pytest.approx(5.0 * math.tan(0.235) / 2.85)
 
     def test_odd_in_steering(self):
-        p = RuleBasedParams()
+        m = RuleBasedModel(RuleBasedParams())
         for st in (0.1, 0.33, 0.9):
-            a1, r1 = dm_rb_tick(ControlCommand(0.3, 0, st), VehicleState(7, 0, 0.5), p)
-            a2, r2 = dm_rb_tick(ControlCommand(0.3, 0, -st), VehicleState(7, 0, 0.5), p)
+            a1, r1 = m.tick(0.3, 0, st, 7, 0)
+            a2, r2 = m.tick(0.3, 0, -st, 7, 0)
             assert r1 == -r2
             assert a1 == a2
 
     def test_deadzone_and_drag(self):
-        p = RuleBasedParams(throttle_gain=4, brake_gain=8, throttle_deadzone=0.1,
-                            brake_deadzone=0.1, drag_coeff=0.01)
-        a, _ = dm_rb_tick(ControlCommand(0.05, 0, 0), VehicleState(10, 0, 0), p)
+        m = RuleBasedModel(RuleBasedParams(throttle_gain=4, brake_gain=8,
+                                           throttle_deadzone=0.1,
+                                           brake_deadzone=0.1, drag_coeff=0.01))
+        a, _ = m.tick(0.05, 0, 0, 10, 0)
         assert a == pytest.approx(-0.01 * 100)  # inside deadzone: drag only
-        a, _ = dm_rb_tick(ControlCommand(0.5, 0, 0), VehicleState(0, 0, 0), p)
+        a, _ = m.tick(0.5, 0, 0, 0, 0)
         assert a == pytest.approx(4 * 0.4)
 
     def test_param_validation(self):
@@ -60,8 +61,7 @@ class TestRuleBased:
 
 class TestMlpModel:
     def test_all_zero_weights(self):
-        assert zero_mlp().tick(ControlCommand(0.7, 0, 0.2),
-                               VehicleState(5, 1, 0)) == (0.0, 0.0)
+        assert zero_mlp().tick(0.7, 0, 0.2, 5, 1) == (0.0, 0.0)
 
     def test_handcrafted_accel_passthrough(self):
         # hidden pair relu(a) - relu(-a) reconstructs the acceleration input
@@ -72,7 +72,7 @@ class TestMlpModel:
         m = MlpDynamicModel({"w1": w1, "b1": np.zeros(8), "w2": w2, "b2": np.zeros(2)},
                             np.zeros(5), np.ones(5), np.zeros(2), np.ones(2))
         for accel in (-2.0, 0.0, 1.7):
-            out = m.tick(ControlCommand(0.4, 0, 0.1), VehicleState(3, accel, 0))
+            out = m.tick(0.4, 0, 0.1, 3, accel)
             assert out[0] == pytest.approx(accel)
             assert out[1] == 0.0
 
@@ -89,8 +89,8 @@ class TestMlpModel:
         m = MlpDynamicModel(w, np.zeros(5), np.ones(5), np.zeros(2), np.ones(2))
         m.save(tmp_path / "dm.ckpt")
         m2 = MlpDynamicModel.load(tmp_path / "dm.ckpt")
-        cmd, st = ControlCommand(0.3, 0.1, -0.2), VehicleState(4, 0.5, 0.3)
-        assert m.tick(cmd, st) == m2.tick(cmd, st)
+        row = (0.3, 0.1, -0.2, 4, 0.5)
+        assert m.tick(*row) == m2.tick(*row)
 
 
 class TestTrainDmLb:
@@ -103,7 +103,7 @@ class TestTrainDmLb:
         y = np.tile([0.5, 0.02], (64, 1))
         model, report = train_dm_lb(x, y, seed=1, epochs=60)
         assert report.train_mse[-1] < 1e-4
-        out = model.tick(ControlCommand(0.3, 0, 0.1), VehicleState(5, 0.5, 0))
+        out = model.tick(0.3, 0, 0.1, 5, 0.5)
         assert out[0] == pytest.approx(0.5, abs=1e-3)
         assert out[1] == pytest.approx(0.02, abs=1e-3)
 
@@ -128,9 +128,7 @@ class TestTrainDmLb:
         xh, yh = tick_training_pairs(hold["left_turn"], 0.01)
         pred_lb = model.tick_batch(xh)
         rb = RuleBasedModel()
-        pred_rb = np.array([rb.tick(ControlCommand(*row[:3]),
-                                    VehicleState(row[3], row[4], 0.0))
-                            for row in xh])
+        pred_rb = np.array([rb.tick(*row) for row in xh])
         scale = np.std(yh, axis=0)
         rmse_lb = np.sqrt(np.mean(((pred_lb - yh) / scale) ** 2))
         rmse_rb = np.sqrt(np.mean(((pred_rb - yh) / scale) ** 2))
@@ -161,6 +159,19 @@ class TestRollout:
         traj = rollout(RuleBasedModel(), Pose(1, -1, 0.2), start, cmds)
         table = rollout_states(RuleBasedModel(), Pose(1, -1, 0.2), start, cmds)
         assert table.shape == (101, 5)
-        assert np.allclose(table[:, 0], traj.speeds)
-        assert np.allclose(table[:, 2], traj.poses[:, 2])
-        assert np.allclose(table[:, 3:], traj.xy)
+        assert np.array_equal(table[:, 0], traj.speeds)
+        assert np.array_equal(table[:, 2], traj.poses[:, 2])
+        assert np.array_equal(table[:, 3:], traj.xy)
+        assert np.array_equal(traj.timestamps, np.arange(101) * 0.01)
+
+    def test_nonfinite_model_output_rejected(self):
+        class Exploding:
+            def tick(self, throttle, brake, steering, speed, acceleration):
+                return math.inf, 0.0
+
+        with pytest.raises(ValidationError):
+            rollout(Exploding(), Pose(0, 0, 0), REST, [CMD0] * 3)
+
+    def test_start_heading_outside_range_rejected(self):
+        with pytest.raises(ValidationError):
+            rollout(RuleBasedModel(), Pose(0, 0, 4.0), REST, [CMD0] * 3)

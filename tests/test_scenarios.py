@@ -1,10 +1,11 @@
+import csv
 import math
 
 import numpy as np
 import pytest
 from scipy.integrate import solve_ivp
 
-from resdyn.core import ControlCommand, write_log_csv
+from resdyn.core import ControlCommand, parse_log_row, write_log_csv
 from resdyn.dynamics import RuleBasedModel, rollout
 from resdyn.scenarios import (GOLDEN_NAMES, OracleParams, OracleState,
                               generate_golden_set, golden_scripts, oracle_log,
@@ -110,6 +111,14 @@ class TestGoldenSet:
             write_log_csv(pa, a[name])
             write_log_csv(pb, b[name])
             assert pa.read_bytes() == pb.read_bytes()
+
+    def test_log_csv_round_trip(self, logs, tmp_path):
+        # every cell is a plain float literal that parses back bit for bit
+        path = tmp_path / "left_turn.csv"
+        write_log_csv(path, logs["left_turn"])
+        with open(path, newline="") as fh:
+            rows = list(csv.reader(fh))[1:]
+        assert [parse_log_row(row) for row in rows] == logs["left_turn"]
 
     def test_rule_based_model_diverges_everywhere(self, logs):
         # every golden scenario must leave a learnable residual
