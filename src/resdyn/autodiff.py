@@ -6,12 +6,18 @@ its parents. A closure never references its own output node, so a graph
 holds no reference cycle: it is rebuilt each minibatch and freed by
 reference counting as soon as it is dropped. float64 everywhere: the models
 trained here are tiny and Cholesky robustness matters more than speed.
+
+`backward` frees each interior node's gradient as soon as that node's
+closure has passed it on, so after `backward` only leaves (parameters and
+inputs created with `requires_grad`) hold a `.grad`. A node's first
+gradient is stored as a copy and later ones are added into it in place.
 """
 
 from __future__ import annotations
 
 import ctypes
 import json
+import math
 import sys
 
 import numpy as np
@@ -74,9 +80,15 @@ class Tensor:
         return self.data.shape
 
     def _acc(self, g):
+        # copy, never alias: g may be a read-only broadcast view or an
+        # array that another node still holds. The copy is laid out like
+        # data, and made by adding +0.0, which maps -0.0 to +0.0: both as
+        # a sum into zeros would, so reductions over it round the same.
         if self.grad is None:
-            self.grad = np.zeros_like(self.data)
-        self.grad += g
+            self.grad = np.empty_like(self.data)
+            np.add(g, 0.0, out=self.grad)
+        else:
+            self.grad += g
 
     # -- operator sugar -------------------------------------------------
     def __add__(self, other):
@@ -114,10 +126,18 @@ class Tensor:
         x = self
         out = Tensor(x.data[key], _parents=(x,))
         if out.requires_grad:
-            def _bwd(g):
-                gx = np.zeros_like(x.data)
-                np.add.at(gx, key, g)
-                x._acc(gx)
+            if _is_basic_key(key):
+                # a basic key selects each element at most once
+                def _bwd(g):
+                    if x.grad is None:
+                        x.grad = np.zeros_like(x.data)
+                    x.grad[key] += g
+            else:
+                # an advanced key may repeat an index, which must accumulate
+                def _bwd(g):
+                    gx = np.zeros_like(x.data)
+                    np.add.at(gx, key, g)
+                    x._acc(gx)
             out._backward = _bwd
         return out
 
@@ -139,6 +159,15 @@ class Tensor:
 
     def __repr__(self):
         return f"Tensor(shape={self.data.shape}, grad={'set' if self.grad is not None else 'none'}, name={self.name})"
+
+
+def _is_basic_key(key) -> bool:
+    """True for ints, slices, Ellipsis, None and tuples of these: numpy's
+    basic indexing, which yields a view."""
+    parts = key if isinstance(key, tuple) else (key,)
+    return all(k is None or k is Ellipsis or isinstance(k, slice)
+               or (isinstance(k, (int, np.integer)) and not isinstance(k, bool))
+               for k in parts)
 
 
 def as_tensor(x) -> Tensor:
@@ -170,6 +199,7 @@ def backward(loss: Tensor) -> None:
     for node in reversed(topo):
         if node._backward is not None:
             node._backward(node.grad)
+            node.grad = None
 
 
 def _unbroadcast(g: np.ndarray, shape: tuple) -> np.ndarray:
@@ -458,7 +488,11 @@ def conv1d(x, w, bias=None, stride: int = 1, dilation: int = 1):
             if x.requires_grad:
                 gcols = np.einsum("bol,ock->bclk", g, w.data, optimize=True)
                 gx = np.zeros_like(xd)
-                np.add.at(gx, (slice(None), slice(None), idx), gcols)
+                # col2im; taps from last to first add each input position's
+                # terms in rising output index, the order np.add.at uses
+                span = stride * (l_out - 1) + 1
+                for j in range(k - 1, -1, -1):
+                    gx[:, :, j * dilation:j * dilation + span:stride] += gcols[..., j]
                 x._acc(gx[0] if squeeze else gx)
             if bias is not None and bias.requires_grad:
                 bias._acc(g.sum(axis=(0, 2)))
@@ -559,12 +593,40 @@ def save_checkpoint(path, arrays: dict[str, np.ndarray]) -> None:
 
 
 def load_checkpoint(path) -> dict[str, np.ndarray]:
+    """Arrays saved by `save_checkpoint`. A malformed header, another
+    format, an entry beyond the payload, a payload that is not whole
+    float64s and non-finite values all raise a ValidationError naming
+    the path."""
     with open(path, "rb") as fh:
-        header = json.loads(fh.readline().decode("utf-8"))
-        payload = np.frombuffer(fh.read(), dtype="<f8")
+        line = fh.readline()
+        raw = fh.read()
+    try:
+        header = json.loads(line.decode("utf-8"))
+    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+        raise ValidationError(f"{path}: checkpoint header is not a JSON line") from exc
+    if not isinstance(header, dict) or not isinstance(header.get("entries"), list):
+        raise ValidationError(f"{path}: checkpoint header has no entry list")
+    if header.get("format") != "f64-le":
+        raise ValidationError(
+            f"{path}: checkpoint format {header.get('format')!r}, expected 'f64-le'")
+    if len(raw) % 8:
+        raise ValidationError(
+            f"{path}: payload of {len(raw)} bytes is not a whole number of float64s")
+    payload = np.frombuffer(raw, dtype="<f8")
     out = {}
     for e in header["entries"]:
-        size = int(np.prod(e["shape"])) if e["shape"] else 1
-        out[e["name"]] = payload[e["offset"]:e["offset"] + size] \
-            .reshape(e["shape"]).astype(np.float64)
+        if not (isinstance(e, dict) and isinstance(e.get("name"), str)
+                and isinstance(e.get("shape"), list)
+                and all(type(n) is int and n >= 0 for n in e["shape"])
+                and type(e.get("offset")) is int and e["offset"] >= 0):
+            raise ValidationError(f"{path}: bad checkpoint entry {e!r}")
+        name, offset, size = e["name"], e["offset"], math.prod(e["shape"])
+        if offset + size > payload.size:
+            raise ValidationError(
+                f"{path}: entry {name!r} needs float64s {offset}..{offset + size}, "
+                f"payload has {payload.size}")
+        arr = payload[offset:offset + size].reshape(e["shape"]).astype(np.float64)
+        if not np.all(np.isfinite(arr)):
+            raise ValidationError(f"{path}: entry {name!r} holds non-finite values")
+        out[name] = arr
     return out

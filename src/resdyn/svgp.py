@@ -79,6 +79,14 @@ class GpConfig:
             raise ValidationError("bad optimizer settings")
 
 
+def _check_finite(values: Tensor | np.ndarray, what: str) -> None:
+    data = values.data if isinstance(values, Tensor) else np.asarray(values, float)
+    finite = np.isfinite(data)
+    if not finite.all():
+        first = tuple(int(i) for i in np.argwhere(~finite)[0])
+        raise ValidationError(f"non-finite {what} at index {first}")
+
+
 class VariationalGP:
     """Shared-kernel multi-task SVGP with independent whitened posteriors."""
 
@@ -211,9 +219,11 @@ class VariationalGP:
              pre_normalized: bool = False) -> Tensor:
         """Scalar ELBO node (sum over tasks). Batch likelihood is rescaled
         by total_n / B; the KL appears once per task."""
+        _check_finite(latents, "latents")
         if jitter is None:
             jitter = 1e-8
         y = np.atleast_2d(np.asarray(targets, float).T).T       # (B, T)
+        _check_finite(y, "targets")
         bsz = y.shape[0]
         if bsz < 1 or total_n < bsz:
             raise ValidationError(f"bad batch/total sizes: {bsz}, {total_n}")
@@ -245,6 +255,7 @@ class VariationalGP:
     def predict(self, latents: np.ndarray | Tensor, jitter: float | None = None,
                 pre_normalized: bool = False) -> tuple[np.ndarray, np.ndarray]:
         """Predictive means and stds, both (M, num_tasks); std includes noise."""
+        _check_finite(latents, "latents")
         if not isinstance(latents, Tensor):
             latents = Tensor(self.normalize(np.atleast_2d(latents)))
         elif not pre_normalized:

@@ -72,6 +72,59 @@ class TestBasics:
         finally:
             gc.enable()
 
+    def test_interior_gradients_freed_leaves_kept(self):
+        w = parameter(np.array([[1.0, -2.0], [0.5, 3.0]]))
+        x = Tensor(np.array([[1.0, 2.0]]), requires_grad=True)
+        h = ad.matmul(x, w)
+        y = ad.tanh(h)
+        loss = ad.tsum(ad.mul(y, y))
+        backward(loss)
+        assert h.grad is None and y.grad is None and loss.grad is None
+        assert w.grad.shape == (2, 2) and x.grad.shape == (1, 2)
+
+    def test_first_gradient_is_a_copy(self):
+        # tsum hands s a read-only broadcast view, and add hands s's
+        # gradient array to both operands: the second accumulation into
+        # a must write into neither
+        a = parameter(np.zeros((2, 3)))
+        b = parameter(np.zeros((2, 3)))
+        w = np.arange(6.0).reshape(2, 3)
+        for first_via_sum in (True, False):
+            a.grad = b.grad = None
+            s = ad.add(a, b)
+            terms = [ad.tsum(s), ad.tsum(ad.mul(a, Tensor(w)))]
+            backward(ad.add(*(terms if first_via_sum else terms[::-1])))
+            assert np.array_equal(a.grad, 1.0 + w)
+            assert np.array_equal(b.grad, np.ones((2, 3)))
+        x = parameter(3.0)
+        backward(ad.mul(x, x))  # 0-d operands: the gradient is a numpy scalar
+        assert isinstance(x.grad, np.ndarray) and x.grad.shape == ()
+
+    def test_first_gradient_stored_as_a_sum_into_zeros_would_be(self):
+        # reductions over a gradient round by its memory order, so it keeps
+        # data's order; and relu's gate times a negative gives -0.0, which
+        # a sum into zeros turns into +0.0
+        x = parameter(np.asfortranarray(np.arange(-3.0, 3.0).reshape(2, 3)))
+        backward(ad.tsum(x))
+        assert x.grad.flags.f_contiguous
+        x.grad = None
+        backward(ad.tsum(ad.mul(ad.relu(x), -1.0)))
+        assert np.array_equal(x.grad, [[0.0, 0.0, 0.0], [0.0, -1.0, -1.0]])
+        assert not np.signbit(x.grad[x.grad == 0.0]).any()
+
+    def test_repeated_advanced_index_accumulates(self):
+        x = parameter(np.array([5.0, 6.0, 7.0]))
+        backward(ad.tsum(x[[0, 0, 2]]))
+        assert np.array_equal(x.grad, [2.0, 0.0, 1.0])
+
+    def test_basic_index_adds_to_existing_gradient(self):
+        x = parameter(np.arange(8.0).reshape(2, 4))
+        terms = [ad.tsum(ad.mul(x, 2.0)), ad.tsum(x[:, 1:3]), x[1, 3],
+                 ad.tsum(x[np.int64(0)]), ad.tsum(x[..., None, ::3])]
+        backward(ad.add(ad.add(ad.add(terms[0], terms[1]), ad.add(terms[2], terms[3])),
+                        terms[4]))
+        assert np.array_equal(x.grad, [[4.0, 4.0, 4.0, 4.0], [3.0, 3.0, 3.0, 4.0]])
+
     def test_dropout_eval_is_identity(self):
         x = parameter(np.arange(6.0).reshape(2, 3))
         assert ad.dropout(x, 0.5, train=False) is x
@@ -100,6 +153,25 @@ class TestConv1d:
             x = Tensor(np.zeros((2, 3, length)))
             w = Tensor(np.zeros((4, 3, k)))
             assert ad.conv1d(x, w, stride=s, dilation=d).data.shape == (2, 4, expect)
+
+    @pytest.mark.parametrize("k, stride, dilation, length", [
+        (7, 1, 2, 40),   # up to 7 taps on one input position
+        (6, 4, 5, 60),   # the encoders' strided, dilated layer
+        (9, 4, 5, 70),   # 3 taps on one position at stride 4
+    ])
+    def test_input_gradient_matches_add_at_bit_for_bit(self, k, stride, dilation, length):
+        rng = seeded_rng(2, "col2im")
+        x = randt(rng, 3, 2, length)
+        w = Tensor(rng.standard_normal((4, 2, k)) * 10.0 ** rng.uniform(-6, 6, (4, 2, k)))
+        y = ad.conv1d(x, w, stride=stride, dilation=dilation)
+        g = rng.standard_normal(y.data.shape)
+        backward(ad.tsum(ad.mul(y, Tensor(g))))
+        l_out = y.data.shape[2]
+        idx = (np.arange(l_out) * stride)[:, None] + np.arange(k)[None, :] * dilation
+        gcols = np.einsum("bol,ock->bclk", g, w.data, optimize=True)
+        ref = np.zeros_like(x.data)
+        np.add.at(ref, (slice(None), slice(None), idx), gcols)
+        assert np.array_equal(x.grad, ref)
 
     def test_too_short_rejected(self):
         x = Tensor(np.zeros((1, 5)))
@@ -282,6 +354,54 @@ class TestCheckpoint:
         assert set(loaded) == set(arrays)
         for k in arrays:
             assert np.array_equal(loaded[k], np.asarray(arrays[k]))
+
+    @pytest.mark.parametrize("header", [
+        b"\xff\xfenot json",
+        b"{not json",
+        b"[1, 2]",
+        b'{"format": "f64-le"}',
+        b'{"format": "f64-le", "entries": [{"name": "a", "shape": [-1], "offset": 0}]}',
+        b'{"format": "f64-le", "entries": [{"name": "a", "shape": [1], "offset": true}]}',
+        b'{"format": "f64-le", "entries": [{"name": 3, "shape": [1], "offset": 0}]}',
+        b'{"format": "f64-le", "entries": ["a"]}',
+    ])
+    def test_bad_header_rejected(self, tmp_path, header):
+        path = tmp_path / "bad.ckpt"
+        path.write_bytes(header + b"\n" + np.ones(2).tobytes())
+        with pytest.raises(ValidationError, match="bad.ckpt"):
+            ad.load_checkpoint(path)
+
+    def test_empty_file_rejected(self, tmp_path):
+        path = tmp_path / "empty.ckpt"
+        path.write_bytes(b"")
+        with pytest.raises(ValidationError, match="empty.ckpt"):
+            ad.load_checkpoint(path)
+
+    def test_other_format_rejected(self, tmp_path):
+        path = tmp_path / "f32.ckpt"
+        ad.save_checkpoint(path, {"a": np.ones(2)})
+        raw = path.read_bytes().replace(b'"f64-le"', b'"f32-le"', 1)
+        path.write_bytes(raw)
+        with pytest.raises(ValidationError, match="f32.ckpt.*f32-le"):
+            ad.load_checkpoint(path)
+
+    def test_truncated_payload_rejected(self, tmp_path):
+        path = tmp_path / "short.ckpt"
+        ad.save_checkpoint(path, {"a": np.ones(3), "b": np.ones((2, 2))})
+        raw = path.read_bytes()
+        path.write_bytes(raw[:-8])  # b's last element is missing
+        with pytest.raises(ValidationError, match="short.ckpt.*'b'"):
+            ad.load_checkpoint(path)
+        path.write_bytes(raw[:-3])  # cut inside a float64
+        with pytest.raises(ValidationError, match="short.ckpt.*float64"):
+            ad.load_checkpoint(path)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_nonfinite_entry_rejected(self, tmp_path, bad):
+        path = tmp_path / "nan.ckpt"
+        ad.save_checkpoint(path, {"ok": np.ones(2), "w": np.array([1.0, bad])})
+        with pytest.raises(ValidationError, match="nan.ckpt.*'w'"):
+            ad.load_checkpoint(path)
 
     def test_header_is_json_line(self, tmp_path):
         path = tmp_path / "m.ckpt"

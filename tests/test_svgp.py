@@ -161,6 +161,23 @@ class TestPredict:
         _, std = gp.predict(zq)
         assert np.all(std >= math.sqrt(0.05) - 1e-12)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_nonfinite_latents_rejected(self, bad):
+        gp = VariationalGP(dim=2, inducing=3, num_tasks=2)
+        latents = np.zeros((4, 2))
+        latents[2, 1] = bad
+        targets = np.zeros((4, 2))
+        for z in (latents, Tensor(latents)):
+            with pytest.raises(ValidationError, match="latents"):
+                gp.predict(z)
+            with pytest.raises(ValidationError, match="latents"):
+                gp.elbo(z, targets, total_n=10)
+        with pytest.raises(ValidationError, match="latents"):
+            gp.predict_point(latents[2])
+        targets[0, 0] = bad
+        with pytest.raises(ValidationError, match="targets"):
+            gp.elbo(np.zeros((4, 2)), targets, total_n=10)
+
     def test_residual_prediction_requires_positive_std(self):
         with pytest.raises(ValidationError):
             ResidualPrediction((0.0, 0.0), (0.0, 1.0))
