@@ -1,11 +1,14 @@
 """Minimal dense-tensor reverse-mode autodiff and Adam optimizer.
 
-Define-by-run: every op returns a Tensor holding the forward value and a
+Define-by-run: every op is a module-level function (`add`, `matmul`,
+`tsum`, ...) that returns a Tensor holding the forward value and a
 closure that scatters the upstream gradient, passed in as its argument, to
-its parents. A closure never references its own output node, so a graph
-holds no reference cycle: it is rebuilt each minibatch and freed by
-reference counting as soon as it is dropped. float64 everywhere: the models
-trained here are tiny and Cholesky robustness matters more than speed.
+its parents. Tensors have no arithmetic operators; indexing (`x[key]`)
+is the one op spelled as a method. A closure never references its own
+output node, so a graph holds no reference cycle: it is rebuilt each
+minibatch and freed by reference counting as soon as it is dropped.
+float64 everywhere: the models trained here are tiny and Cholesky
+robustness matters more than speed.
 
 `backward` frees each interior node's gradient as soon as that node's
 closure has passed it on, so after `backward` only leaves (parameters and
@@ -75,10 +78,6 @@ class Tensor:
         self._parents = _parents if self.requires_grad else ()
         self._backward = None
 
-    @property
-    def shape(self):
-        return self.data.shape
-
     def _acc(self, g):
         # copy, never alias: g may be a read-only broadcast view or an
         # array that another node still holds. The copy is laid out like
@@ -89,38 +88,6 @@ class Tensor:
             np.add(g, 0.0, out=self.grad)
         else:
             self.grad += g
-
-    # -- operator sugar -------------------------------------------------
-    def __add__(self, other):
-        return add(self, other)
-
-    __radd__ = __add__
-
-    def __mul__(self, other):
-        return mul(self, other)
-
-    __rmul__ = __mul__
-
-    def __sub__(self, other):
-        return sub(self, other)
-
-    def __rsub__(self, other):
-        return sub(other, self)
-
-    def __truediv__(self, other):
-        return div(self, other)
-
-    def __rtruediv__(self, other):
-        return div(other, self)
-
-    def __neg__(self):
-        return mul(self, -1.0)
-
-    def __matmul__(self, other):
-        return matmul(self, other)
-
-    def __pow__(self, p):
-        return power(self, p)
 
     def __getitem__(self, key):
         x = self
@@ -140,22 +107,6 @@ class Tensor:
                     x._acc(gx)
             out._backward = _bwd
         return out
-
-    def sum(self, axis=None, keepdims=False):
-        return tsum(self, axis, keepdims)
-
-    def mean(self, axis=None, keepdims=False):
-        return tmean(self, axis, keepdims)
-
-    def reshape(self, *shape):
-        return reshape(self, shape if len(shape) > 1 else shape[0])
-
-    def transpose(self, axes=None):
-        return transpose(self, axes)
-
-    @property
-    def T(self):
-        return transpose(self)
 
     def __repr__(self):
         return f"Tensor(shape={self.data.shape}, grad={'set' if self.grad is not None else 'none'}, name={self.name})"
@@ -264,16 +215,8 @@ def _unary(x, fwd, dfn):
     return out
 
 
-def power(x, p: float):
-    return _unary(x, lambda v: v ** p, lambda g, v, y: g * p * v ** (p - 1))
-
-
 def exp(x):
     return _unary(x, np.exp, lambda g, v, y: g * y)
-
-
-def log(x):
-    return _unary(x, np.log, lambda g, v, y: g / v)
 
 
 def sqrt(x):
@@ -350,21 +293,6 @@ def transpose(x, axes=None):
         inv = None if axes is None else np.argsort(axes)
         def _bwd(g):
             x._acc(g.transpose(inv))
-        out._backward = _bwd
-    return out
-
-
-def concat(tensors, axis=0):
-    tensors = [as_tensor(t) for t in tensors]
-    out = Tensor(np.concatenate([t.data for t in tensors], axis=axis),
-                 _parents=tuple(tensors))
-    if out.requires_grad:
-        sizes = np.cumsum([t.data.shape[axis] for t in tensors])[:-1]
-        def _bwd(g):
-            pieces = np.split(g, sizes, axis=axis)
-            for t, g in zip(tensors, pieces):
-                if t.requires_grad:
-                    t._acc(g)
         out._backward = _bwd
     return out
 
@@ -578,10 +506,14 @@ class Adam:
 
 def save_checkpoint(path, arrays: dict[str, np.ndarray]) -> None:
     """JSON header line listing (name, shape, offset), then the flat
-    little-endian float64 payload; offsets count elements."""
+    little-endian float64 payload; offsets count elements. An array with
+    a non-finite value raises a ValidationError naming the path and the
+    entry, before the file is opened: `load_checkpoint` would refuse it."""
     entries, blobs, offset = [], [], 0
     for name, arr in arrays.items():
         a = np.asarray(arr, dtype=np.float64)
+        if not np.all(np.isfinite(a)):
+            raise ValidationError(f"{path}: entry {name!r} holds non-finite values")
         entries.append({"name": name, "shape": list(a.shape), "offset": offset})
         blobs.append(np.ascontiguousarray(a).astype("<f8").tobytes())
         offset += a.size

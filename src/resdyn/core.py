@@ -20,9 +20,6 @@ DEFAULT_DT = 0.01  # 100 Hz control tick
 LOG_CSV_FIELDS = ("t", "throttle", "brake", "steering", "speed",
                   "acceleration", "heading", "x", "y")
 
-# both commanded (>0.05 throttle and brake at once) marks a row suspicious
-OVERLAP_EPS = 0.05
-
 
 class ValidationError(ValueError):
     """Input rejected by a precondition or invariant check."""
@@ -61,11 +58,6 @@ class ControlCommand:
             raise ValidationError(f"brake {self.brake} outside [0, 1]")
         if not -1.0 <= self.steering <= 1.0:
             raise ValidationError(f"steering {self.steering} outside [-1, 1]")
-
-    @property
-    def overlapping(self) -> bool:
-        """True when throttle and brake are both meaningfully applied."""
-        return self.throttle > OVERLAP_EPS and self.brake > OVERLAP_EPS
 
 
 @dataclass(frozen=True)
@@ -136,18 +128,8 @@ class Trajectory:
         return len(self.timestamps)
 
     @property
-    def dt(self) -> float:
-        if len(self.timestamps) < 2:
-            return 0.0
-        return float(self.timestamps[1] - self.timestamps[0])
-
-    @property
     def xy(self) -> np.ndarray:
         return self.poses[:, :2]
-
-    @property
-    def duration(self) -> float:
-        return float(self.timestamps[-1] - self.timestamps[0])
 
 
 def integrate_step(x: float, y: float, heading: float, speed: float,
@@ -169,29 +151,6 @@ def integrate_step(x: float, y: float, heading: float, speed: float,
             y + speed * math.sin(heading) * dt,
             wrap_angle(heading + heading_rate * dt),
             max(0.0, speed + accel * dt))
-
-
-def records_to_trajectory(records: list[LogRecord]) -> Trajectory:
-    ts = np.array([r.timestamp for r in records])
-    poses = np.array([[r.pose.x, r.pose.y, r.pose.heading] for r in records])
-    speeds = np.array([r.state.speed for r in records])
-    return Trajectory(ts, poses, speeds)
-
-
-def log_fields(records: list[LogRecord]) -> dict[str, np.ndarray]:
-    """Column view of a record sequence, keyed by the CSV field names."""
-    cols = {name: np.empty(len(records)) for name in LOG_CSV_FIELDS}
-    for i, r in enumerate(records):
-        cols["t"][i] = r.timestamp
-        cols["throttle"][i] = r.command.throttle
-        cols["brake"][i] = r.command.brake
-        cols["steering"][i] = r.command.steering
-        cols["speed"][i] = r.state.speed
-        cols["acceleration"][i] = r.state.acceleration
-        cols["heading"][i] = r.state.heading
-        cols["x"][i] = r.pose.x
-        cols["y"][i] = r.pose.y
-    return cols
 
 
 def write_log_csv(path, records: list[LogRecord]) -> None:

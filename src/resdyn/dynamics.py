@@ -43,13 +43,6 @@ class RuleBasedParams:
             if not 0.0 <= dz < 1.0:
                 raise ValidationError(f"deadzone {dz} outside [0, 1)")
 
-    def to_dict(self) -> dict:
-        return {k: getattr(self, k) for k in self.__dataclass_fields__}
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "RuleBasedParams":
-        return cls(**d)
-
 
 class RuleBasedModel:
     """Kinematic bicycle with deadzoned affine actuators and quadratic drag."""

@@ -16,18 +16,17 @@ from . import autodiff as ad
 from .autodiff import Tensor, conv1d_output_length, parameter
 from .core import ValidationError
 
-KINDS = ("cnn", "dilated_cnn", "lstm", "attention", "transformer")
-
-# structure defaults per architecture: (latent_dim, extras)
+# the shipped structure of each architecture, where it differs from the
+# EncoderSpec field defaults; a transformer's latent is its pooled
+# embedding, so make_spec sets its latent_dim to embed_dim
 _DEFAULTS = {
-    "cnn": dict(latent_dim=250, kernel=6, stride=4, dilations=(1, 1),
-                channels=(16, 16)),
-    "dilated_cnn": dict(latent_dim=200, kernel=6, stride=4, dilations=(5, 1),
-                        channels=(16, 16)),
-    "lstm": dict(latent_dim=128, hidden=128),
-    "attention": dict(latent_dim=200, segment=5, blocks=2, att_dim=32),
-    "transformer": dict(latent_dim=64, embed_dim=64, ff_dim=1024, dropout=0.1),
+    "cnn": dict(latent_dim=250),
+    "dilated_cnn": dict(latent_dim=200, dilations=(5, 1)),
+    "lstm": dict(latent_dim=128),
+    "attention": dict(latent_dim=200),
+    "transformer": dict(),
 }
+KINDS = tuple(_DEFAULTS)
 
 
 @dataclass(frozen=True)
@@ -63,33 +62,21 @@ class EncoderSpec:
             raise ValidationError("encoder hyperparameters must be positive")
         if not 0.0 <= self.dropout < 1.0:
             raise ValidationError(f"dropout {self.dropout} outside [0, 1)")
+        if self.kind == "transformer" and self.latent_dim != self.embed_dim:
+            raise ValidationError(
+                f"transformer latent_dim {self.latent_dim} must equal its embed_dim "
+                f"{self.embed_dim}: the latent is the pooled embedding")
         n_min = min_window_length(self)
         if self.window < n_min:
             raise ValidationError(
                 f"{self.kind} needs a window of at least {n_min} ticks, got {self.window}")
 
-    def to_dict(self) -> dict:
-        d = {k: getattr(self, k) for k in self.__dataclass_fields__}
-        d["dilations"] = list(d["dilations"])
-        d["channels"] = list(d["channels"])
-        return d
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "EncoderSpec":
-        d = dict(d)
-        d["dilations"] = tuple(d.get("dilations", (1, 1)))
-        d["channels"] = tuple(d.get("channels", (16, 16)))
-        return cls(**d)
-
 
 def make_spec(kind: str, window: int = 100, features: int = 6, **overrides) -> EncoderSpec:
     """Spec with the shipped defaults for `kind` applied first."""
-    if kind not in _DEFAULTS:
-        raise ValidationError(f"unknown encoder kind {kind!r}, want one of {KINDS}")
-    fields = dict(_DEFAULTS[kind])
-    fields.update(overrides)
-    if kind == "transformer" and "embed_dim" in overrides and "latent_dim" not in overrides:
-        fields["latent_dim"] = overrides["embed_dim"]  # latent is the pooled embedding
+    fields = {**_DEFAULTS.get(kind, {}), **overrides}
+    if kind == "transformer":
+        fields.setdefault("latent_dim", fields.get("embed_dim", EncoderSpec.embed_dim))
     return EncoderSpec(kind=kind, window=window, features=features, **fields)
 
 
@@ -191,7 +178,7 @@ def encode(params: dict[str, Tensor], spec: EncoderSpec, windows: np.ndarray | T
            train: bool = False, rng: np.random.Generator | None = None) -> Tensor:
     """Latent vectors (B, latent_dim) for a batch of normalized windows
     (B, N, F). N must equal the configured window length."""
-    x = windows if isinstance(windows, Tensor) else Tensor(np.asarray(windows, dtype=float))
+    x = ad.as_tensor(windows)
     if x.data.ndim != 3 or x.data.shape[2] != spec.features:
         raise ValidationError(f"windows must be (B, N, {spec.features}), got {x.data.shape}")
     if x.data.shape[1] != spec.window:
@@ -281,23 +268,6 @@ def _encode_transformer(p, spec, x, train, rng):
     ff = ad.reshape(ad.affine(ff, p["ff2_w"], p["ff2_b"]), (b, n, e))
     sub2 = ad.layer_norm(ad.add(sub1, ff), p["ln2_g"], p["ln2_b"])
     return ad.tmean(sub2, axis=1)
-
-
-def encoder_arrays(params: dict[str, Tensor]) -> dict[str, np.ndarray]:
-    return {k: v.data for k, v in params.items()}
-
-
-def load_encoder_params(spec: EncoderSpec, arrays: dict[str, np.ndarray],
-                        rng: np.random.Generator | None = None) -> dict[str, Tensor]:
-    fresh = init_encoder(spec, rng or np.random.default_rng(0))
-    for name, t in fresh.items():
-        if name not in arrays:
-            raise ValidationError(f"checkpoint missing encoder tensor {name!r}")
-        if tuple(arrays[name].shape) != t.data.shape:
-            raise ValidationError(
-                f"encoder tensor {name!r} has shape {arrays[name].shape}, want {t.data.shape}")
-        t.data = np.array(arrays[name], dtype=float)
-    return fresh
 
 
 def trainable(params: dict[str, Tensor]) -> list[Tensor]:

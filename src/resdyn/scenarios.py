@@ -58,13 +58,6 @@ class OracleParams:
         return speed * wheel_angle / (self.wheelbase
                                       + self.understeer_gradient * speed * speed)
 
-    def to_dict(self) -> dict:
-        return {k: getattr(self, k) for k in self.__dataclass_fields__}
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "OracleParams":
-        return cls(**d)
-
 
 @dataclass
 class OracleState:

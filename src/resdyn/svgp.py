@@ -3,7 +3,14 @@
 Matern-5/2 ARD kernel, learned inducing points, whitened Cholesky
 variational posterior, per-task constant means and noises. Tasks share the
 kernel and inducing locations. Minibatch ELBO trained by Adam, optionally
-jointly with an upstream encoder (latents may enter as graph nodes).
+jointly with an upstream encoder.
+
+Latents enter `elbo`, `predict` and `init_from_latents` one way: made a
+graph node (an ndarray becomes a constant `Tensor`), checked to be a
+finite (B, dim) array, then z-scored by the stored input mean and std
+inside the graph. `elbo` and `predict` skip the z-score when the caller
+passes `pre_normalized=True`. An encoder's output node therefore keeps its
+gradient path into the GP.
 
 Jitter added to K_ZZ is equivalent to observing the inducing values through
 N(0, jitter) noise, so the ELBO remains a true lower bound on the exact
@@ -27,39 +34,6 @@ LOG_2PI = math.log(2.0 * math.pi)
 MAX_JITTER = 1e-4
 
 
-@dataclass(frozen=True)
-class Matern52Kernel:
-    lengthscales: np.ndarray   # (d,) > 0, ARD
-    outputscale: float         # sigma^2 > 0
-
-    def __post_init__(self):
-        ls = np.asarray(self.lengthscales, dtype=float)
-        object.__setattr__(self, "lengthscales", ls)
-        if np.any(ls <= 0) or self.outputscale <= 0:
-            raise ValidationError("kernel hyperparameters must be positive")
-
-
-def kernel_eval(a: np.ndarray, b: np.ndarray, k: Matern52Kernel) -> float:
-    """sigma^2 (1 + sqrt5 r + 5 r^2/3) exp(-sqrt5 r), r the ARD-scaled distance."""
-    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
-    if a.shape != b.shape or a.shape != k.lengthscales.shape:
-        raise ValidationError(f"kernel_eval dims mismatch: {a.shape}, {b.shape}, "
-                              f"{k.lengthscales.shape}")
-    r = float(np.linalg.norm((a - b) / k.lengthscales))
-    s5r = math.sqrt(5.0) * r
-    return k.outputscale * (1.0 + s5r + (5.0 / 3.0) * r * r) * math.exp(-s5r)
-
-
-@dataclass(frozen=True)
-class ResidualPrediction:
-    mean: tuple[float, float]  # meters, (dx, dy)
-    std: tuple[float, float]   # predictive, includes noise
-
-    def __post_init__(self):
-        if not (self.std[0] > 0 and self.std[1] > 0):
-            raise ValidationError(f"std must be positive, got {self.std}")
-
-
 @dataclass
 class GpConfig:
     inducing: int = 128
@@ -79,9 +53,8 @@ class GpConfig:
             raise ValidationError("bad optimizer settings")
 
 
-def _check_finite(values: Tensor | np.ndarray, what: str) -> None:
-    data = values.data if isinstance(values, Tensor) else np.asarray(values, float)
-    finite = np.isfinite(data)
+def _check_finite(values: np.ndarray, what: str) -> None:
+    finite = np.isfinite(values)
     if not finite.all():
         first = tuple(int(i) for i in np.argwhere(~finite)[0])
         raise ValidationError(f"non-finite {what} at index {first}")
@@ -123,15 +96,11 @@ class VariationalGP:
             out += [self.m[t], self.l_raw[t], self.c[t], self.log_noise[t]]
         return out
 
-    def kernel(self) -> Matern52Kernel:
-        return Matern52Kernel(np.exp(self.log_lengthscales.data),
-                              float(np.exp(self.log_outputscale.data)))
-
     def init_from_latents(self, latents: np.ndarray, targets: np.ndarray,
                           rng: np.random.Generator) -> None:
         """k-means++ inducing seeding over a subsample; constant means start
         at the per-task target means."""
-        latents = self.normalize(latents)
+        latents = self._latent_node(latents, pre_normalized=False).data
         sub = latents if len(latents) <= 2048 else \
             latents[rng.choice(len(latents), 2048, replace=False)]
         if len(sub) < self.inducing:
@@ -143,11 +112,16 @@ class VariationalGP:
         for t in range(self.num_tasks):
             self.c[t].data = np.array(float(t2[:, t].mean()))
 
-    def normalize(self, latents: np.ndarray) -> np.ndarray:
-        return (np.asarray(latents, dtype=float) - self.input_mean) / self.input_std
-
-    def normalize_node(self, latents: Tensor) -> Tensor:
-        return ad.div(ad.sub(latents, Tensor(self.input_mean)), Tensor(self.input_std))
+    def _latent_node(self, latents: np.ndarray | Tensor, pre_normalized: bool) -> Tensor:
+        """(B, dim) latents as a finite graph node, z-scored unless
+        `pre_normalized`."""
+        x = ad.as_tensor(latents)
+        if x.data.ndim != 2 or x.data.shape[1] != self.dim:
+            raise ValidationError(f"latents must be (B, {self.dim}), got {x.data.shape}")
+        _check_finite(x.data, "latents")
+        if pre_normalized:
+            return x
+        return ad.div(ad.sub(x, Tensor(self.input_mean)), Tensor(self.input_std))
 
     # -- kernel graph pieces ----------------------------------------------
 
@@ -219,7 +193,7 @@ class VariationalGP:
              pre_normalized: bool = False) -> Tensor:
         """Scalar ELBO node (sum over tasks). Batch likelihood is rescaled
         by total_n / B; the KL appears once per task."""
-        _check_finite(latents, "latents")
+        latents = self._latent_node(latents, pre_normalized)
         if jitter is None:
             jitter = 1e-8
         y = np.atleast_2d(np.asarray(targets, float).T).T       # (B, T)
@@ -229,10 +203,6 @@ class VariationalGP:
             raise ValidationError(f"bad batch/total sizes: {bsz}, {total_n}")
         if y.shape[1] != self.num_tasks:
             raise ValidationError(f"targets have {y.shape[1]} tasks, model has {self.num_tasks}")
-        if not isinstance(latents, Tensor):
-            latents = Tensor(self.normalize(latents))
-        elif not pre_normalized:
-            latents = self.normalize_node(latents)
         w, kxx = self._posterior_terms(latents, jitter)
         scale = total_n / bsz
         total = None
@@ -255,11 +225,7 @@ class VariationalGP:
     def predict(self, latents: np.ndarray | Tensor, jitter: float | None = None,
                 pre_normalized: bool = False) -> tuple[np.ndarray, np.ndarray]:
         """Predictive means and stds, both (M, num_tasks); std includes noise."""
-        _check_finite(latents, "latents")
-        if not isinstance(latents, Tensor):
-            latents = Tensor(self.normalize(np.atleast_2d(latents)))
-        elif not pre_normalized:
-            latents = self.normalize_node(latents)
+        latents = self._latent_node(latents, pre_normalized)
         w, kxx = self._posterior_terms(latents, jitter if jitter is not None else 1e-8)
         means, stds = [], []
         for t in range(self.num_tasks):
@@ -268,11 +234,6 @@ class VariationalGP:
             means.append(mu.data)
             stds.append(np.sqrt(var.data + noise))
         return np.stack(means, axis=1), np.stack(stds, axis=1)
-
-    def predict_point(self, latent: np.ndarray) -> ResidualPrediction:
-        mean, std = self.predict(np.asarray(latent)[None, :])
-        return ResidualPrediction((float(mean[0, 0]), float(mean[0, 1])),
-                                  (float(std[0, 0]), float(std[0, 1])))
 
     # -- persistence -------------------------------------------------------
 
@@ -304,13 +265,6 @@ class VariationalGP:
             gp.log_noise[t].data = np.array(arrays[f"log_noise{t}"], dtype=float)
         return gp
 
-    def snapshot(self) -> dict[str, np.ndarray]:
-        return {k: v.copy() for k, v in self.to_arrays().items()}
-
-    def restore(self, arrays: dict[str, np.ndarray]) -> None:
-        for p in self.parameters():
-            p.data = np.array(arrays[p.name], dtype=float)
-
 
 @dataclass
 class FitReport:
@@ -338,9 +292,10 @@ def fit_svgp(latents: np.ndarray, targets: np.ndarray, config: GpConfig,
                        num_tasks=targets.shape[1], init_noise=config.init_noise,
                        input_mean=mean, input_std=std)
     gp.init_from_latents(latents, targets, rng)
-    opt = Adam(gp.parameters(), lr=config.lr)
+    params = gp.parameters()
+    opt = Adam(params, lr=config.lr)
     report = FitReport()
-    best = gp.snapshot()
+    best = [p.data.copy() for p in params]
     best_val = -math.inf
     for epoch in range(config.epochs):
         order = rng.permutation(n)
@@ -361,8 +316,9 @@ def fit_svgp(latents: np.ndarray, targets: np.ndarray, config: GpConfig,
             if val > best_val:
                 best_val = val
                 report.best_epoch = epoch
-                best = gp.snapshot()
+                best = [p.data.copy() for p in params]
     if val_latents is not None:
-        gp.restore(best)
+        for p, data in zip(params, best):
+            p.data = data
     report.skipped_steps = opt.skipped_steps
     return gp, report

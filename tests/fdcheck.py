@@ -39,5 +39,5 @@ def check_grads(fn, tensors, h=1e-5, rtol=1e-4, atol=1e-7):
         rel = err / np.maximum(denom, 1e-8)
         bad = (err > atol) & (rel > rtol)
         assert not bad.any(), (
-            f"gradient mismatch for {t.name or t.shape}: "
+            f"gradient mismatch for {t.name or t.data.shape}: "
             f"max rel err {rel.max():.3e}, max abs err {err.max():.3e}")

@@ -1,4 +1,5 @@
 import gc
+import json
 
 import numpy as np
 import pytest
@@ -61,11 +62,13 @@ class TestBasics:
                 chol = ad.cholesky(spd)
                 solved = ad.trisolve(chol, ad.reshape(ad.softmax(a[1:3]), (4, 2)))
                 conv = ad.conv1d(x, randt(rng, 2, 3, 3), randt(rng, 2))
-                parts = [ad.exp(ad.tanh(solved)), ad.log(ad.sigmoid(solved)),
-                         ad.sqrt(ad.relu(solved) + 1.0), ad.power(solved, 2),
-                         ad.matern52(ad.relu(solved)), ad.sub(solved, 1.0) / 2.0,
+                parts = [ad.exp(ad.tanh(solved)), ad.sigmoid(solved),
+                         ad.sqrt(ad.add(ad.relu(solved), 1.0)), ad.mul(solved, solved),
+                         ad.matern52(ad.relu(solved)), ad.div(ad.sub(solved, 1.0), 2.0),
                          ad.tmean(conv, axis=2)]
-                loss = ad.tsum(ad.concat([ad.reshape(q, (-1,)) for q in parts]))
+                loss = ad.tsum(ad.reshape(parts[0], (-1,)))
+                for q in parts[1:]:
+                    loss = ad.add(loss, ad.tsum(q))
                 backward(loss)
                 del a, x, spd, chol, solved, conv, parts, loss
             assert gc.collect() == 0
@@ -194,10 +197,9 @@ class TestFiniteDifference:
 
     def test_unary_ops(self):
         rng = seeded_rng(1, "fd-un")
-        x = randt(rng, 2, 5, shift=2.0)  # positive: valid for log/sqrt
-        for op in (ad.exp, ad.log, ad.sqrt, ad.tanh, ad.sigmoid):
+        x = randt(rng, 2, 5, shift=2.0)  # positive: valid for sqrt
+        for op in (ad.exp, ad.sqrt, ad.tanh, ad.sigmoid):
             check_grads(lambda op=op: ad.tsum(op(x)), [x])
-        check_grads(lambda: ad.tsum(ad.power(x, 2.5)), [x])
 
     def test_relu_away_from_kink(self):
         rng = seeded_rng(1, "fd-relu")
@@ -235,12 +237,13 @@ class TestFiniteDifference:
         check_grads(lambda: ad.tsum(ad.mul(ad.transpose(x),
                                            Tensor(np.arange(12.0).reshape(4, 3)))), [x])
 
-    def test_slice_and_concat(self):
+    def test_slice(self):
         rng = seeded_rng(1, "fd-sl")
-        x, y = randt(rng, 4, 5), randt(rng, 2, 5)
+        x = randt(rng, 6, 5)
         w = Tensor(rng.standard_normal((6, 3)))
-        check_grads(
-            lambda: ad.tsum(ad.mul(ad.concat([x, y], axis=0)[:, 1:4], w)), [x, y])
+        w_rows = Tensor(rng.standard_normal((3, 5)))
+        check_grads(lambda: ad.tsum(ad.mul(x[:, 1:4], w)), [x])
+        check_grads(lambda: ad.tsum(ad.mul(x[[4, 0, 4]], w_rows)), [x])
 
     def test_conv1d(self):
         rng = seeded_rng(1, "fd-conv")
@@ -398,15 +401,26 @@ class TestCheckpoint:
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_nonfinite_entry_rejected(self, tmp_path, bad):
+        # written by hand: save_checkpoint refuses non-finite arrays
         path = tmp_path / "nan.ckpt"
-        ad.save_checkpoint(path, {"ok": np.ones(2), "w": np.array([1.0, bad])})
+        header = {"format": "f64-le", "entries": [
+            {"name": "ok", "shape": [2], "offset": 0},
+            {"name": "w", "shape": [2], "offset": 2}]}
+        payload = np.array([1.0, 1.0, 1.0, bad], dtype="<f8").tobytes()
+        path.write_bytes(json.dumps(header).encode("utf-8") + b"\n" + payload)
         with pytest.raises(ValidationError, match="nan.ckpt.*'w'"):
             ad.load_checkpoint(path)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_nonfinite_entry_not_saved(self, tmp_path, bad):
+        path = tmp_path / "nan.ckpt"
+        with pytest.raises(ValidationError, match="nan.ckpt.*'w'"):
+            ad.save_checkpoint(path, {"ok": np.ones(2), "w": np.array([1.0, bad])})
+        assert not path.exists()
 
     def test_header_is_json_line(self, tmp_path):
         path = tmp_path / "m.ckpt"
         ad.save_checkpoint(path, {"a": np.ones(2)})
-        import json
         with open(path, "rb") as fh:
             header = json.loads(fh.readline())
         assert header["entries"][0] == {"name": "a", "shape": [2], "offset": 0}

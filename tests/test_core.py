@@ -139,10 +139,6 @@ class TestTypes:
         with pytest.raises(ValidationError):
             ControlCommand(0, 0, 1.5)
 
-    def test_command_overlap_flag(self):
-        assert ControlCommand(0.2, 0.2, 0).overlapping
-        assert not ControlCommand(0.2, 0.04, 0).overlapping
-
     def test_state_invariants(self):
         with pytest.raises(ValidationError):
             VehicleState(-0.1, 0, 0)

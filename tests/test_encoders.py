@@ -5,7 +5,7 @@ from fdcheck import check_grads
 import resdyn.autodiff as ad
 from resdyn.autodiff import Tensor, backward
 from resdyn.core import ValidationError
-from resdyn.encoders import (KINDS, conv_chain_lengths, encode, init_encoder,
+from resdyn.encoders import (KINDS, EncoderSpec, conv_chain_lengths, encode, init_encoder,
                              make_spec, min_window_length, trainable)
 from resdyn.rng import seeded_rng
 
@@ -51,6 +51,28 @@ class TestShapes:
         spec = make_spec("transformer", window=100)
         assert spec.ff_dim == 1024
         assert spec.dropout == 0.1
+
+    def test_transformer_latent_defaults_to_embed_dim(self):
+        assert make_spec("transformer", window=10).latent_dim == 64
+        spec = make_spec("transformer", window=10, embed_dim=16, ff_dim=8)
+        assert spec.latent_dim == 16
+        z = encode(init_encoder(spec, seeded_rng(0, "tf16")), spec, np.zeros((2, 10, 6)))
+        assert z.data.shape == (2, spec.latent_dim)
+
+    def test_transformer_latent_other_than_embed_dim_rejected(self):
+        # the latent is the pooled embedding: a GP sized from a spec whose
+        # latent_dim differs from embed_dim would not fit encode's output
+        with pytest.raises(ValidationError, match="latent_dim 16 must equal its embed_dim 64"):
+            make_spec("transformer", window=10, latent_dim=16)
+        with pytest.raises(ValidationError, match="embed_dim"):
+            EncoderSpec("transformer", latent_dim=32, embed_dim=16)
+
+    def test_kinds_and_unknown_kind(self):
+        assert KINDS == ("cnn", "dilated_cnn", "lstm", "attention", "transformer")
+        for kind in KINDS:
+            assert make_spec(kind).kind == kind
+        with pytest.raises(ValidationError, match="unknown encoder kind 'gru'"):
+            make_spec("gru")
 
     def test_attention_latent(self):
         spec = make_spec("attention", window=100)

@@ -36,3 +36,42 @@ def test_every_script_target_resolves():
         for part in attr.split("."):
             obj = getattr(obj, part)
         assert callable(obj), f"script {script} -> {target} is not callable"
+
+
+def public_top_level_names(tree: ast.Module) -> list[str]:
+    names = []
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names.append(node.name)
+        elif isinstance(node, ast.Assign):
+            names += [t.id for t in node.targets if isinstance(t, ast.Name)]
+        elif isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name):
+            names.append(node.target.id)
+    return [n for n in names if not n.startswith("_")]
+
+
+def referenced_names(tree: ast.AST) -> set[str]:
+    """Names read, attributes accessed and names imported: every way code
+    can refer to a symbol other than by defining or assigning it."""
+    found = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store):
+            found.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            found.add(node.attr)
+        elif isinstance(node, ast.ImportFrom):
+            found.update(a.name for a in node.names)
+    return found
+
+
+def test_every_public_symbol_has_a_caller():
+    referenced = set()
+    for folder in ("src", "tests", "perfbench"):
+        for path in (ROOT / folder).rglob("*.py"):
+            referenced |= referenced_names(ast.parse(path.read_text()))
+    orphans = []
+    for path in sorted((ROOT / "src" / "resdyn").glob("*.py")):
+        tree = ast.parse(path.read_text())
+        orphans += [f"{path.stem}.{n}" for n in public_top_level_names(tree)
+                    if n not in referenced]
+    assert not orphans, f"public symbols nothing refers to: {orphans}"

@@ -8,8 +8,7 @@ import resdyn.autodiff as ad
 from resdyn.autodiff import Tensor, parameter
 from resdyn.core import ValidationError
 from resdyn.rng import seeded_rng
-from resdyn.svgp import (FitReport, GpConfig, Matern52Kernel, ResidualPrediction,
-                         VariationalGP, fit_svgp, kernel_eval)
+from resdyn.svgp import FitReport, GpConfig, VariationalGP, fit_svgp
 
 SQRT5 = math.sqrt(5.0)
 
@@ -49,15 +48,21 @@ def make_toy_gp(x, lengthscale=0.8, outputscale=1.3, noise=0.05, cmean=0.3):
     return gp
 
 
+def kernel_value(a, b, lengthscales, outputscale):
+    """k(a, b) as the GP computes it: its `_cross_cov` at one pair of points."""
+    gp = VariationalGP(dim=len(lengthscales), inducing=1)
+    gp.log_lengthscales.data = np.log(np.asarray(lengthscales, float))
+    gp.log_outputscale.data = np.array(math.log(outputscale))
+    return float(gp._cross_cov(Tensor(np.atleast_2d(a)), Tensor(np.atleast_2d(b))).data[0, 0])
+
+
 class TestKernel:
     def test_equal_points_give_outputscale(self):
-        k = Matern52Kernel(np.array([0.7, 1.3]), 2.5)
         a = np.array([0.4, -1.0])
-        assert kernel_eval(a, a, k) == pytest.approx(2.5)
+        assert kernel_value(a, a, [0.7, 1.3], 2.5) == pytest.approx(2.5)
 
     def test_vanishes_at_large_distance(self):
-        k = Matern52Kernel(np.array([1.0]), 1.0)
-        assert kernel_eval(np.array([0.0]), np.array([50.0]), k) < 1e-20
+        assert kernel_value([0.0], [50.0], [1.0], 1.0) < 1e-20
 
     def test_unit_distance_extended_precision(self):
         import mpmath
@@ -65,17 +70,14 @@ class TestKernel:
         r = mpmath.mpf(1)
         expect = float((1 + mpmath.sqrt(5) * r + 5 * r ** 2 / 3)
                        * mpmath.e ** (-mpmath.sqrt(5) * r))
-        k = Matern52Kernel(np.array([1.0]), 1.0)
-        got = kernel_eval(np.array([0.0]), np.array([1.0]), k)
+        got = kernel_value([0.0], [1.0], [1.0], 1.0)
         assert got == pytest.approx(expect, abs=1e-14)
 
     def test_ard_scaling(self):
-        k = Matern52Kernel(np.array([2.0, 0.5]), 1.0)
-        iso = Matern52Kernel(np.array([1.0]), 1.0)
         a, b = np.array([1.0, 0.25]), np.array([3.0, 0.75])
         # scaled distance sqrt(1 + 1) for both formulations
-        assert kernel_eval(a, b, k) == pytest.approx(
-            kernel_eval(np.array([0.0]), np.array([math.sqrt(2)]), iso))
+        assert kernel_value(a, b, [2.0, 0.5], 1.0) == pytest.approx(
+            kernel_value([0.0], [math.sqrt(2)], [1.0], 1.0))
 
 
 class TestElboAgainstDenseOracle:
@@ -173,14 +175,38 @@ class TestPredict:
             with pytest.raises(ValidationError, match="latents"):
                 gp.elbo(z, targets, total_n=10)
         with pytest.raises(ValidationError, match="latents"):
-            gp.predict_point(latents[2])
+            gp.predict(latents[2:3])
         targets[0, 0] = bad
         with pytest.raises(ValidationError, match="targets"):
             gp.elbo(np.zeros((4, 2)), targets, total_n=10)
 
-    def test_residual_prediction_requires_positive_std(self):
-        with pytest.raises(ValidationError):
-            ResidualPrediction((0.0, 0.0), (0.0, 1.0))
+    @pytest.mark.parametrize("shape", [(2,), (4, 3), (2, 4, 2)])
+    def test_latents_of_wrong_shape_rejected(self, shape):
+        gp = VariationalGP(dim=2, inducing=3, num_tasks=2)
+        for z in (np.zeros(shape), Tensor(np.zeros(shape))):
+            with pytest.raises(ValidationError, match=r"\(B, 2\)"):
+                gp.predict(z)
+            with pytest.raises(ValidationError, match=r"\(B, 2\)"):
+                gp.elbo(z, np.zeros((2, 2)), total_n=10)
+
+    @pytest.mark.parametrize("pre_normalized", [False, True])
+    def test_ndarray_and_tensor_latents_agree(self, pre_normalized):
+        # one way in: an ndarray is treated exactly as a constant Tensor,
+        # and pre_normalized is honoured for both
+        rng = seeded_rng(5, "latent-entry")
+        gp = VariationalGP(dim=2, inducing=4, num_tasks=2,
+                           input_mean=np.array([0.5, -1.0]), input_std=np.array([2.0, 0.25]))
+        gp.z.data = rng.standard_normal((4, 2))
+        gp.m[0].data = rng.standard_normal(4)
+        x = rng.standard_normal((6, 2))
+        y = rng.standard_normal((6, 2))
+        got = gp.predict(x, pre_normalized=pre_normalized)
+        want = gp.predict(Tensor(x), pre_normalized=pre_normalized)
+        assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
+        assert np.array_equal(gp.elbo(x, y, 10, pre_normalized=pre_normalized).data,
+                              gp.elbo(Tensor(x), y, 10, pre_normalized=pre_normalized).data)
+        other = gp.predict(x, pre_normalized=not pre_normalized)
+        assert not np.array_equal(got[0], other[0])
 
 
 class TestGradients:
