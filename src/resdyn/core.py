@@ -197,7 +197,9 @@ def write_trajectory_csv(path, traj: Trajectory,
 
 
 def read_trajectory_csv(path) -> tuple[Trajectory, np.ndarray | None]:
-    """Returns (trajectory, sigmas or None); sigmas hold NaN where absent."""
+    """Returns (trajectory, sigmas or None); sigmas hold NaN where absent.
+    A row with other than the header's cell count, or a sigma cell neither
+    empty nor finite and >= 0, raises a ValidationError naming `path:line`."""
     ts, poses, speeds, sigmas = [], [], [], []
     with open(path, newline="") as fh:
         r = csv.reader(fh)
@@ -210,14 +212,17 @@ def read_trajectory_csv(path) -> tuple[Trajectory, np.ndarray | None]:
             if not row:
                 continue
             try:
+                if len(row) != len(header):
+                    raise ValueError(f"{len(row)} cells, header has {len(header)}")
                 ts.append(float(row[0]))
                 poses.append([float(row[1]), float(row[2]), float(row[3])])
                 speeds.append(float(row[4]) if has_speed and row[4] != "" else np.nan)
                 if has_sigma:
-                    sx = float(row[-2]) if row[-2] != "" else np.nan
-                    sy = float(row[-1]) if row[-1] != "" else np.nan
-                    sigmas.append([sx, sy])
-            except (ValueError, IndexError) as exc:
+                    sigmas.append([float(c) if c != "" else np.nan for c in row[-2:]])
+                    if any(c != "" and not 0.0 <= s < math.inf
+                           for c, s in zip(row[-2:], sigmas[-1])):
+                        raise ValueError(f"sigmas {row[-2:]} not empty or finite and >= 0")
+            except ValueError as exc:
                 raise ValidationError(f"{path}:{ln}: bad trajectory row ({exc})") from exc
     traj = Trajectory(np.array(ts), np.array(poses),
                       np.array(speeds) if has_speed else None)

@@ -8,7 +8,7 @@ transformer encoder with sinusoidal positions and mean pooling.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -54,6 +54,9 @@ class EncoderSpec:
     def __post_init__(self):
         if self.kind not in KINDS:
             raise ValidationError(f"unknown encoder kind {self.kind!r}, want one of {KINDS}")
+        if len(self.dilations) != 2 or len(self.channels) != 2:
+            raise ValidationError(f"the conv encoder has two layers: dilations {self.dilations} "
+                                  f"and channels {self.channels} must each have 2 entries")
         positives = (self.window, self.features, self.latent_dim, self.kernel,
                      self.stride, self.hidden, self.segment, self.blocks,
                      self.att_dim, self.embed_dim, self.ff_dim,
@@ -73,11 +76,14 @@ class EncoderSpec:
 
 
 def make_spec(kind: str, window: int = 100, features: int = 6, **overrides) -> EncoderSpec:
-    """Spec with the shipped defaults for `kind` applied first."""
-    fields = {**_DEFAULTS.get(kind, {}), **overrides}
+    """Spec with the shipped defaults for `kind` applied first; unknown fields are refused."""
+    unknown = sorted(set(overrides) - {f.name for f in fields(EncoderSpec)})
+    if unknown:
+        raise ValidationError(f"unknown encoder spec field(s) {unknown}")
+    values = {**_DEFAULTS.get(kind, {}), **overrides}
     if kind == "transformer":
-        fields.setdefault("latent_dim", fields.get("embed_dim", EncoderSpec.embed_dim))
-    return EncoderSpec(kind=kind, window=window, features=features, **fields)
+        values.setdefault("latent_dim", values.get("embed_dim", EncoderSpec.embed_dim))
+    return EncoderSpec(kind=kind, window=window, features=features, **values)
 
 
 def min_window_length(spec: EncoderSpec) -> int:

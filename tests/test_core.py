@@ -1,12 +1,13 @@
 import math
+import re
 
 import numpy as np
 import pytest
 from hypothesis import example, given, strategies as st
 
-from resdyn.core import (ControlCommand, Pose, Trajectory, ValidationError,
-                         VehicleState, integrate_step, wrap_angle,
-                         wrap_angle_array)
+from resdyn.core import (TRAJ_CSV_FIELDS, ControlCommand, Pose, Trajectory,
+                         ValidationError, VehicleState, integrate_step,
+                         read_trajectory_csv, wrap_angle, wrap_angle_array)
 
 # the float boundaries of the (-pi, pi] wrap
 EDGE_ANGLES = (math.pi, -math.pi, math.nextafter(math.pi, 4),
@@ -155,3 +156,32 @@ class TestTypes:
     def test_trajectory_length_mismatch(self):
         with pytest.raises(ValidationError):
             Trajectory(np.array([0.0, 0.01]), np.zeros((3, 3)))
+
+
+class TestTrajectoryCsv:
+    GOOD = "0.0,0.0,0.0,0.0,1.0,,"
+
+    @staticmethod
+    def write(tmp_path, *rows):
+        path = tmp_path / "traj.csv"
+        path.write_text("".join(r + "\n" for r in (",".join(TRAJ_CSV_FIELDS),) + rows))
+        return path
+
+    @pytest.mark.parametrize("row", ["0.01,1.0,2.0,0.5,3.0",
+                                     "0.01,1.0,2.0,0.5,3.0,0.1,0.2,0.3"])
+    def test_row_with_other_cell_count_rejected(self, tmp_path, row):
+        good = self.write(tmp_path, self.GOOD, "0.01,1.0,2.0,0.5,3.0,0.1,0.0")
+        _, sigmas = read_trajectory_csv(good)
+        assert np.array_equal(sigmas, [[np.nan, np.nan], [0.1, 0.0]], equal_nan=True)
+        path = self.write(tmp_path, self.GOOD, row)
+        with pytest.raises(ValidationError, match=re.escape(f"{path}:3")):
+            read_trajectory_csv(path)
+
+    @pytest.mark.parametrize("cell", ["-0.1", "inf", "-inf", "nan"])
+    @pytest.mark.parametrize("column", [0, 1])
+    def test_sigma_not_finite_and_nonnegative_rejected(self, tmp_path, cell, column):
+        sigmas = ["0.2", "0.2"]
+        sigmas[column] = cell
+        path = self.write(tmp_path, self.GOOD, "0.01,1.0,2.0,0.5,3.0," + ",".join(sigmas))
+        with pytest.raises(ValidationError, match=re.escape(f"{path}:3")):
+            read_trajectory_csv(path)

@@ -91,6 +91,19 @@ class TestShapes:
             encode(params, spec, np.zeros((2, 7, 5)))
 
 
+class TestSpecFields:
+    @pytest.mark.parametrize("kind", ["cnn", "dilated_cnn"])
+    @pytest.mark.parametrize("field, value", [("dilations", (1,)), ("dilations", (1, 1, 1)),
+                                              ("channels", (4,)), ("channels", (4, 4, 4))])
+    def test_conv_fields_need_two_layers(self, kind, field, value):
+        with pytest.raises(ValidationError, match="must each have 2 entries"):
+            make_spec(kind, **{field: value})
+
+    def test_unknown_field_named(self):
+        with pytest.raises(ValidationError, match="'foo'"):
+            make_spec("cnn", foo=1)
+
+
 class TestMinWindow:
     def test_cnn_min_is_26(self):
         assert min_window_length(make_spec("cnn", window=100)) == 26

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -43,8 +44,8 @@ def make_toy_gp(x, lengthscale=0.8, outputscale=1.3, noise=0.05, cmean=0.3):
     gp.z.data = x[:, None].copy()
     gp.log_lengthscales.data = np.array([math.log(lengthscale)])
     gp.log_outputscale.data = np.array(math.log(outputscale))
-    gp.log_noise[0].data = np.array(math.log(noise))
-    gp.c[0].data = np.array(cmean)
+    gp.log_noise.data[0] = np.array(math.log(noise))
+    gp.c.data[0] = np.array(cmean)
     return gp
 
 
@@ -84,8 +85,8 @@ class TestElboAgainstDenseOracle:
     def test_zero_information_kl_is_zero(self):
         x, y, _ = toy_instance()
         gp = make_toy_gp(x)
-        kl = gp._kl(0)
-        assert float(kl.data) == pytest.approx(0.0, abs=1e-12)
+        kl = gp._kl(gp._l_var())
+        assert float(kl.data[0]) == pytest.approx(0.0, abs=1e-12)
 
     def test_elbo_matches_lml_at_exact_posterior(self):
         x, y, k = toy_instance()
@@ -102,8 +103,8 @@ class TestElboAgainstDenseOracle:
         s_w = np.linalg.solve(lk, np.linalg.solve(lk, sigma_u).T).T
         l_w = np.linalg.cholesky(0.5 * (s_w + s_w.T) + 1e-14 * np.eye(n))
         raw = np.tril(l_w, -1) + np.diag(np.log(np.diag(l_w)))
-        gp.m[0].data = m_w
-        gp.l_raw[0].data = raw
+        gp.m.data[0] = m_w
+        gp.l_raw.data[0] = raw
         elbo = float(gp.elbo(x[:, None], y[:, None], total_n=n, jitter=jitter).data)
         lml = dense_lml(y, k, noise, cmean)
         assert elbo == pytest.approx(lml, abs=1e-6)
@@ -115,8 +116,8 @@ class TestElboAgainstDenseOracle:
         for seed in range(8):
             rng = seeded_rng(seed, "q")
             gp = make_toy_gp(x)
-            gp.m[0].data = rng.standard_normal(len(x))
-            gp.l_raw[0].data = np.tril(rng.standard_normal((len(x), len(x))) * 0.3,
+            gp.m.data[0] = rng.standard_normal(len(x))
+            gp.l_raw.data[0] = np.tril(rng.standard_normal((len(x), len(x))) * 0.3,
                                        -1) + np.diag(rng.uniform(-1, 0.3, len(x)))
             elbo = float(gp.elbo(x[:, None], y[:, None], total_n=len(x)).data)
             assert elbo <= lml + 1e-9
@@ -129,9 +130,9 @@ class TestElboAgainstDenseOracle:
         gp.z.data = np.sort(rng.choice(x, 6, replace=False))[:, None]
         gp.log_lengthscales.data = np.array([math.log(0.8)])
         gp.log_outputscale.data = np.array(math.log(1.3))
-        gp.log_noise[0].data = np.array(math.log(0.05))
-        gp.c[0].data = np.array(0.3)
-        gp.m[0].data = rng.standard_normal(6) * 0.5
+        gp.log_noise.data[0] = np.array(math.log(0.05))
+        gp.c.data[0] = np.array(0.3)
+        gp.m.data[0] = rng.standard_normal(6) * 0.5
         elbo = float(gp.elbo(x[:, None], y[:, None], total_n=len(x)).data)
         assert elbo <= lml + 1e-9
 
@@ -156,8 +157,8 @@ class TestPredict:
         x, y, _ = toy_instance()
         gp = make_toy_gp(x)
         rng = seeded_rng(9, "vq")
-        gp.m[0].data = rng.standard_normal(len(x))
-        gp.l_raw[0].data = np.tril(rng.standard_normal((len(x), len(x))), -1) \
+        gp.m.data[0] = rng.standard_normal(len(x))
+        gp.l_raw.data[0] = np.tril(rng.standard_normal((len(x), len(x))), -1) \
             + np.diag(rng.uniform(-2, 0, len(x)))
         zq = rng.uniform(-4, 4, (50, 1))
         _, std = gp.predict(zq)
@@ -197,7 +198,7 @@ class TestPredict:
         gp = VariationalGP(dim=2, inducing=4, num_tasks=2,
                            input_mean=np.array([0.5, -1.0]), input_std=np.array([2.0, 0.25]))
         gp.z.data = rng.standard_normal((4, 2))
-        gp.m[0].data = rng.standard_normal(4)
+        gp.m.data[0] = rng.standard_normal(4)
         x = rng.standard_normal((6, 2))
         y = rng.standard_normal((6, 2))
         got = gp.predict(x, pre_normalized=pre_normalized)
@@ -207,6 +208,72 @@ class TestPredict:
                               gp.elbo(Tensor(x), y, 10, pre_normalized=pre_normalized).data)
         other = gp.predict(x, pre_normalized=not pre_normalized)
         assert not np.array_equal(got[0], other[0])
+
+
+class TestJitter:
+    @pytest.mark.parametrize("jitter", [0.0, -1.0, math.nan])
+    def test_jitter_not_positive_rejected(self, jitter):
+        # duplicate inducing points make K_ZZ singular; escalating a jitter
+        # that is not positive by x10 would never reach the ceiling
+        gp = VariationalGP(dim=2, inducing=3, num_tasks=2)
+        gp.z.data = np.zeros((3, 2))
+        with pytest.raises(ValidationError, match="jitter"):
+            gp.elbo(np.zeros((4, 2)), np.zeros((4, 2)), total_n=10, jitter=jitter)
+
+
+def gp_arrays():
+    """`to_arrays` of a small two-task GP whose tasks all differ."""
+    rng = seeded_rng(31, "arrays")
+    gp = VariationalGP(dim=2, inducing=3, num_tasks=2,
+                       input_mean=np.array([0.1, -0.2]), input_std=np.array([1.5, 0.5]))
+    for p in gp.parameters():
+        p.data = rng.standard_normal(p.data.shape) * 0.3
+    return gp, {k: np.array(v) for k, v in gp.to_arrays().items()}
+
+
+class TestFromArrays:
+    def test_round_trip_keeps_each_task(self):
+        gp, arrays = gp_arrays()
+        for name in ("m", "l_raw", "c", "log_noise"):
+            for t in range(2):
+                assert np.array_equal(arrays[f"{name}{t}"], getattr(gp, name).data[t])
+        back = VariationalGP.from_arrays(arrays)
+        for p, q in zip(gp.parameters(), back.parameters()):
+            assert np.array_equal(p.data, q.data)
+        x = seeded_rng(32, "arrays-x").standard_normal((5, 2))
+        assert all(np.array_equal(a, b) for a, b in zip(gp.predict(x), back.predict(x)))
+
+    @pytest.mark.parametrize("key", ["z", "num_tasks", "log_lengthscales", "input_std",
+                                     "m1", "l_raw0", "c1", "log_noise0"])
+    def test_missing_key_rejected(self, key):
+        _, arrays = gp_arrays()
+        del arrays[key]
+        with pytest.raises(ValidationError, match=re.escape(repr(key))):
+            VariationalGP.from_arrays(arrays)
+
+    @pytest.mark.parametrize("key, shape", [("m0", (4,)), ("m1", (2,)), ("l_raw1", (3, 2)),
+                                            ("c0", (1,)), ("log_noise1", (2,)),
+                                            ("log_lengthscales", (3,)), ("input_mean", (1,)),
+                                            ("z", (3,))])
+    def test_wrong_shape_rejected(self, key, shape):
+        _, arrays = gp_arrays()
+        arrays[key] = np.ones(shape)
+        with pytest.raises(ValidationError, match=re.escape(repr(key))):
+            VariationalGP.from_arrays(arrays)
+
+    @pytest.mark.parametrize("key", ["c0", "m1", "l_raw1", "log_noise0", "z", "input_mean"])
+    def test_nonfinite_value_rejected(self, key):
+        _, arrays = gp_arrays()
+        arrays[key].flat[-1] = np.nan
+        with pytest.raises(ValidationError, match=re.escape(repr(key))):
+            VariationalGP.from_arrays(arrays)
+
+    @pytest.mark.parametrize("num_tasks", [0.0, -1.0, 1.5])
+    def test_num_tasks_not_positive_integer_rejected(self, num_tasks):
+        _, arrays = gp_arrays()
+        arrays["num_tasks"] = np.array(num_tasks)
+        with pytest.raises(ValidationError, match="'num_tasks' must be a positive integer"):
+            VariationalGP.from_arrays(arrays)
 
 
 class TestGradients:
@@ -219,11 +286,11 @@ class TestGradients:
         gp.log_lengthscales.data = rng.uniform(-0.3, 0.3, 2)
         gp.log_outputscale.data = np.array(0.2)
         for t in range(2):
-            gp.m[t].data = rng.standard_normal(3) * 0.5
-            gp.l_raw[t].data = np.tril(rng.standard_normal((3, 3)) * 0.2, -1) \
+            gp.m.data[t] = rng.standard_normal(3) * 0.5
+            gp.l_raw.data[t] = np.tril(rng.standard_normal((3, 3)) * 0.2, -1) \
                 + np.diag(rng.uniform(-0.5, 0.2, 3))
-            gp.c[t].data = np.array(rng.standard_normal())
-            gp.log_noise[t].data = np.array(math.log(0.05))
+            gp.c.data[t] = np.array(rng.standard_normal())
+            gp.log_noise.data[t] = np.array(math.log(0.05))
         latents = parameter(rng.standard_normal((4, 2)), "latents")
         targets = rng.standard_normal((4, 2)) * 0.3
 
@@ -235,7 +302,7 @@ class TestGradients:
 class TestFit:
     def test_rejects_inducing_not_below_batch(self):
         with pytest.raises(ValidationError, match="below batch"):
-            GpConfig(inducing=64, batch_size=64).validate()
+            GpConfig(inducing=64, batch_size=64)
 
     def test_sin_fit_reaches_low_rmse(self):
         rng = seeded_rng(21, "sin")
@@ -271,8 +338,8 @@ class TestFit:
         y = np.full(300, 1.7)
         cfg = GpConfig(inducing=16, batch_size=64, lr=0.05, epochs=60)
         gp, _ = fit_svgp(x, y, cfg, seed=23)
-        assert float(gp.c[0].data) == pytest.approx(1.7, abs=0.05)
-        assert np.linalg.norm(gp.m[0].data) < 0.5
+        assert float(gp.c.data[0]) == pytest.approx(1.7, abs=0.05)
+        assert np.linalg.norm(gp.m.data[0]) < 0.5
         mean, _ = gp.predict(rng.standard_normal((20, 2)))
         assert np.allclose(mean[:, 0], 1.7, atol=0.1)
 
@@ -293,7 +360,8 @@ class TestFit:
         # zero-information posterior: predictive equals the prior; draws from
         # the prior must fall outside the 2-sigma band ~4.55% of the time
         rng = seeded_rng(27, "calib")
-        gp = VariationalGP(dim=2, inducing=8, num_tasks=1, init_noise=0.04)
+        gp = VariationalGP(dim=2, inducing=8, num_tasks=1)
+        gp.log_noise.data = np.array([math.log(0.04)])
         gp.z.data = rng.standard_normal((8, 2))
         zq = rng.standard_normal((6000, 2))
         mean, std = gp.predict(zq)
