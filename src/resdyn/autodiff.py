@@ -4,7 +4,9 @@ Define-by-run: every op is a module-level function (`add`, `matmul`,
 `tsum`, ...) that returns a Tensor holding the forward value and a
 closure that scatters the upstream gradient, passed in as its argument, to
 its parents. Tensors have no arithmetic operators; indexing (`x[key]`)
-is the one op spelled as a method. A closure never references its own
+is the one op spelled as a method, and it takes basic keys only (ints,
+slices, Ellipsis and None), which select each element at most once, so
+its gradient is added into a slice. A closure never references its own
 output node, so a graph holds no reference cycle: it is rebuilt each
 minibatch and freed by reference counting as soon as it is dropped.
 float64 everywhere: the models trained here are tiny and Cholesky
@@ -90,21 +92,16 @@ class Tensor:
             self.grad += g
 
     def __getitem__(self, key):
+        if not _is_basic_key(key):
+            raise ValidationError(
+                f"Tensor index {key!r} is not basic: use ints, slices, Ellipsis or None")
         x = self
         out = Tensor(x.data[key], _parents=(x,))
         if out.requires_grad:
-            if _is_basic_key(key):
-                # a basic key selects each element at most once
-                def _bwd(g):
-                    if x.grad is None:
-                        x.grad = np.zeros_like(x.data)
-                    x.grad[key] += g
-            else:
-                # an advanced key may repeat an index, which must accumulate
-                def _bwd(g):
-                    gx = np.zeros_like(x.data)
-                    np.add.at(gx, key, g)
-                    x._acc(gx)
+            def _bwd(g):
+                if x.grad is None:
+                    x.grad = np.zeros_like(x.data)
+                x.grad[key] += g
             out._backward = _bwd
         return out
 
@@ -355,21 +352,17 @@ def cholesky(a):
     return out
 
 
-def trisolve(l, b, trans: bool = False):
-    """Solve L x = b (or L^T x = b when trans) for lower-triangular L."""
+def trisolve(l, b):
+    """Solve L x = b for lower-triangular L."""
     l, b = as_tensor(l), as_tensor(b)
     if b.data.ndim != 2 or l.data.ndim != 2:
         raise ValidationError(f"trisolve needs 2-D operands, got {l.data.shape}, {b.data.shape}")
-    x_data = solve_triangular(l.data, b.data, lower=True, trans="T" if trans else "N")
+    x_data = solve_triangular(l.data, b.data, lower=True, trans="N")
     out = Tensor(x_data, _parents=(l, b))
     if out.requires_grad:
         def _bwd(g):
-            if trans:
-                gb = solve_triangular(l.data, g, lower=True, trans="N")
-                gl = -x_data @ gb.T
-            else:
-                gb = solve_triangular(l.data, g, lower=True, trans="T")
-                gl = -gb @ x_data.T
+            gb = solve_triangular(l.data, g, lower=True, trans="T")
+            gl = -gb @ x_data.T
             if l.requires_grad:
                 l._acc(np.tril(gl))
             if b.requires_grad:
@@ -380,17 +373,18 @@ def trisolve(l, b, trans: bool = False):
 
 # -- network ops -------------------------------------------------------
 
-def conv1d(x, w, bias=None, stride: int = 1, dilation: int = 1):
-    """1-D convolution. x: (C_in, L) or (B, C_in, L); w: (C_out, C_in, K).
+def conv1d(x, w, bias, stride: int = 1, dilation: int = 1):
+    """1-D convolution plus bias. x: (B, C_in, L); w: (C_out, C_in, K);
+    bias: (C_out,).
 
     Output length floor((L - dilation*(K-1) - 1)/stride) + 1.
     """
-    x, w = as_tensor(x), as_tensor(w)
-    squeeze = x.data.ndim == 2
-    xd = x.data[None] if squeeze else x.data
-    if xd.ndim != 3 or w.data.ndim != 3 or xd.shape[1] != w.data.shape[1]:
-        raise ValidationError(
-            f"conv1d shape mismatch: input {x.data.shape}, kernel {w.data.shape}")
+    x, w, bias = as_tensor(x), as_tensor(w), as_tensor(bias)
+    xd = x.data
+    if (xd.ndim != 3 or w.data.ndim != 3 or xd.shape[1] != w.data.shape[1]
+            or bias.data.shape != w.data.shape[:1]):
+        raise ValidationError(f"conv1d shape mismatch: input {xd.shape}, "
+                              f"kernel {w.data.shape}, bias {bias.data.shape}")
     _, c_in, length = xd.shape
     c_out, _, k = w.data.shape
     l_out = conv1d_output_length(length, k, stride, dilation)
@@ -402,15 +396,10 @@ def conv1d(x, w, bias=None, stride: int = 1, dilation: int = 1):
     idx = (np.arange(l_out) * stride)[:, None] + np.arange(k)[None, :] * dilation
     cols = xd[:, :, idx]                                  # (B, C_in, L_out, K)
     data = np.einsum("bclk,ock->bol", cols, w.data, optimize=True)
-    if bias is not None:
-        bias = as_tensor(bias)
-        data = data + bias.data[:, None]
-    parents = (x, w) if bias is None else (x, w, bias)
-    out = Tensor(data[0] if squeeze else data, _parents=parents)
+    data = data + bias.data[:, None]
+    out = Tensor(data, _parents=(x, w, bias))
     if out.requires_grad:
         def _bwd(g):
-            if squeeze:
-                g = g[None]
             if w.requires_grad:
                 w._acc(np.einsum("bclk,bol->ock", cols, g, optimize=True))
             if x.requires_grad:
@@ -421,8 +410,8 @@ def conv1d(x, w, bias=None, stride: int = 1, dilation: int = 1):
                 span = stride * (l_out - 1) + 1
                 for j in range(k - 1, -1, -1):
                     gx[:, :, j * dilation:j * dilation + span:stride] += gcols[..., j]
-                x._acc(gx[0] if squeeze else gx)
-            if bias is not None and bias.requires_grad:
+                x._acc(gx)
+            if bias.requires_grad:
                 bias._acc(g.sum(axis=(0, 2)))
         out._backward = _bwd
     return out
@@ -463,18 +452,20 @@ def affine(x, w, b):
 
 # -- optimizer ---------------------------------------------------------
 
-class Adam:
-    """Adam with bias correction. A step with any non-finite gradient is
-    skipped entirely and counted."""
+_BETA1, _BETA2, _EPS = 0.9, 0.999, 1e-8
 
-    def __init__(self, params, lr: float = 1e-3, beta1: float = 0.9,
-                 beta2: float = 0.999, eps: float = 1e-8):
+
+class Adam:
+    """Adam with bias correction and the usual beta1 = 0.9, beta2 = 0.999,
+    eps = 1e-8. A step with any non-finite gradient is skipped entirely and
+    counted."""
+
+    def __init__(self, params, lr: float = 1e-3):
         self.params = list(params)
         for p in self.params:
             if not p.requires_grad:
                 raise ValidationError("Adam got a non-trainable tensor")
         self.lr = lr
-        self.beta1, self.beta2, self.eps = beta1, beta2, eps
         self.m = [np.zeros_like(p.data) for p in self.params]
         self.v = [np.zeros_like(p.data) for p in self.params]
         self.t = 0
@@ -487,14 +478,14 @@ class Adam:
             self.skipped_steps += 1
             return False
         self.t += 1
-        c1 = 1.0 - self.beta1 ** self.t
-        c2 = 1.0 - self.beta2 ** self.t
+        c1 = 1.0 - _BETA1 ** self.t
+        c2 = 1.0 - _BETA2 ** self.t
         for p, g, m, v in zip(self.params, grads, self.m, self.v):
-            m *= self.beta1
-            m += (1.0 - self.beta1) * g
-            v *= self.beta2
-            v += (1.0 - self.beta2) * g * g
-            p.data -= self.lr * (m / c1) / (np.sqrt(v / c2) + self.eps)
+            m *= _BETA1
+            m += (1.0 - _BETA1) * g
+            v *= _BETA2
+            v += (1.0 - _BETA2) * g * g
+            p.data -= self.lr * (m / c1) / (np.sqrt(v / c2) + _EPS)
         return True
 
     def zero_grad(self):

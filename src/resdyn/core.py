@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -98,24 +98,29 @@ class LogRecord:
 
 @dataclass(frozen=True)
 class Trajectory:
-    """Fixed-step timestamped 2-D pose sequence, the unit of all grading."""
+    """Fixed-step timestamped 2-D pose and speed sequence, the unit of all
+    grading."""
 
     timestamps: np.ndarray          # (n,) seconds, strictly increasing
     poses: np.ndarray               # (n, 3) columns x, y, heading
-    speeds: np.ndarray | None = field(default=None)
+    speeds: np.ndarray              # (n,) m/s
 
     def __post_init__(self):
         ts = np.asarray(self.timestamps, dtype=float)
         ps = np.asarray(self.poses, dtype=float)
+        vs = np.asarray(self.speeds, dtype=float)
         object.__setattr__(self, "timestamps", ts)
         object.__setattr__(self, "poses", ps)
+        object.__setattr__(self, "speeds", vs)
         if ts.ndim != 1 or ps.ndim != 2 or ps.shape[1] != 3:
             raise ValidationError(f"bad trajectory shapes {ts.shape}, {ps.shape}")
-        if len(ts) != len(ps):
-            raise ValidationError(f"{len(ts)} timestamps vs {len(ps)} poses")
+        if len(ts) != len(ps) or vs.shape != ts.shape:
+            raise ValidationError(
+                f"{len(ts)} timestamps vs {len(ps)} poses and speeds of shape {vs.shape}")
         if len(ts) == 0:
             raise ValidationError("empty trajectory")
-        if not np.all(np.isfinite(ts)) or not np.all(np.isfinite(ps)):
+        if not (np.all(np.isfinite(ts)) and np.all(np.isfinite(ps))
+                and np.all(np.isfinite(vs))):
             raise ValidationError("non-finite trajectory entry")
         if len(ts) > 1:
             steps = np.diff(ts)
@@ -180,15 +185,13 @@ def write_trajectory_csv(path, traj: Trajectory,
                          sigmas: np.ndarray | None = None) -> None:
     """Rows `t,x,y,heading,speed,sigma_x,sigma_y`; sigma cells empty where
     no correction was made (warm-up ticks)."""
-    n = len(traj)
-    speeds = traj.speeds if traj.speeds is not None else np.full(n, np.nan)
     with open(path, "w", newline="") as fh:
         w = csv.writer(fh)
         w.writerow(TRAJ_CSV_FIELDS)
-        for i in range(n):
+        for i in range(len(traj)):
             row = [repr(float(traj.timestamps[i])), repr(float(traj.poses[i, 0])),
                    repr(float(traj.poses[i, 1])), repr(float(traj.poses[i, 2])),
-                   repr(float(speeds[i]))]
+                   repr(float(traj.speeds[i]))]
             if sigmas is None or not np.all(np.isfinite(sigmas[i])):
                 row += ["", ""]
             else:
@@ -196,34 +199,33 @@ def write_trajectory_csv(path, traj: Trajectory,
             w.writerow(row)
 
 
-def read_trajectory_csv(path) -> tuple[Trajectory, np.ndarray | None]:
-    """Returns (trajectory, sigmas or None); sigmas hold NaN where absent.
-    A row with other than the header's cell count, or a sigma cell neither
-    empty nor finite and >= 0, raises a ValidationError naming `path:line`."""
-    ts, poses, speeds, sigmas = [], [], [], []
+def read_trajectory_csv(path) -> tuple[Trajectory, np.ndarray]:
+    """Returns (trajectory, sigmas): sigmas are (n, 2), NaN where a cell is
+    empty. The header must be `TRAJ_CSV_FIELDS`. A row with another cell
+    count, a t, x, y, heading or speed cell that is not a finite number, or
+    a sigma cell neither empty nor finite and >= 0 raises a ValidationError
+    naming `path:line`."""
+    rows, sigmas = [], []
     with open(path, newline="") as fh:
         r = csv.reader(fh)
-        header = next(r, None)
-        if header is None or [h.strip() for h in header[:4]] != ["t", "x", "y", "heading"]:
-            raise ValidationError(f"{path}: expected trajectory header t,x,y,heading,...")
-        has_speed = len(header) >= 5 and header[4].strip() == "speed"
-        has_sigma = len(header) >= 7 and header[-2].strip() == "sigma_x"
+        if tuple(next(r, ())) != TRAJ_CSV_FIELDS:
+            raise ValidationError(
+                f"{path}: expected trajectory header {','.join(TRAJ_CSV_FIELDS)}")
         for ln, row in enumerate(r, start=2):
             if not row:
                 continue
             try:
-                if len(row) != len(header):
-                    raise ValueError(f"{len(row)} cells, header has {len(header)}")
-                ts.append(float(row[0]))
-                poses.append([float(row[1]), float(row[2]), float(row[3])])
-                speeds.append(float(row[4]) if has_speed and row[4] != "" else np.nan)
-                if has_sigma:
-                    sigmas.append([float(c) if c != "" else np.nan for c in row[-2:]])
-                    if any(c != "" and not 0.0 <= s < math.inf
-                           for c, s in zip(row[-2:], sigmas[-1])):
-                        raise ValueError(f"sigmas {row[-2:]} not empty or finite and >= 0")
+                if len(row) != len(TRAJ_CSV_FIELDS):
+                    raise ValueError(f"{len(row)} cells, header has {len(TRAJ_CSV_FIELDS)}")
+                rows.append([float(c) for c in row[:5]])
+                if not all(math.isfinite(v) for v in rows[-1]):
+                    raise ValueError(f"t, x, y, heading and speed {row[:5]} not all finite")
+                sigmas.append([float(c) if c != "" else np.nan for c in row[5:]])
+                if any(c != "" and not 0.0 <= s < math.inf
+                       for c, s in zip(row[5:], sigmas[-1])):
+                    raise ValueError(f"sigmas {row[5:]} not empty or finite and >= 0")
             except ValueError as exc:
                 raise ValidationError(f"{path}:{ln}: bad trajectory row ({exc})") from exc
-    traj = Trajectory(np.array(ts), np.array(poses),
-                      np.array(speeds) if has_speed else None)
-    return traj, (np.array(sigmas) if has_sigma and sigmas else None)
+    table = np.array(rows).reshape(-1, 5)
+    return (Trajectory(table[:, 0], table[:, 1:4], table[:, 4]),
+            np.array(sigmas).reshape(-1, 2))

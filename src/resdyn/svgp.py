@@ -2,8 +2,9 @@
 
 Matern-5/2 ARD kernel, learned inducing points, whitened Cholesky
 variational posterior, per-task constant means and noises. Tasks share the
-kernel and inducing locations. Minibatch ELBO trained by Adam, optionally
-jointly with an upstream encoder.
+kernel and inducing locations. The GP is trained only jointly with an
+upstream sequence encoder, by one optimizer on the minibatch ELBO (`loss`);
+this module has no standalone trainer on fixed latents.
 
 Each per-task parameter is one tensor with a leading axis over the T
 tasks: `m` (T, M), `l_raw` (T, M, M), `c` (T,) and `log_noise` (T,), so
@@ -25,38 +26,19 @@ log marginal likelihood for any positive jitter.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.cluster.vq import kmeans2
 
 from . import autodiff as ad
-from .autodiff import Adam, Tensor, backward, parameter
+from .autodiff import Tensor, parameter
 from .core import ValidationError
-from .rng import seeded_rng
 
 LOG_2PI = math.log(2.0 * math.pi)
 MAX_JITTER = 1e-4
 _JITTER = 1e-8        # first jitter tried on K_ZZ; `elbo` may start elsewhere
 _INIT_NOISE = 0.01    # sigma_n^2 of every task at construction, m^2
 _TASK_PARAMS = ("m", "l_raw", "c", "log_noise")   # leading task axis
-
-
-@dataclass(frozen=True)
-class GpConfig:
-    inducing: int = 128
-    batch_size: int = 256
-    lr: float = 0.01
-    epochs: int = 40
-
-    def __post_init__(self):
-        if self.inducing < 1:
-            raise ValidationError("need at least one inducing point")
-        if self.inducing >= self.batch_size:
-            raise ValidationError(
-                f"inducing count {self.inducing} must stay below batch size {self.batch_size}")
-        if self.lr <= 0 or self.epochs < 1:
-            raise ValidationError("bad optimizer settings")
 
 
 def _check_finite(values: np.ndarray, what: str) -> None:
@@ -135,11 +117,11 @@ class VariationalGP:
         return ad.div(ad.sub(x, Tensor(self.input_mean)), Tensor(self.input_std))
 
     def _targets(self, targets: np.ndarray) -> np.ndarray:
-        """(B,) or (B, T) targets as a finite, contiguous (T, B) array."""
-        y = np.atleast_2d(np.asarray(targets, float).T).T
+        """(B, T) targets as a finite, contiguous (T, B) array."""
+        y = np.asarray(targets, float)
+        if y.ndim != 2 or y.shape[1] != self.num_tasks:
+            raise ValidationError(f"targets must be (B, {self.num_tasks}), got {y.shape}")
         _check_finite(y, "targets")
-        if y.shape[1] != self.num_tasks:
-            raise ValidationError(f"targets have {y.shape[1]} tasks, model has {self.num_tasks}")
         return np.ascontiguousarray(y.T)
 
     # -- kernel graph pieces ----------------------------------------------
@@ -268,58 +250,3 @@ class VariationalGP:
                 p.data = _checkpoint_array(arrays, p.name, p.data.shape)
         return gp
 
-
-@dataclass
-class FitReport:
-    iteration_losses: list[float] = field(default_factory=list)
-    epoch_train_loss: list[float] = field(default_factory=list)
-    epoch_val_elbo: list[float] = field(default_factory=list)
-    best_epoch: int = 0
-    skipped_steps: int = 0
-
-
-def fit_svgp(latents: np.ndarray, targets: np.ndarray, config: GpConfig,
-             seed: int = 0, val_latents: np.ndarray | None = None,
-             val_targets: np.ndarray | None = None) -> tuple[VariationalGP, FitReport]:
-    """Standalone SVGP training on fixed latents (no encoder in the loop)."""
-    latents = np.asarray(latents, dtype=float)
-    targets = np.atleast_2d(np.asarray(targets, float).T).T
-    n = len(latents)
-    if n < config.batch_size:
-        raise ValidationError(f"dataset of {n} smaller than batch size {config.batch_size}")
-    rng = seeded_rng(seed, "svgp-fit")
-    mean = latents.mean(axis=0)
-    std = np.maximum(latents.std(axis=0), 1e-8)
-    gp = VariationalGP(latents.shape[1], config.inducing,
-                       num_tasks=targets.shape[1], input_mean=mean, input_std=std)
-    gp.init_from_latents(latents, targets, rng)
-    params = gp.parameters()
-    opt = Adam(params, lr=config.lr)
-    report = FitReport()
-    best = [p.data.copy() for p in params]
-    best_val = -math.inf
-    for epoch in range(config.epochs):
-        order = rng.permutation(n)
-        losses = []
-        for lo in range(0, n - config.batch_size + 1, config.batch_size):
-            idx = order[lo:lo + config.batch_size]
-            opt.zero_grad()
-            loss = gp.loss(latents[idx], targets[idx], total_n=n)
-            backward(loss)
-            opt.step()
-            losses.append(float(loss.data))
-        report.iteration_losses += losses
-        report.epoch_train_loss.append(float(np.mean(losses)))
-        if val_latents is not None:
-            val = float(gp.elbo(val_latents, val_targets,
-                                total_n=len(val_latents)).data) / len(val_latents)
-            report.epoch_val_elbo.append(val)
-            if val > best_val:
-                best_val = val
-                report.best_epoch = epoch
-                best = [p.data.copy() for p in params]
-    if val_latents is not None:
-        for p, data in zip(params, best):
-            p.data = data
-    report.skipped_steps = opt.skipped_steps
-    return gp, report

@@ -1,9 +1,12 @@
 import gc
 import json
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
 from fdcheck import check_grads
+from hypothesis import given, strategies as st
 
 import resdyn.autodiff as ad
 from resdyn.autodiff import Adam, Tensor, backward, parameter
@@ -115,10 +118,14 @@ class TestBasics:
         assert np.array_equal(x.grad, [[0.0, 0.0, 0.0], [0.0, -1.0, -1.0]])
         assert not np.signbit(x.grad[x.grad == 0.0]).any()
 
-    def test_repeated_advanced_index_accumulates(self):
-        x = parameter(np.array([5.0, 6.0, 7.0]))
-        backward(ad.tsum(x[[0, 0, 2]]))
-        assert np.array_equal(x.grad, [2.0, 0.0, 1.0])
+    @pytest.mark.parametrize("key", [[0, 0, 2], np.array([1]), np.array([True, False, True]),
+                                     (slice(None), [0]), True, 1.0],
+                             ids=["repeated-list", "int-array", "bool-mask", "slice-and-list",
+                                  "bool", "float"])
+    def test_advanced_index_rejected(self, key):
+        for x in (parameter(np.array([5.0, 6.0, 7.0])), Tensor(np.arange(3.0))):
+            with pytest.raises(ValidationError, match="not basic"):
+                x[key]
 
     def test_basic_index_adds_to_existing_gradient(self):
         x = parameter(np.arange(8.0).reshape(2, 4))
@@ -143,9 +150,9 @@ class TestBasics:
 
 class TestConv1d:
     def test_identity_kernel(self):
-        x = Tensor(np.arange(1.0, 6.0).reshape(1, 5))
+        x = Tensor(np.arange(1.0, 6.0).reshape(1, 1, 5))
         w = Tensor(np.array([[[1.0]]]))
-        y = ad.conv1d(x, w)
+        y = ad.conv1d(x, w, Tensor(np.zeros(1)))
         assert np.allclose(y.data, x.data)
 
     def test_length_formula_cases(self):
@@ -155,7 +162,8 @@ class TestConv1d:
             assert ad.conv1d_output_length(length, k, s, d) == expect
             x = Tensor(np.zeros((2, 3, length)))
             w = Tensor(np.zeros((4, 3, k)))
-            assert ad.conv1d(x, w, stride=s, dilation=d).data.shape == (2, 4, expect)
+            b = Tensor(np.zeros(4))
+            assert ad.conv1d(x, w, b, stride=s, dilation=d).data.shape == (2, 4, expect)
 
     @pytest.mark.parametrize("k, stride, dilation, length", [
         (7, 1, 2, 40),   # up to 7 taps on one input position
@@ -166,7 +174,7 @@ class TestConv1d:
         rng = seeded_rng(2, "col2im")
         x = randt(rng, 3, 2, length)
         w = Tensor(rng.standard_normal((4, 2, k)) * 10.0 ** rng.uniform(-6, 6, (4, 2, k)))
-        y = ad.conv1d(x, w, stride=stride, dilation=dilation)
+        y = ad.conv1d(x, w, Tensor(rng.standard_normal(4)), stride=stride, dilation=dilation)
         g = rng.standard_normal(y.data.shape)
         backward(ad.tsum(ad.mul(y, Tensor(g))))
         l_out = y.data.shape[2]
@@ -177,10 +185,19 @@ class TestConv1d:
         assert np.array_equal(x.grad, ref)
 
     def test_too_short_rejected(self):
-        x = Tensor(np.zeros((1, 5)))
+        x = Tensor(np.zeros((1, 1, 5)))
         w = Tensor(np.zeros((1, 1, 6)))
         with pytest.raises(ValidationError, match="too short"):
-            ad.conv1d(x, w)
+            ad.conv1d(x, w, Tensor(np.zeros(1)))
+
+    @pytest.mark.parametrize("x_shape, b_shape", [((3, 9), (4,)), ((2, 2, 9), (4,)),
+                                                  ((2, 3, 9), (1,)), ((2, 3, 9), (4, 1))],
+                             ids=["2-d-input", "channels", "bias-length", "2-d-bias"])
+    def test_shape_mismatch_rejected(self, x_shape, b_shape):
+        # input (B, C_in=3, L), kernel (C_out=4, C_in=3, K), bias (C_out,)
+        with pytest.raises(ValidationError, match="conv1d shape mismatch"):
+            ad.conv1d(Tensor(np.zeros(x_shape)), Tensor(np.zeros((4, 3, 3))),
+                      Tensor(np.zeros(b_shape)))
 
 
 class TestFiniteDifference:
@@ -241,9 +258,9 @@ class TestFiniteDifference:
         rng = seeded_rng(1, "fd-sl")
         x = randt(rng, 6, 5)
         w = Tensor(rng.standard_normal((6, 3)))
-        w_rows = Tensor(rng.standard_normal((3, 5)))
+        w_row = Tensor(rng.standard_normal(5))
         check_grads(lambda: ad.tsum(ad.mul(x[:, 1:4], w)), [x])
-        check_grads(lambda: ad.tsum(ad.mul(x[[4, 0, 4]], w_rows)), [x])
+        check_grads(lambda: ad.tsum(ad.mul(x[4], w_row)), [x])
 
     def test_conv1d(self):
         rng = seeded_rng(1, "fd-conv")
@@ -290,9 +307,7 @@ class TestFiniteDifference:
         l = parameter(np.tril(raw) + 3.0 * np.eye(4))
         b = randt(rng, 4, 3)
         w = Tensor(rng.standard_normal((4, 3)))
-        for trans in (False, True):
-            check_grads(lambda trans=trans: ad.tsum(ad.mul(
-                ad.trisolve(l, b, trans=trans), w)), [l, b])
+        check_grads(lambda: ad.tsum(ad.mul(ad.trisolve(l, b), w)), [l, b])
 
     def test_matern52(self):
         rng = seeded_rng(1, "fd-mat")
@@ -424,3 +439,54 @@ class TestCheckpoint:
         with open(path, "rb") as fh:
             header = json.loads(fh.readline())
         assert header["entries"][0] == {"name": "a", "shape": [2], "offset": 0}
+
+
+# any JSON value json.loads can return, NaN and the infinities included
+JSON = st.recursive(st.none() | st.booleans() | st.integers() | st.floats() | st.text(),
+                    lambda inner: st.lists(inner, max_size=3)
+                    | st.dictionaries(st.text(max_size=5), inner, max_size=3),
+                    max_leaves=6)
+
+
+def load_bytes(raw: bytes):
+    """load_checkpoint of a file holding `raw`."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "fuzz.ckpt"
+        path.write_bytes(raw)
+        return ad.load_checkpoint(path)
+
+
+class TestCheckpointFuzz:
+    """Whatever the bytes, the loader returns arrays or raises a
+    ValidationError, never another exception."""
+
+    @given(st.binary(max_size=300))
+    def test_random_bytes(self, raw):
+        try:
+            load_bytes(raw)
+        except ValidationError:
+            pass
+
+    @given(st.data())
+    def test_truncated_file_rejected(self, data):
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "whole.ckpt"
+            ad.save_checkpoint(path, {"a": np.arange(3.0), "b": np.ones((2, 2)),
+                                      "c": np.array(2.5)})
+            raw = path.read_bytes()
+        cut = data.draw(st.integers(0, len(raw) - 1))
+        with pytest.raises(ValidationError):
+            load_bytes(raw[:cut])
+
+    @given(fmt=st.just("f64-le") | JSON,
+           name=st.text(max_size=5) | JSON,
+           shape=st.lists(st.integers(-2, 4), max_size=3) | JSON,
+           offset=st.integers(-2, 8) | JSON,
+           payload=st.integers(0, 10))
+    def test_bad_header_fields(self, fmt, name, shape, offset, payload):
+        header = {"format": fmt, "entries": [{"name": name, "shape": shape, "offset": offset}]}
+        raw = json.dumps(header).encode("utf-8") + b"\n" + np.ones(payload).tobytes()
+        try:
+            load_bytes(raw)
+        except ValidationError:
+            pass

@@ -1,5 +1,7 @@
 import math
 import re
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -7,11 +9,21 @@ from hypothesis import example, given, strategies as st
 
 from resdyn.core import (TRAJ_CSV_FIELDS, ControlCommand, Pose, Trajectory,
                          ValidationError, VehicleState, integrate_step,
-                         read_trajectory_csv, wrap_angle, wrap_angle_array)
+                         read_trajectory_csv, wrap_angle, wrap_angle_array,
+                         write_trajectory_csv)
 
 # the float boundaries of the (-pi, pi] wrap
 EDGE_ANGLES = (math.pi, -math.pi, math.nextafter(math.pi, 4),
                math.nextafter(-math.pi, -4), 3 * math.pi, -3 * math.pi)
+# finite floats with their boundaries: signed zeros, subnormals, the
+# smallest normal and the largest magnitudes
+EDGE_FLOATS = (0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1e308, -1e308,
+               1.7976931348623157e308, -1.7976931348623157e308)
+FINITE = st.floats(allow_nan=False, allow_infinity=False) | st.sampled_from(EDGE_FLOATS)
+SIGMA = st.floats(min_value=0.0, allow_infinity=False) | st.sampled_from(
+    (0.0, -0.0, 5e-324, 2.2250738585072014e-308, 1e308))
+ROW = st.tuples(FINITE, FINITE, FINITE, FINITE,
+                st.none() | st.tuples(SIGMA, SIGMA))
 
 
 def fine_reference_rollout(pose, speed, accel, heading_rate, dt, n_steps, refine=1000):
@@ -150,12 +162,20 @@ class TestTypes:
     def test_trajectory_fixed_step(self):
         ts = np.array([0.0, 0.01, 0.02001])
         with pytest.raises(ValidationError):
-            Trajectory(ts, np.zeros((3, 3)))
-        Trajectory(np.array([0.0, 0.01, 0.02]), np.zeros((3, 3)))
+            Trajectory(ts, np.zeros((3, 3)), np.zeros(3))
+        Trajectory(np.array([0.0, 0.01, 0.02]), np.zeros((3, 3)), np.zeros(3))
 
     def test_trajectory_length_mismatch(self):
         with pytest.raises(ValidationError):
-            Trajectory(np.array([0.0, 0.01]), np.zeros((3, 3)))
+            Trajectory(np.array([0.0, 0.01]), np.zeros((3, 3)), np.zeros(2))
+        for speeds in (np.zeros(2), np.zeros(4), np.zeros((3, 1))):
+            with pytest.raises(ValidationError, match="speeds"):
+                Trajectory(np.array([0.0, 0.01, 0.02]), np.zeros((3, 3)), speeds)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_trajectory_nonfinite_speed_rejected(self, bad):
+        with pytest.raises(ValidationError, match="non-finite"):
+            Trajectory(np.array([0.0, 0.01]), np.zeros((2, 3)), np.array([1.0, bad]))
 
 
 class TestTrajectoryCsv:
@@ -177,6 +197,24 @@ class TestTrajectoryCsv:
         with pytest.raises(ValidationError, match=re.escape(f"{path}:3")):
             read_trajectory_csv(path)
 
+    @pytest.mark.parametrize("cell", ["inf", "nan"])
+    @pytest.mark.parametrize("column", [1, 4])
+    def test_nonfinite_x_or_speed_rejected(self, tmp_path, cell, column):
+        cells = "0.01,1.0,2.0,0.5,3.0,,".split(",")
+        cells[column] = cell
+        path = self.write(tmp_path, self.GOOD, ",".join(cells))
+        with pytest.raises(ValidationError, match=re.escape(f"{path}:3")):
+            read_trajectory_csv(path)
+
+    @pytest.mark.parametrize("header", ["t,x,y,heading", "t,x,y,heading,speed",
+                                        "t,x,y,heading,sigma_x,sigma_y",
+                                        "t,x,y,heading,speed,sigma_x,sigma_y,extra"])
+    def test_other_header_rejected(self, tmp_path, header):
+        path = tmp_path / "traj.csv"
+        path.write_text(header + "\n" + self.GOOD + "\n")
+        with pytest.raises(ValidationError, match="expected trajectory header"):
+            read_trajectory_csv(path)
+
     @pytest.mark.parametrize("cell", ["-0.1", "inf", "-inf", "nan"])
     @pytest.mark.parametrize("column", [0, 1])
     def test_sigma_not_finite_and_nonnegative_rejected(self, tmp_path, cell, column):
@@ -185,3 +223,25 @@ class TestTrajectoryCsv:
         path = self.write(tmp_path, self.GOOD, "0.01,1.0,2.0,0.5,3.0," + ",".join(sigmas))
         with pytest.raises(ValidationError, match=re.escape(f"{path}:3")):
             read_trajectory_csv(path)
+
+    @given(start=st.floats(-1e3, 1e3), step=st.sampled_from((0.01, 0.05, 1.0)),
+           rows=st.lists(ROW, min_size=1, max_size=12))
+    @example(start=0.0, step=0.01, rows=[(-0.0, 5e-324, 1e308, 0.0, None),
+                                         (-1e308, -5e-324, -0.0, -0.0, (5e-324, 1e308)),
+                                         (0.0, 1.7976931348623157e308, 0.0, 0.0, (0.0, -0.0))])
+    def test_write_read_round_trip(self, start, step, rows):
+        # a temporary directory per example: hypothesis reruns the body,
+        # which pytest's function-scoped tmp_path would not follow
+        poses = np.array([r[:3] for r in rows])
+        speeds = np.array([r[3] for r in rows])
+        sigmas = np.array([r[4] if r[4] is not None else (np.nan, np.nan) for r in rows])
+        traj = Trajectory(start + np.arange(len(rows)) * step, poses, speeds)
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "traj.csv"
+            write_trajectory_csv(path, traj, sigmas)
+            back, back_sigmas = read_trajectory_csv(path)
+        assert np.array_equal(back.timestamps, traj.timestamps)
+        assert np.array_equal(back.poses, traj.poses)
+        assert np.array_equal(np.signbit(back.poses), np.signbit(traj.poses))
+        assert np.array_equal(back.speeds, traj.speeds)
+        assert np.array_equal(back_sigmas, sigmas, equal_nan=True)

@@ -116,6 +116,19 @@ class TestTrainDmLb:
         val = report.best_val_mse * np.var(y, axis=0).mean()  # de-normalized
         assert val < 1e-3
 
+    def test_same_seed_checkpoints_byte_identical(self, tmp_path):
+        rng = seeded_rng(4, "ckpt-data")
+        x = rng.uniform([0, 0, -1, 0, -2], [1, 1, 1, 15, 2], size=(600, 5))
+        y = np.stack([x[:, 0] - x[:, 1], 0.4 * x[:, 2]], axis=1)
+        paths = [tmp_path / "a.ckpt", tmp_path / "b.ckpt"]
+        for path in paths:
+            model, _ = train_dm_lb(x, y, seed=5, epochs=20)
+            model.save(path)
+        assert paths[0].read_bytes() == paths[1].read_bytes()
+        loaded = MlpDynamicModel.load(paths[0])
+        for row in x[:8]:
+            assert loaded.tick(*row) == model.tick(*row)
+
     def test_oracle_logs_beat_untrained_and_rule_based(self):
         logs = generate_golden_set(0, loop_duration=45.0, scenario_duration=1.0)
         recs = logs["loop"]
