@@ -204,10 +204,14 @@ def read_trajectory_csv(path) -> tuple[Trajectory, np.ndarray]:
     empty. The header must be `TRAJ_CSV_FIELDS`. A row with another cell
     count, a t, x, y, heading or speed cell that is not a finite number, or
     a sigma cell neither empty nor finite and >= 0 raises a ValidationError
-    naming `path:line`."""
+    naming `path:line`. Bytes that are not UTF-8 CSV, and rows that
+    `Trajectory` rejects (none, or no fixed step), raise one naming `path`."""
     rows, sigmas = [], []
-    with open(path, newline="") as fh:
-        r = csv.reader(fh)
+    with open(path, newline="", encoding="utf-8") as fh:
+        try:
+            r = iter(list(csv.reader(fh)))
+        except (UnicodeDecodeError, csv.Error) as exc:
+            raise ValidationError(f"{path}: not a UTF-8 CSV file ({exc})") from exc
         if tuple(next(r, ())) != TRAJ_CSV_FIELDS:
             raise ValidationError(
                 f"{path}: expected trajectory header {','.join(TRAJ_CSV_FIELDS)}")
@@ -227,5 +231,8 @@ def read_trajectory_csv(path) -> tuple[Trajectory, np.ndarray]:
             except ValueError as exc:
                 raise ValidationError(f"{path}:{ln}: bad trajectory row ({exc})") from exc
     table = np.array(rows).reshape(-1, 5)
-    return (Trajectory(table[:, 0], table[:, 1:4], table[:, 4]),
-            np.array(sigmas).reshape(-1, 2))
+    try:
+        traj = Trajectory(table[:, 0], table[:, 1:4], table[:, 4])
+    except ValidationError as exc:
+        raise ValidationError(f"{path}: {exc}") from exc
+    return traj, np.array(sigmas).reshape(-1, 2)

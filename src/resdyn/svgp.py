@@ -18,6 +18,10 @@ inside the graph. `elbo` and `predict` skip the z-score when the caller
 passes `pre_normalized=True`. An encoder's output node therefore keeps its
 gradient path into the GP.
 
+`predict` reuses the K_ZZ Cholesky factor and the variational factors
+`_l_var()` for as long as `z`, the kernel scales and `l_raw` are bitwise
+unchanged; `m`, `c` and `log_noise` are read afresh on every call.
+
 Jitter added to K_ZZ is equivalent to observing the inducing values through
 N(0, jitter) noise, so the ELBO remains a true lower bound on the exact
 log marginal likelihood for any positive jitter.
@@ -83,6 +87,7 @@ class VariationalGP:
         self.log_noise = parameter(np.full(num_tasks, math.log(_INIT_NOISE)), "log_noise")
         self._eye = np.eye(inducing)
         self._strict = np.tril(np.ones((inducing, inducing)), -1)
+        self._factor_cache = None    # (key, chol, lw) of `_factors`
 
     # -- parameter plumbing ---------------------------------------------
 
@@ -160,12 +165,21 @@ class VariationalGP:
         diag = ad.mul(ad.exp(ad.mul(self.l_raw, Tensor(self._eye))), Tensor(self._eye))
         return ad.add(ad.mul(self.l_raw, Tensor(self._strict)), diag)
 
+    def _factors(self) -> tuple[np.ndarray, np.ndarray]:
+        """`_chol_kzz(_JITTER)` and `_l_var()` as arrays, rebuilt only when the
+        shape, dtype or bytes of z, the kernel scales or l_raw change."""
+        key = [(p.data.shape, p.data.dtype, p.data.tobytes())
+               for p in (self.z, self.log_lengthscales, self.log_outputscale, self.l_raw)]
+        if self._factor_cache is None or self._factor_cache[0] != key:
+            self._factor_cache = (key, self._chol_kzz(_JITTER).data, self._l_var().data)
+        return self._factor_cache[1:]
+
     # -- core quantities ---------------------------------------------------
 
-    def _moments(self, latents: Tensor, jitter: float, lw: Tensor) -> tuple[Tensor, Tensor]:
+    def _moments(self, latents: Tensor, chol: Tensor, lw: Tensor) -> tuple[Tensor, Tensor]:
         """Marginal posterior means and latent variances, both (T, B)."""
         kxz = self._cross_cov(latents, self.z)
-        w = ad.trisolve(self._chol_kzz(jitter), ad.transpose(kxz))  # (M, B) = L_K^{-1} K_ZX
+        w = ad.trisolve(chol, ad.transpose(kxz))               # (M, B) = L_K^{-1} K_ZX
         kxx = ad.exp(self.log_outputscale)                      # matern52(0) = 1
         tasks = self.num_tasks
         # (T, 1, M) @ (M, B): one matrix-vector product per task
@@ -194,7 +208,7 @@ class VariationalGP:
         if bsz < 1 or total_n < bsz:
             raise ValidationError(f"bad batch/total sizes: {bsz}, {total_n}")
         lw = self._l_var()
-        mu, var = self._moments(latents, jitter, lw)
+        mu, var = self._moments(latents, self._chol_kzz(jitter), lw)
         err = ad.sub(Tensor(y), mu)
         quad = ad.tsum(ad.add(ad.mul(err, err), var), axis=1)
         noise = ad.exp(self.log_noise)
@@ -210,7 +224,8 @@ class VariationalGP:
                 pre_normalized: bool = False) -> tuple[np.ndarray, np.ndarray]:
         """Predictive means and stds, both (B, num_tasks); std includes noise."""
         latents = self._latent_node(latents, pre_normalized)
-        mu, var = self._moments(latents, _JITTER, self._l_var())
+        chol, lw = self._factors()
+        mu, var = self._moments(latents, Tensor(chol), Tensor(lw))
         std = np.sqrt(var.data + np.exp(self.log_noise.data)[:, None])
         return mu.data.T, std.T
 

@@ -3,6 +3,7 @@ import json
 import tempfile
 from pathlib import Path
 
+import mpmath
 import numpy as np
 import pytest
 from fdcheck import check_grads
@@ -12,6 +13,7 @@ import resdyn.autodiff as ad
 from resdyn.autodiff import Adam, Tensor, backward, parameter
 from resdyn.core import ValidationError
 from resdyn.rng import seeded_rng
+from resdyn.svgp import MAX_JITTER
 
 
 def randt(rng, *shape, shift=0.0):
@@ -321,6 +323,55 @@ class TestFiniteDifference:
         assert y.data[0] == pytest.approx(1.0)
         backward(ad.tsum(y))
         assert s.grad[0] == pytest.approx(-5.0 / 6.0)
+
+
+class TestCholeskyAdjoint:
+    """`cholesky`'s adjoint (Murray, Differentiation of the Cholesky
+    decomposition, 2016) on a near-singular K_ZZ: duplicated inducing points
+    make the Matern-5/2 kernel matrix rank-deficient, and the jitter is all
+    that keeps it positive definite."""
+
+    @staticmethod
+    def reference_dl(a: np.ndarray, da: np.ndarray):
+        """dL = L Phi(L^-1 dA L^-T) at 50 digits; Phi keeps the lower
+        triangle and halves the diagonal."""
+        with mpmath.workdps(50):
+            l = mpmath.cholesky(mpmath.matrix(a.tolist()))
+            l_inv = l ** -1
+            x = l_inv * mpmath.matrix(da.tolist()) * l_inv.T
+            n = len(a)
+            phi = mpmath.matrix(n, n)
+            for i in range(n):
+                for j in range(i + 1):
+                    phi[i, j] = x[i, j] / 2 if i == j else x[i, j]
+            return l * phi
+
+    @pytest.mark.parametrize("seed", [0, 1])
+    @pytest.mark.parametrize("jitter", [1e-8, 1e-6, MAX_JITTER])
+    def test_dot_product_on_duplicated_inducing_points(self, jitter, seed):
+        rng = seeded_rng(seed, "chol-adjoint")
+        base = rng.standard_normal((5, 3))
+        z = base[rng.permutation(np.repeat(np.arange(5), 2))]     # 10 points, rank 5
+        sq = ((z[:, None, :] - z[None, :, :]) ** 2).sum(axis=-1)
+        k = ad.matern52(Tensor(sq)).data
+        assert np.linalg.matrix_rank(k, tol=1e-10) == 5
+        a = k + jitter * np.eye(len(z))
+        da = rng.standard_normal(a.shape)
+        da = da + da.T
+        g = np.tril(rng.standard_normal(a.shape))    # L's cotangent lives on its lower triangle
+        a_node = parameter(a)
+        backward(ad.tsum(ad.mul(ad.cholesky(a_node), Tensor(g))))
+        assert np.isfinite(a_node.grad).all()
+        lhs = float((a_node.grad * da).sum())
+        dl = self.reference_dl(a, da)
+        with mpmath.workdps(50):
+            terms = [mpmath.mpf(float(g[i, j])) * dl[i, j]
+                     for i in range(len(a)) for j in range(i + 1)]
+            rhs, scale = float(mpmath.fsum(terms)), float(mpmath.fsum(map(abs, terms)))
+        # a first-order forward-error bound: cond(A) ulps of the sum of
+        # |G * dL|; the measured errors stay 30x or more below it
+        tol = np.linalg.cond(a) * np.finfo(float).eps * scale
+        assert abs(lhs - rhs) <= tol, (lhs, rhs, tol)
 
 
 class TestAdam:

@@ -224,6 +224,18 @@ class TestTrajectoryCsv:
         with pytest.raises(ValidationError, match=re.escape(f"{path}:3")):
             read_trajectory_csv(path)
 
+    @pytest.mark.parametrize("body, match", [
+        (b"0.0,0.0,0.0,0.0,1.0,\xff,\n", "not a UTF-8 CSV file"),
+        (b'0.0,0.0,0.0,0.0,1.0,"' + b"1" * 131073 + b'",\n', "not a UTF-8 CSV file"),
+        (b"", "empty trajectory"),
+        (b"0.0,0,0,0,1,,\n0.01,0,0,0,1,,\n0.03,0,0,0,1,,\n", "timestamp step not constant"),
+    ], ids=["non-utf8-byte", "field-over-csv-limit", "header-only", "step-not-constant"])
+    def test_unreadable_or_not_a_trajectory_names_path(self, tmp_path, body, match):
+        path = tmp_path / "traj.csv"
+        path.write_bytes(",".join(TRAJ_CSV_FIELDS).encode() + b"\n" + body)
+        with pytest.raises(ValidationError, match=re.escape(f"{path}: ") + match):
+            read_trajectory_csv(path)
+
     @given(start=st.floats(-1e3, 1e3), step=st.sampled_from((0.01, 0.05, 1.0)),
            rows=st.lists(ROW, min_size=1, max_size=12))
     @example(start=0.0, step=0.01, rows=[(-0.0, 5e-324, 1e308, 0.0, None),
@@ -245,3 +257,71 @@ class TestTrajectoryCsv:
         assert np.array_equal(np.signbit(back.poses), np.signbit(traj.poses))
         assert np.array_equal(back.speeds, traj.speeds)
         assert np.array_equal(back_sigmas, sigmas, equal_nan=True)
+
+
+def read_bytes(raw: bytes):
+    """read_trajectory_csv of a file holding `raw`."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "fuzz.csv"
+        path.write_bytes(raw)
+        return read_trajectory_csv(path)
+
+
+def valid_trajectory_bytes() -> bytes:
+    """A written three-row trajectory, one row without sigmas."""
+    traj = Trajectory(np.array([0.0, 0.01, 0.02]), np.arange(9.0).reshape(3, 3),
+                      np.array([1.0, 1.5, -0.0]))
+    sigmas = np.array([[np.nan, np.nan], [0.1, 0.2], [0.0, 5e-324]])
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "valid.csv"
+        write_trajectory_csv(path, traj, sigmas)
+        return path.read_bytes()
+
+
+# bytes a CSV or float parser treats specially, and arbitrary short runs
+CHUNK = st.sampled_from((b",", b"\n", b"\r", b'"', b"\x00", b"\xff", b"\xc3", b"-",
+                         b"e", b".", b"nan", b"inf", b"1e999", "\ufeff".encode("utf-8"))) \
+    | st.binary(min_size=1, max_size=4)
+MUTATION = st.tuples(st.sampled_from(("replace", "insert", "delete")),
+                     st.integers(0, 1 << 16), CHUNK)
+
+
+class TestTrajectoryCsvFuzz:
+    """Whatever the bytes, the reader returns a trajectory or raises a
+    ValidationError, never another exception."""
+
+    @given(st.binary(max_size=300))
+    def test_random_bytes(self, raw):
+        try:
+            read_bytes(raw)
+        except ValidationError:
+            pass
+
+    @given(st.binary(max_size=200))
+    def test_random_bytes_after_header(self, raw):
+        try:
+            read_bytes(",".join(TRAJ_CSV_FIELDS).encode() + b"\n" + raw)
+        except ValidationError:
+            pass
+
+    @given(st.lists(MUTATION, min_size=1, max_size=6))
+    def test_mutated_valid_file(self, mutations):
+        raw = bytearray(valid_trajectory_bytes())
+        for op, pos, chunk in mutations:
+            i = pos % (len(raw) + 1)
+            if op == "replace":
+                raw[i:i + len(chunk)] = chunk
+            elif op == "insert":
+                raw[i:i] = chunk
+            else:
+                del raw[i:i + len(chunk)]
+        try:
+            traj, sigmas = read_bytes(bytes(raw))
+        except ValidationError:
+            return
+        assert sigmas.shape == (len(traj), 2)
+
+    def test_valid_file_reads_back(self):
+        traj, sigmas = read_bytes(valid_trajectory_bytes())
+        assert np.array_equal(traj.timestamps, [0.0, 0.01, 0.02])
+        assert np.array_equal(sigmas, [[np.nan, np.nan], [0.1, 0.2], [0.0, 5e-324]], equal_nan=True)

@@ -298,6 +298,98 @@ class TestFromArrays:
             VariationalGP.from_arrays(arrays)
 
 
+def same_bits(got, want) -> bool:
+    """Both (mean, std) pairs hold the same shapes and the same bytes."""
+    return all(a.shape == b.shape and a.tobytes() == b.tobytes() for a, b in zip(got, want))
+
+
+def fresh_predict(gp, x):
+    """`predict` of a GP rebuilt from `gp`'s arrays, with no call history."""
+    return VariationalGP.from_arrays(gp.to_arrays()).predict(x)
+
+
+class TestPredictAfterChanges:
+    """`predict` answers from the parameters as they are at the call, however
+    and however little they were changed since the previous call."""
+
+    X = seeded_rng(33, "predict-x").standard_normal((5, 2))
+
+    @staticmethod
+    def gp():
+        # loaded as a checkpoint is: every parameter an ndarray, 0-d ones too
+        return VariationalGP.from_arrays(gp_arrays()[1])
+
+    def test_repeated_calls_bit_identical(self):
+        gp = self.gp()
+        first = gp.predict(self.X)
+        assert same_bits(gp.predict(self.X), first)
+        assert same_bits(gp.predict(self.X), fresh_predict(gp, self.X))
+
+    @pytest.mark.parametrize("name", ["z", "log_lengthscales", "log_outputscale", "l_raw",
+                                      "m", "c", "log_noise"])
+    @pytest.mark.parametrize("step", ["0.25", "one ulp"])
+    def test_in_place_write(self, name, step):
+        gp = self.gp()
+        before = gp.predict(self.X)
+        data = getattr(gp, name).data
+        old = data.flat[0]
+        data.flat[0] = old + 0.25 if step == "0.25" else np.nextafter(old, np.inf)
+        got = gp.predict(self.X)
+        assert same_bits(got, fresh_predict(gp, self.X))
+        if step == "0.25":
+            assert not same_bits(got, before)
+
+    def test_reassigned_array(self):
+        gp = self.gp()
+        before = gp.predict(self.X)
+        gp.z.data = gp.z.data + 0.25
+        got = gp.predict(self.X)
+        assert same_bits(got, fresh_predict(gp, self.X)) and not same_bits(got, before)
+
+    def test_rows_of_z_swapped(self):
+        # the same values in other places: the means now pair with other
+        # inducing points
+        gp = self.gp()
+        before = gp.predict(self.X)
+        gp.z.data[[0, 1]] = gp.z.data[[1, 0]]
+        got = gp.predict(self.X)
+        assert same_bits(got, fresh_predict(gp, self.X)) and not same_bits(got, before)
+
+    def test_adam_step(self):
+        gp = self.gp()
+        opt = Adam(gp.parameters(), lr=0.05)
+        before = gp.predict(self.X)
+        backward(gp.loss(self.X, np.ones((5, 2)), total_n=20))
+        opt.step()
+        got = gp.predict(self.X)
+        assert same_bits(got, fresh_predict(gp, self.X)) and not same_bits(got, before)
+
+    def test_signed_zero_flip_in_z(self):
+        gp = self.gp()
+        gp.z.data[1, 0] = 0.0
+        gp.predict(self.X)
+        gp.z.data[1, 0] = -0.0
+        assert same_bits(gp.predict(self.X), fresh_predict(gp, self.X))
+        gp.z.data[1, 0] = 0.0
+        assert same_bits(gp.predict(self.X), fresh_predict(gp, self.X))
+
+    def test_unfactorizable_kzz_raises_every_call(self):
+        # equal inducing points at outputscale e^40 give a rank-one K_ZZ
+        # that even the largest jitter cannot lift above rounding
+        gp = self.gp()
+        z, log_scale = gp.z.data.copy(), gp.log_outputscale.data.copy()
+        good = gp.predict(self.X)
+        for _ in range(2):
+            gp.z.data[:] = z[0]
+            gp.log_outputscale.data[...] = 40.0
+            for _ in range(2):
+                with pytest.raises(ValidationError, match="K_ZZ not factorizable"):
+                    gp.predict(self.X)
+            gp.z.data[:] = z
+            gp.log_outputscale.data[...] = log_scale
+            assert same_bits(gp.predict(self.X), good)
+
+
 class TestGradients:
     def test_elbo_fd_every_parameter(self):
         # tiny instance: l=3, B=4, d=2, two tasks; latents included so the
