@@ -317,15 +317,16 @@ def matmul(a, b):
     return out
 
 
-def softmax(x, axis=-1):
+def softmax(x):
+    """Softmax over the last axis."""
     x = as_tensor(x)
-    shifted = x.data - x.data.max(axis=axis, keepdims=True)
+    shifted = x.data - x.data.max(axis=-1, keepdims=True)
     e = np.exp(shifted)
-    y = e / e.sum(axis=axis, keepdims=True)
+    y = e / e.sum(axis=-1, keepdims=True)
     out = Tensor(y, _parents=(x,))
     if out.requires_grad:
         def _bwd(g):
-            x._acc((g - (g * y).sum(axis=axis, keepdims=True)) * y)
+            x._acc((g - (g * y).sum(axis=-1, keepdims=True)) * y)
         out._backward = _bwd
     return out
 
@@ -435,13 +436,13 @@ def dropout(x, rate: float, rng: np.random.Generator | None = None,
     return mul(x, Tensor(mask))
 
 
-def layer_norm(x, gamma, beta, eps: float = 1e-5):
-    """Normalize the last axis, then scale and shift."""
+def layer_norm(x, gamma, beta):
+    """Normalize the last axis (variance floor 1e-5), then scale and shift."""
     x = as_tensor(x)
     mu = tmean(x, axis=-1, keepdims=True)
     centered = sub(x, mu)
     var = tmean(mul(centered, centered), axis=-1, keepdims=True)
-    normed = div(centered, sqrt(add(var, eps)))
+    normed = div(centered, sqrt(add(var, 1e-5)))
     return add(mul(normed, gamma), beta)
 
 

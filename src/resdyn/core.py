@@ -37,9 +37,11 @@ def wrap_angle(theta: float) -> float:
 
 
 def wrap_angle_array(theta: np.ndarray) -> np.ndarray:
-    """Vectorized wrap to (-pi, pi]."""
-    w = np.pi - np.mod(np.pi - np.asarray(theta, dtype=float), 2.0 * np.pi)
-    return np.where(w == -np.pi, np.pi, w)
+    """Vectorized `wrap_angle`: in-range angles come back unchanged."""
+    theta = np.asarray(theta, dtype=float)
+    w = np.pi - np.mod(np.pi - theta, 2.0 * np.pi)
+    w = np.where(w == -np.pi, np.pi, w)
+    return np.where((-np.pi < theta) & (theta <= np.pi), theta, w)
 
 
 @dataclass(frozen=True)
@@ -123,7 +125,10 @@ class Trajectory:
                 and np.all(np.isfinite(vs))):
             raise ValidationError("non-finite trajectory entry")
         if len(ts) > 1:
-            steps = np.diff(ts)
+            with np.errstate(over="ignore"):
+                steps = np.diff(ts)
+            if not np.all(np.isfinite(steps)):
+                raise ValidationError("timestamp step overflows to a non-finite value")
             if np.any(steps <= 0):
                 raise ValidationError("timestamps not strictly increasing")
             if np.max(steps) - np.min(steps) > 1e-9:
@@ -208,14 +213,19 @@ def read_trajectory_csv(path) -> tuple[Trajectory, np.ndarray]:
     `Trajectory` rejects (none, or no fixed step), raise one naming `path`."""
     rows, sigmas = [], []
     with open(path, newline="", encoding="utf-8") as fh:
+        reader = csv.reader(fh)
+        # (file line where the row starts, row): a quoted cell may span lines
+        numbered, line = [], 1
         try:
-            r = iter(list(csv.reader(fh)))
+            for row in reader:
+                numbered.append((line, row))
+                line = reader.line_num + 1
         except (UnicodeDecodeError, csv.Error) as exc:
             raise ValidationError(f"{path}: not a UTF-8 CSV file ({exc})") from exc
-        if tuple(next(r, ())) != TRAJ_CSV_FIELDS:
+        if not numbered or tuple(numbered[0][1]) != TRAJ_CSV_FIELDS:
             raise ValidationError(
                 f"{path}: expected trajectory header {','.join(TRAJ_CSV_FIELDS)}")
-        for ln, row in enumerate(r, start=2):
+        for ln, row in numbered[1:]:
             if not row:
                 continue
             try:

@@ -145,11 +145,10 @@ def oracle_step(state: OracleState, cmd: ControlCommand, dt: float,
 
 
 def oracle_log(commands: list[ControlCommand], dt: float = DEFAULT_DT,
-               params: OracleParams | None = None,
-               start: OracleState | None = None) -> list[LogRecord]:
-    """Drive the oracle through a command sequence; one record per tick,
-    |commands|+1 records."""
-    s = start or OracleState()
+               params: OracleParams | None = None) -> list[LogRecord]:
+    """Drive the oracle from rest at the origin through a command sequence;
+    one record per tick, |commands|+1 records."""
+    s = OracleState()
     p = params or OracleParams()
     records = []
     cmd0 = commands[0] if commands else ControlCommand(0, 0, 0)
@@ -217,11 +216,13 @@ def _ramp(t0, t1, throttle=(0.0, 0.0), brake=(0.0, 0.0), steering=(0.0, 0.0)) ->
 
 class _Plan:
     """Builds open-loop command segments from speed/turn intents using the
-    actuator map, so scripted maneuvers land near their target speeds
-    without any feedback controller."""
+    nominal vehicle's actuator map, so scripted maneuvers land near their
+    target speeds without any feedback controller."""
 
-    def __init__(self, p: OracleParams):
-        self.p = p
+    ACCEL, STOP_DECEL = 1.0, 2.0   # m/s^2, rough rates of speed changes and of stops
+
+    def __init__(self):
+        self.p = OracleParams()
         self.segs: list[Segment] = []
         self.t = 0.0
         self.v = 0.0
@@ -237,9 +238,9 @@ class _Plan:
         need = accel + p.rolling_resistance + p.drag_coeff * v_mid * v_mid
         return min(1.0, need / p.throttle_gain + p.throttle_deadzone)
 
-    def speed_to(self, v_target: float, rate: float = 1.0):
-        """Accelerate or brake toward v_target at roughly |rate| m/s^2."""
-        p = self.p
+    def speed_to(self, v_target: float):
+        """Accelerate or brake toward v_target at roughly `ACCEL`."""
+        p, rate = self.p, self.ACCEL
         dv = v_target - self.v
         # the actuator lag eats ~tau of effective ramp time
         span = max(abs(dv) / rate + p.throttle_tau, 0.5)
@@ -255,8 +256,8 @@ class _Plan:
         self.t += span
         self.v = v_target
 
-    def stop(self, hold: float = 2.0, rate: float = 2.0):
-        span = max(self.v / rate, 0.5) + 1.0  # margin drains actuator lag
+    def stop(self, hold: float = 2.0):
+        span = max(self.v / self.STOP_DECEL, 0.5) + 1.0  # margin drains actuator lag
         self.segs.append(_hold(self.t, self.t + span, brake=0.45, steering=self.steer))
         self.t += span
         self.segs.append(_hold(self.t, self.t + hold, brake=0.5))
@@ -306,9 +307,9 @@ class _Plan:
         self.t = duration
 
 
-def _turn_script(p: OracleParams, name: str, sign: float, u_turn: bool,
-                 with_stop: bool, duration: float = 60.0) -> ScenarioScript:
-    plan = _Plan(p)
+def _turn_script(name: str, sign: float, u_turn: bool, with_stop: bool,
+                 duration: float) -> ScenarioScript:
+    plan = _Plan()
     plan.speed_to(8.0)
     plan.cruise(3.0)
     if with_stop:
@@ -328,9 +329,8 @@ def _turn_script(p: OracleParams, name: str, sign: float, u_turn: bool,
     return ScenarioScript(name, duration, tuple(plan.segs))
 
 
-def _zigzag_script(p: OracleParams, name: str, sign: float,
-                   duration: float = 60.0) -> ScenarioScript:
-    plan = _Plan(p)
+def _zigzag_script(name: str, sign: float, duration: float) -> ScenarioScript:
+    plan = _Plan()
     plan.speed_to(7.0)
     plan.cruise(2.0)
     s = sign
@@ -346,10 +346,10 @@ def _zigzag_script(p: OracleParams, name: str, sign: float,
     return ScenarioScript(name, duration, tuple(plan.segs))
 
 
-def _loop_script(p: OracleParams, duration: float = 600.0) -> ScenarioScript:
+def _loop_script(duration: float) -> ScenarioScript:
     """Mixed urban-style profile: speed changes, stops, turns both ways,
     lane-change wiggles; cycles a varied block until the duration is met."""
-    plan = _Plan(p)
+    plan = _Plan()
     speeds = (6.0, 9.0, 12.0, 7.0, 10.0, 5.0)
     turns = (0.30, -0.34, 0.22, -0.26, 0.45, -0.20, 0.55, -0.48)
     angles = (0.8, -0.9, 0.5, -0.6, 1.3, -0.5, 1.5, -1.2)
@@ -377,36 +377,34 @@ GOLDEN_NAMES = ("left_turn", "left_turn_stop", "right_turn", "right_turn_stop",
                 "left_u_turn", "right_u_turn", "zigzag_left", "zigzag_right")
 
 
-def golden_scripts(params: OracleParams | None = None,
-                   duration: float = 60.0) -> list[ScenarioScript]:
-    p = params or OracleParams()
+def golden_scripts(duration: float = 60.0) -> list[ScenarioScript]:
+    """The eight golden maneuvers, planned for the nominal `OracleParams()`."""
     return [
-        _turn_script(p, "left_turn", +1.0, u_turn=False, with_stop=False, duration=duration),
-        _turn_script(p, "left_turn_stop", +1.0, u_turn=False, with_stop=True, duration=duration),
-        _turn_script(p, "right_turn", -1.0, u_turn=False, with_stop=False, duration=duration),
-        _turn_script(p, "right_turn_stop", -1.0, u_turn=False, with_stop=True, duration=duration),
-        _turn_script(p, "left_u_turn", +1.0, u_turn=True, with_stop=False, duration=duration),
-        _turn_script(p, "right_u_turn", -1.0, u_turn=True, with_stop=False, duration=duration),
-        _zigzag_script(p, "zigzag_left", +1.0, duration=duration),
-        _zigzag_script(p, "zigzag_right", -1.0, duration=duration),
+        _turn_script("left_turn", +1.0, u_turn=False, with_stop=False, duration=duration),
+        _turn_script("left_turn_stop", +1.0, u_turn=False, with_stop=True, duration=duration),
+        _turn_script("right_turn", -1.0, u_turn=False, with_stop=False, duration=duration),
+        _turn_script("right_turn_stop", -1.0, u_turn=False, with_stop=True, duration=duration),
+        _turn_script("left_u_turn", +1.0, u_turn=True, with_stop=False, duration=duration),
+        _turn_script("right_u_turn", -1.0, u_turn=True, with_stop=False, duration=duration),
+        _zigzag_script("zigzag_left", +1.0, duration=duration),
+        _zigzag_script("zigzag_right", -1.0, duration=duration),
     ]
 
 
 def generate_golden_set(seed: int = 0, dt: float = DEFAULT_DT,
-                        params: OracleParams | None = None,
                         loop_duration: float = 600.0,
                         scenario_duration: float = 60.0
                         ) -> dict[str, list[LogRecord]]:
-    """The eight golden maneuvers plus one long mixed loop.
+    """The eight golden maneuvers plus one long mixed loop, driven by the
+    nominal vehicle `OracleParams()`.
 
     The scripts are deterministic; the seed perturbs nothing physical and
     is kept for interface stability of callers that thread it through.
     """
     del seed  # scripted catalogue; generation is deterministic by design
-    p = params or OracleParams()
     logs = {}
-    for script in golden_scripts(p, scenario_duration):
-        logs[script.name] = oracle_log(script.commands(dt), dt, p)
-    loop = _loop_script(p, loop_duration)
-    logs[loop.name] = oracle_log(loop.commands(dt), dt, p)
+    for script in golden_scripts(scenario_duration):
+        logs[script.name] = oracle_log(script.commands(dt), dt)
+    loop = _loop_script(loop_duration)
+    logs[loop.name] = oracle_log(loop.commands(dt), dt)
     return logs

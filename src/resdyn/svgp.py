@@ -22,9 +22,10 @@ gradient path into the GP.
 `_l_var()` for as long as `z`, the kernel scales and `l_raw` are bitwise
 unchanged; `m`, `c` and `log_noise` are read afresh on every call.
 
-Jitter added to K_ZZ is equivalent to observing the inducing values through
-N(0, jitter) noise, so the ELBO remains a true lower bound on the exact
-log marginal likelihood for any positive jitter.
+`elbo` and `predict` put the same jitter on K_ZZ: `_JITTER`, raised x10
+while the Cholesky fails, up to `MAX_JITTER`. Jitter is equivalent to
+observing the inducing values through N(0, jitter) noise, so the ELBO
+remains a true lower bound on the exact log marginal likelihood.
 """
 
 from __future__ import annotations
@@ -40,7 +41,7 @@ from .core import ValidationError
 
 LOG_2PI = math.log(2.0 * math.pi)
 MAX_JITTER = 1e-4
-_JITTER = 1e-8        # first jitter tried on K_ZZ; `elbo` may start elsewhere
+_JITTER = 1e-8        # first jitter tried on K_ZZ, by `elbo` and `predict` alike
 _INIT_NOISE = 0.01    # sigma_n^2 of every task at construction, m^2
 _TASK_PARAMS = ("m", "l_raw", "c", "log_noise")   # leading task axis
 
@@ -145,11 +146,15 @@ class VariationalGP:
         return ad.mul(ad.matern52(self._sqdist(self._scaled(a), self._scaled(b))),
                       ad.exp(self.log_outputscale))
 
-    def _chol_kzz(self, jitter: float) -> Tensor:
-        """Cholesky of K_ZZ + jitter*I, escalating jitter x10 up to 1e-4."""
-        if not (jitter > 0.0 and math.isfinite(jitter)):
-            raise ValidationError(f"jitter must be positive and finite, got {jitter}")
+    def _chol_kzz(self) -> Tensor:
+        """Cholesky of K_ZZ + jitter*I, the jitter rising x10 from `_JITTER`
+        to `MAX_JITTER`; a non-finite K_ZZ raises a ValidationError."""
         kzz = self._cross_cov(self.z, self.z)
+        if not np.all(np.isfinite(kzz.data)):
+            raise ValidationError(
+                f"K_ZZ is not finite at log_lengthscales {self.log_lengthscales.data}, "
+                f"log_outputscale {self.log_outputscale.data}")
+        jitter = _JITTER
         while True:
             try:
                 return ad.cholesky(ad.add(kzz, Tensor(jitter * self._eye)))
@@ -166,12 +171,12 @@ class VariationalGP:
         return ad.add(ad.mul(self.l_raw, Tensor(self._strict)), diag)
 
     def _factors(self) -> tuple[np.ndarray, np.ndarray]:
-        """`_chol_kzz(_JITTER)` and `_l_var()` as arrays, rebuilt only when the
+        """`_chol_kzz()` and `_l_var()` as arrays, rebuilt only when the
         shape, dtype or bytes of z, the kernel scales or l_raw change."""
         key = [(p.data.shape, p.data.dtype, p.data.tobytes())
                for p in (self.z, self.log_lengthscales, self.log_outputscale, self.l_raw)]
         if self._factor_cache is None or self._factor_cache[0] != key:
-            self._factor_cache = (key, self._chol_kzz(_JITTER).data, self._l_var().data)
+            self._factor_cache = (key, self._chol_kzz().data, self._l_var().data)
         return self._factor_cache[1:]
 
     # -- core quantities ---------------------------------------------------
@@ -199,7 +204,7 @@ class VariationalGP:
                       0.5)
 
     def elbo(self, latents: Tensor | np.ndarray, targets: np.ndarray, total_n: int,
-             jitter: float = _JITTER, pre_normalized: bool = False) -> Tensor:
+             pre_normalized: bool = False) -> Tensor:
         """Scalar ELBO node (sum over tasks). Batch likelihood is rescaled
         by total_n / B; the KL appears once per task."""
         latents = self._latent_node(latents, pre_normalized)
@@ -208,7 +213,7 @@ class VariationalGP:
         if bsz < 1 or total_n < bsz:
             raise ValidationError(f"bad batch/total sizes: {bsz}, {total_n}")
         lw = self._l_var()
-        mu, var = self._moments(latents, self._chol_kzz(jitter), lw)
+        mu, var = self._moments(latents, self._chol_kzz(), lw)
         err = ad.sub(Tensor(y), mu)
         quad = ad.tsum(ad.add(ad.mul(err, err), var), axis=1)
         noise = ad.exp(self.log_noise)
@@ -216,9 +221,8 @@ class VariationalGP:
                         ad.add(ad.div(quad, ad.mul(noise, 2.0)), 0.5 * bsz * LOG_2PI))
         return ad.tsum(ad.sub(ad.mul(loglik, total_n / bsz), self._kl(lw)))
 
-    def loss(self, latents, targets, total_n, jitter=_JITTER,
-             pre_normalized=False) -> Tensor:
-        return ad.mul(self.elbo(latents, targets, total_n, jitter, pre_normalized), -1.0)
+    def loss(self, latents, targets, total_n, pre_normalized=False) -> Tensor:
+        return ad.mul(self.elbo(latents, targets, total_n, pre_normalized), -1.0)
 
     def predict(self, latents: np.ndarray | Tensor,
                 pre_normalized: bool = False) -> tuple[np.ndarray, np.ndarray]:

@@ -62,10 +62,11 @@ class TestWrapAngle:
         assert math.isclose(math.cos(w), math.cos(theta), abs_tol=1e-9)
 
     def test_array_matches_scalar(self):
-        thetas = np.concatenate([np.linspace(-20, 20, 401), EDGE_ANGLES])
+        # in range, both return the input itself: 1e-20 and 0.1 stay as they are
+        thetas = np.concatenate([np.linspace(-20, 20, 401), EDGE_ANGLES, [1e-20, -1e-20, 0.1]])
         wrapped = wrap_angle_array(thetas)
         for t, w in zip(thetas, wrapped):
-            assert w == pytest.approx(wrap_angle(float(t)), abs=1e-12)
+            assert w == wrap_angle(float(t))
             assert -math.pi < w <= math.pi
 
 
@@ -172,6 +173,11 @@ class TestTypes:
             with pytest.raises(ValidationError, match="speeds"):
                 Trajectory(np.array([0.0, 0.01, 0.02]), np.zeros((3, 3)), speeds)
 
+    def test_trajectory_step_overflow_rejected(self):
+        # the step 2e308 overflows to inf, which no spread test can compare
+        with pytest.raises(ValidationError, match="step overflows"):
+            Trajectory(np.array([-1e308, 1e308]), np.zeros((2, 3)), np.zeros(2))
+
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_trajectory_nonfinite_speed_rejected(self, bad):
         with pytest.raises(ValidationError, match="non-finite"):
@@ -195,6 +201,13 @@ class TestTrajectoryCsv:
         assert np.array_equal(sigmas, [[np.nan, np.nan], [0.1, 0.0]], equal_nan=True)
         path = self.write(tmp_path, self.GOOD, row)
         with pytest.raises(ValidationError, match=re.escape(f"{path}:3")):
+            read_trajectory_csv(path)
+
+    def test_line_counts_file_lines_not_records(self, tmp_path):
+        # the quoted "0.0\n" cell spans lines 2-3, so the bad row is line 5
+        path = self.write(tmp_path, '"0.0', '",0.0,0.0,0.0,1.0,,', "0.01,0.0,0.0,0.0,1.0,,",
+                          "0.02,bad,0.0,0.0,1.0,,")
+        with pytest.raises(ValidationError, match=re.escape(f"{path}:5: ")):
             read_trajectory_csv(path)
 
     @pytest.mark.parametrize("cell", ["inf", "nan"])
@@ -229,7 +242,9 @@ class TestTrajectoryCsv:
         (b'0.0,0.0,0.0,0.0,1.0,"' + b"1" * 131073 + b'",\n', "not a UTF-8 CSV file"),
         (b"", "empty trajectory"),
         (b"0.0,0,0,0,1,,\n0.01,0,0,0,1,,\n0.03,0,0,0,1,,\n", "timestamp step not constant"),
-    ], ids=["non-utf8-byte", "field-over-csv-limit", "header-only", "step-not-constant"])
+        (b"-1e308,0,0,0,1,,\n1e308,0,0,0,1,,\n", "timestamp step overflows"),
+    ], ids=["non-utf8-byte", "field-over-csv-limit", "header-only", "step-not-constant",
+            "step-overflows"])
     def test_unreadable_or_not_a_trajectory_names_path(self, tmp_path, body, match):
         path = tmp_path / "traj.csv"
         path.write_bytes(",".join(TRAJ_CSV_FIELDS).encode() + b"\n" + body)

@@ -4,9 +4,8 @@ import numpy as np
 import pytest
 
 from resdyn.core import ControlCommand, Pose, ValidationError, VehicleState
-from resdyn.dynamics import (MlpDynamicModel, RuleBasedModel, RuleBasedParams,
-                             rollout, rollout_states, tick_training_pairs,
-                             train_dm_lb)
+from resdyn.dynamics import (MlpDynamicModel, RuleBasedModel, rollout, rollout_states,
+                             tick_training_pairs, train_dm_lb)
 from resdyn.rng import seeded_rng
 from resdyn.scenarios import generate_golden_set
 
@@ -23,20 +22,20 @@ def zero_mlp():
 class TestRuleBased:
     # tick arguments: throttle, brake, steering, speed, acceleration
     def test_zero_command_at_rest(self):
-        assert RuleBasedModel(RuleBasedParams()).tick(0, 0, 0, 0, 0) == (0.0, 0.0)
+        assert RuleBasedModel().tick(0, 0, 0, 0, 0) == (0.0, 0.0)
 
     def test_zero_steering_no_turn(self):
         for thr in (0.1, 0.5, 1.0):
-            _, rate = RuleBasedModel(RuleBasedParams()).tick(thr, 0, 0, 5, 0)
+            _, rate = RuleBasedModel().tick(thr, 0, 0, 5, 0)
             assert rate == 0.0
 
     def test_heading_rate_closed_form(self):
-        p = RuleBasedParams(wheelbase=2.85, max_front_wheel_angle=0.47)
-        _, rate = RuleBasedModel(p).tick(0, 0, 0.5, 5, 0)
+        # wheelbase 2.85 m, front wheel at 0.47 rad per unit steering
+        _, rate = RuleBasedModel().tick(0, 0, 0.5, 5, 0)
         assert rate == pytest.approx(5.0 * math.tan(0.235) / 2.85)
 
     def test_odd_in_steering(self):
-        m = RuleBasedModel(RuleBasedParams())
+        m = RuleBasedModel()
         for st in (0.1, 0.33, 0.9):
             a1, r1 = m.tick(0.3, 0, st, 7, 0)
             a2, r2 = m.tick(0.3, 0, -st, 7, 0)
@@ -44,19 +43,14 @@ class TestRuleBased:
             assert a1 == a2
 
     def test_deadzone_and_drag(self):
-        m = RuleBasedModel(RuleBasedParams(throttle_gain=4, brake_gain=8,
-                                           throttle_deadzone=0.1,
-                                           brake_deadzone=0.1, drag_coeff=0.01))
-        a, _ = m.tick(0.05, 0, 0, 10, 0)
-        assert a == pytest.approx(-0.01 * 100)  # inside deadzone: drag only
+        # gains 4 and 8 m/s^2, deadzones 0.02, drag 0.002 / m
+        m = RuleBasedModel()
+        a, _ = m.tick(0.01, 0.015, 0, 10, 0)
+        assert a == pytest.approx(-0.002 * 100)  # inside deadzones: drag only
         a, _ = m.tick(0.5, 0, 0, 0, 0)
-        assert a == pytest.approx(4 * 0.4)
-
-    def test_param_validation(self):
-        with pytest.raises(ValidationError):
-            RuleBasedParams(wheelbase=0.0)
-        with pytest.raises(ValidationError):
-            RuleBasedParams(brake_deadzone=1.0)
+        assert a == pytest.approx(4 * 0.48)
+        a, _ = m.tick(0, 0.5, 0, 0, 0)
+        assert a == pytest.approx(-8 * 0.48)
 
 
 class TestMlpModel:
@@ -112,7 +106,7 @@ class TestTrainDmLb:
         x = rng.uniform([0, 0, -1, 0, -2], [1, 1, 1, 15, 2], size=(2000, 5))
         y = np.stack([2.0 * x[:, 0] - 3.0 * x[:, 1] - 0.01 * x[:, 3],
                       0.4 * x[:, 2] * 1.0], axis=1)
-        model, report = train_dm_lb(x, y, seed=2, epochs=300, lr=5e-3)
+        model, report = train_dm_lb(x, y, seed=2, epochs=300)
         val = report.best_val_mse * np.var(y, axis=0).mean()  # de-normalized
         assert val < 1e-3
 

@@ -75,3 +75,73 @@ def test_every_public_symbol_has_a_caller():
         orphans += [f"{path.stem}.{n}" for n in public_top_level_names(tree)
                     if n not in referenced]
     assert not orphans, f"public symbols nothing refers to: {orphans}"
+
+
+def optional_parameters(tree: ast.Module) -> list[tuple[str, str, int | None]]:
+    """(call name, parameter, position) for each defaulted, non-underscore
+    parameter of a public function or of a method of a public class. A
+    constructor is called by its class name; a keyword-only parameter has
+    no position."""
+    found = []
+
+    def add(call_name: str, fn: ast.FunctionDef, skip_first: bool) -> None:
+        args = fn.args
+        positional = args.posonlyargs + args.args
+        defaulted = positional[len(positional) - len(args.defaults):]
+        positional = positional[1:] if skip_first else positional
+        for arg in defaulted:
+            found.append((call_name, arg.arg, positional.index(arg)))
+        for arg, default in zip(args.kwonlyargs, args.kw_defaults):
+            if default is not None:
+                found.append((call_name, arg.arg, None))
+
+    for node in tree.body:
+        if isinstance(node, ast.FunctionDef) and not node.name.startswith("_"):
+            add(node.name, node, skip_first=False)
+        elif isinstance(node, ast.ClassDef) and not node.name.startswith("_"):
+            for fn in node.body:
+                if not isinstance(fn, ast.FunctionDef):
+                    continue
+                static = any(isinstance(d, ast.Name) and d.id == "staticmethod"
+                             for d in fn.decorator_list)
+                add(node.name if fn.name == "__init__" else fn.name, fn,
+                    skip_first=not static)
+    return [f for f in found if not f[1].startswith("_")]
+
+
+def parameters_passed(tree: ast.AST) -> set[tuple[str, str | int]]:
+    """(called name, keyword) and (called name, position) for every call;
+    a `*args` sets every position and a `**kwargs` every keyword."""
+    passed = set()
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.Call):
+            continue
+        func = node.func
+        name = func.id if isinstance(func, ast.Name) else \
+            func.attr if isinstance(func, ast.Attribute) else None
+        if name is None:
+            continue
+        if any(isinstance(a, ast.Starred) for a in node.args):
+            passed.add((name, "*"))
+        passed.update((name, i) for i in range(len(node.args)))
+        for kw in node.keywords:
+            passed.add((name, "**" if kw.arg is None else kw.arg))
+    return passed
+
+
+def test_every_optional_parameter_is_set():
+    """A defaulted parameter that no caller sets has one value in use: it
+    is a constant, not a setting."""
+    passed = set()
+    for folder in ("src", "tests", "perfbench"):
+        for path in (ROOT / folder).rglob("*.py"):
+            passed |= parameters_passed(ast.parse(path.read_text()))
+    unset = []
+    for path in sorted((ROOT / "src" / "resdyn").glob("*.py")):
+        for name, param, position in optional_parameters(ast.parse(path.read_text())):
+            ways = {(name, param), (name, "**")}
+            if position is not None:
+                ways |= {(name, position), (name, "*")}
+            if not ways & passed:
+                unset.append(f"{path.stem}.{name}({param})")
+    assert not unset, f"optional parameters no caller sets: {unset}"

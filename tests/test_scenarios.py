@@ -65,6 +65,18 @@ class TestOracleStep:
         assert np.all(np.diff(speeds) >= -1e-12)  # monotone approach
         assert np.max(np.abs(speeds - ref.sol(t)[0])) < 5e-3
 
+    def test_oracle_log_drives_the_given_vehicle(self):
+        # a heavier, laggier vehicle: the log follows oracle_step with the
+        # same params from rest, and not the nominal vehicle
+        p = OracleParams(mass=2400.0, throttle_tau=0.5)
+        cmds = golden_scripts(duration=5.0)[0].commands(0.01)
+        recs = oracle_log(cmds, 0.01, p)
+        s = OracleState()
+        for cmd in cmds:
+            s = oracle_step(s, cmd, 0.01, p)
+        assert (recs[-1].pose.x, recs[-1].pose.y) == (s.x, s.y)
+        assert recs[-1].pose != oracle_log(cmds, 0.01)[-1].pose
+
     def test_understeer_invariant(self):
         with pytest.raises(Exception):
             OracleParams(cornering_front=2e5, cornering_rear=1e5)

@@ -6,6 +6,7 @@ import pytest
 from fdcheck import check_grads
 
 import resdyn.autodiff as ad
+from resdyn import svgp
 from resdyn.autodiff import Adam, Tensor, backward, parameter
 from resdyn.core import ValidationError
 from resdyn.rng import seeded_rng
@@ -110,10 +111,11 @@ class TestElboAgainstDenseOracle:
         kl = gp._kl(gp._l_var())
         assert float(kl.data[0]) == pytest.approx(0.0, abs=1e-12)
 
-    def test_elbo_matches_lml_at_exact_posterior(self):
+    def test_elbo_matches_lml_at_exact_posterior(self, monkeypatch):
         x, y, k = toy_instance()
         n = len(x)
         noise, cmean, jitter = 0.05, 0.3, 1e-12
+        monkeypatch.setattr(svgp, "_JITTER", jitter)
         gp = make_toy_gp(x)
         # whiten the exact dense posterior into the variational parameters
         cov = k + noise * np.eye(n)
@@ -127,7 +129,7 @@ class TestElboAgainstDenseOracle:
         raw = np.tril(l_w, -1) + np.diag(np.log(np.diag(l_w)))
         gp.m.data[0] = m_w
         gp.l_raw.data[0] = raw
-        elbo = float(gp.elbo(x[:, None], y[:, None], total_n=n, jitter=jitter).data)
+        elbo = float(gp.elbo(x[:, None], y[:, None], total_n=n).data)
         lml = dense_lml(y, k, noise, cmean)
         assert elbo == pytest.approx(lml, abs=1e-6)
 
@@ -158,12 +160,14 @@ class TestElboAgainstDenseOracle:
         elbo = float(gp.elbo(x[:, None], y[:, None], total_n=len(x)).data)
         assert elbo <= lml + 1e-9
 
-    def test_jitter_insensitivity_when_well_conditioned(self):
+    def test_jitter_insensitivity_when_well_conditioned(self, monkeypatch):
         x, y, _ = toy_instance(n=15)
         gp = make_toy_gp(x)
-        e8 = float(gp.elbo(x[:, None], y[:, None], total_n=len(x), jitter=1e-8).data)
-        e6 = float(gp.elbo(x[:, None], y[:, None], total_n=len(x), jitter=1e-6).data)
-        assert abs(e8 - e6) < 1e-3
+        elbos = []
+        for jitter in (1e-8, 1e-6):
+            monkeypatch.setattr(svgp, "_JITTER", jitter)
+            elbos.append(float(gp.elbo(x[:, None], y[:, None], total_n=len(x)).data))
+        assert abs(elbos[0] - elbos[1]) < 1e-3
 
 
 class TestPredict:
@@ -230,17 +234,6 @@ class TestPredict:
                               gp.elbo(Tensor(x), y, 10, pre_normalized=pre_normalized).data)
         other = gp.predict(x, pre_normalized=not pre_normalized)
         assert not np.array_equal(got[0], other[0])
-
-
-class TestJitter:
-    @pytest.mark.parametrize("jitter", [0.0, -1.0, math.nan])
-    def test_jitter_not_positive_rejected(self, jitter):
-        # duplicate inducing points make K_ZZ singular; escalating a jitter
-        # that is not positive by x10 would never reach the ceiling
-        gp = VariationalGP(dim=2, inducing=3, num_tasks=2)
-        gp.z.data = np.zeros((3, 2))
-        with pytest.raises(ValidationError, match="jitter"):
-            gp.elbo(np.zeros((4, 2)), np.zeros((4, 2)), total_n=10, jitter=jitter)
 
 
 def gp_arrays():
@@ -388,6 +381,24 @@ class TestPredictAfterChanges:
             gp.z.data[:] = z
             gp.log_outputscale.data[...] = log_scale
             assert same_bits(gp.predict(self.X), good)
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered in exp:RuntimeWarning")
+    @pytest.mark.parametrize("log_scale", [800.0, math.nan])
+    @pytest.mark.parametrize("call", ["predict", "elbo"])
+    def test_nonfinite_kernel_raises_and_caches_nothing(self, call, log_scale):
+        # e^800 overflows: K_ZZ is inf, as it is nan at a nan outputscale
+        gp = self.gp()
+        good, cache = gp.predict(self.X), gp._factor_cache
+        restore = gp.log_outputscale.data.copy()
+        gp.log_outputscale.data[...] = log_scale
+        with pytest.raises(ValidationError, match=r"K_ZZ is not finite .*log_outputscale"):
+            if call == "predict":
+                gp.predict(self.X)
+            else:
+                gp.elbo(self.X, np.ones((5, 2)), total_n=20)
+        assert gp._factor_cache is cache
+        gp.log_outputscale.data[...] = restore
+        assert same_bits(gp.predict(self.X), good)
 
 
 class TestGradients:
