@@ -12,6 +12,10 @@ minibatch and freed by reference counting as soon as it is dropped.
 float64 everywhere: the models trained here are tiny and Cholesky
 robustness matters more than speed.
 
+`conv1d` and `lstm` are fused nodes: one node for the whole operation,
+whose closure holds the intermediates it needs (the im2col columns; each
+tick's gates and cell state) instead of a graph of elementwise nodes.
+
 `backward` frees each interior node's gradient as soon as that node's
 closure has passed it on, so after `backward` only leaves (parameters and
 inputs created with `requires_grad`) hold a `.grad`. A node's first
@@ -220,14 +224,6 @@ def sqrt(x):
     return _unary(x, np.sqrt, lambda g, v, y: g * 0.5 / y)
 
 
-def tanh(x):
-    return _unary(x, np.tanh, lambda g, v, y: g * (1.0 - y * y))
-
-
-def sigmoid(x):
-    return _unary(x, expit, lambda g, v, y: g * y * (1.0 - y))
-
-
 def relu(x):
     return _unary(x, lambda v: np.maximum(v, 0.0), lambda g, v, y: g * (v > 0))
 
@@ -420,6 +416,69 @@ def conv1d(x, w, bias, stride: int = 1, dilation: int = 1):
 
 def conv1d_output_length(length: int, kernel: int, stride: int, dilation: int) -> int:
     return (length - dilation * (kernel - 1) - 1) // stride + 1
+
+
+def lstm(x, wx, wh, b):
+    """Final hidden state (B, H) of a single-layer LSTM run from zero state
+    over x: (B, N, F), with wx: (F, 4H), wh: (H, 4H) and b: (4H,), the gate
+    columns ordered input, forget, cell, output.
+
+    One node for the whole sequence: the closure keeps each tick's gates
+    and cell state and runs backpropagation through time. Every value is
+    formed in the order a per-tick graph of `add`, `matmul`, `mul` and
+    elementwise sigmoid and tanh nodes would form it, so output and
+    gradients equal that graph's bit for bit. x takes no gradient: an x
+    that requires one is refused rather than silently dropped.
+    """
+    x, wx, wh, b = as_tensor(x), as_tensor(wx), as_tensor(wh), as_tensor(b)
+    xd, wxd, whd, bd = x.data, wx.data, wh.data, b.data
+    hdim = whd.shape[0] if whd.ndim == 2 else 0
+    if (xd.ndim != 3 or xd.shape[1] < 1 or wxd.shape != (xd.shape[-1], 4 * hdim)
+            or whd.shape != (hdim, 4 * hdim) or bd.shape != (4 * hdim,)):
+        raise ValidationError(f"lstm shape mismatch: input {xd.shape} (want (B, N>=1, F)), "
+                              f"wx {wxd.shape} (want (F, 4H)), wh {whd.shape} "
+                              f"(want (H, 4H)), b {bd.shape} (want (4H,))")
+    if x.requires_grad:
+        raise ValidationError("lstm takes no gradient for its input x")
+    i_s, f_s, g_s, o_s = (slice(k * hdim, (k + 1) * hdim) for k in range(4))
+    h = np.zeros((xd.shape[0], hdim))
+    c = np.zeros((xd.shape[0], hdim))
+    hs, cs, ticks = [h], [c], []
+    for t in range(xd.shape[1]):
+        gates = (xd[:, t, :] @ wxd + h @ whd) + bd
+        i, f = expit(gates[:, i_s]), expit(gates[:, f_s])
+        g, o = np.tanh(gates[:, g_s]), expit(gates[:, o_s])
+        c = f * c + i * g
+        tc = np.tanh(c)
+        h = o * tc
+        hs.append(h)
+        cs.append(c)
+        ticks.append((i, f, g, o, tc))
+    out = Tensor(h, _parents=(x, wx, wh, b))
+    if out.requires_grad:
+        def _bwd(dh):
+            gwx, gwh, gb = np.zeros_like(wxd), np.zeros_like(whd), np.zeros_like(bd)
+            dgates = np.empty((xd.shape[0], 4 * hdim))
+            dc_next = None
+            for t in range(xd.shape[1] - 1, -1, -1):
+                i, f, g, o, tc = ticks[t]
+                dc = (dh * o) * (1.0 - tc * tc)
+                if dc_next is not None:
+                    dc += dc_next
+                dgates[:, i_s] = (dc * g) * i * (1.0 - i)
+                dgates[:, f_s] = (dc * cs[t]) * f * (1.0 - f)
+                dgates[:, g_s] = (dc * i) * (1.0 - g * g)
+                dgates[:, o_s] = (dh * tc) * o * (1.0 - o)
+                gb += dgates.sum(axis=0)
+                gwx += xd[:, t, :].T @ dgates
+                gwh += hs[t].T @ dgates
+                dh = dgates @ whd.T
+                dc_next = dc * f
+            for p, gp in ((wx, gwx), (wh, gwh), (b, gb)):
+                if p.requires_grad:
+                    p._acc(gp)
+        out._backward = _bwd
+    return out
 
 
 def dropout(x, rate: float, rng: np.random.Generator | None = None,

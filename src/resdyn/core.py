@@ -37,8 +37,14 @@ def wrap_angle(theta: float) -> float:
 
 
 def wrap_angle_array(theta: np.ndarray) -> np.ndarray:
-    """Vectorized `wrap_angle`: in-range angles come back unchanged."""
+    """Vectorized `wrap_angle`: in-range angles come back unchanged, and a
+    non-finite angle raises, naming the first index that holds one."""
     theta = np.asarray(theta, dtype=float)
+    bad = np.argwhere(~np.isfinite(theta))
+    if len(bad):
+        at = tuple(int(k) for k in bad[0])
+        raise ValidationError(f"non-finite angle at index {at[0] if len(at) == 1 else at}: "
+                              f"{float(theta[at])!r}")
     w = np.pi - np.mod(np.pi - theta, 2.0 * np.pi)
     w = np.where(w == -np.pi, np.pi, w)
     return np.where((-np.pi < theta) & (theta <= np.pi), theta, w)

@@ -193,7 +193,7 @@ def encode(params: dict[str, Tensor], spec: EncoderSpec, windows: np.ndarray | T
     if spec.kind in ("cnn", "dilated_cnn"):
         return _encode_conv(params, spec, x)
     if spec.kind == "lstm":
-        return _encode_lstm(params, spec, x)
+        return _encode_lstm(params, x)
     if spec.kind == "attention":
         return _encode_attention(params, spec, x)
     return _encode_transformer(params, spec, x, train, rng)
@@ -210,21 +210,8 @@ def _encode_conv(p, spec, x):
     return ad.affine(flat, p["fc_w"], p["fc_b"])
 
 
-def _encode_lstm(p, spec, x):
-    b, n, _ = x.data.shape
-    hdim = spec.hidden
-    h = Tensor(np.zeros((b, hdim)))
-    c = Tensor(np.zeros((b, hdim)))
-    for t in range(n):
-        xt = x[:, t, :]
-        gates = ad.add(ad.add(ad.matmul(xt, p["wx"]), ad.matmul(h, p["wh"])), p["b"])
-        i_g = ad.sigmoid(gates[:, 0:hdim])
-        f_g = ad.sigmoid(gates[:, hdim:2 * hdim])
-        g_g = ad.tanh(gates[:, 2 * hdim:3 * hdim])
-        o_g = ad.sigmoid(gates[:, 3 * hdim:4 * hdim])
-        c = ad.add(ad.mul(f_g, c), ad.mul(i_g, g_g))
-        h = ad.mul(o_g, ad.tanh(c))
-    return ad.affine(h, p["fc_w"], p["fc_b"])
+def _encode_lstm(p, x):
+    return ad.affine(ad.lstm(x, p["wx"], p["wh"], p["b"]), p["fc_w"], p["fc_b"])
 
 
 def _attention_block(x, wq, wk, wv, segment):

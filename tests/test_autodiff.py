@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 from fdcheck import check_grads
 from hypothesis import given, strategies as st
+from scipy.special import expit
 
 import resdyn.autodiff as ad
 from resdyn.autodiff import Adam, Tensor, backward, parameter
@@ -67,7 +68,8 @@ class TestBasics:
                 chol = ad.cholesky(spd)
                 solved = ad.trisolve(chol, ad.reshape(ad.softmax(a[1:3]), (4, 2)))
                 conv = ad.conv1d(x, randt(rng, 2, 3, 3), randt(rng, 2))
-                parts = [ad.exp(ad.tanh(solved)), ad.sigmoid(solved),
+                seq = ad.lstm(Tensor(x.data), randt(rng, 8, 8), randt(rng, 2, 8), randt(rng, 8))
+                parts = [ad.exp(ad.softmax(solved)), seq,
                          ad.sqrt(ad.add(ad.relu(solved), 1.0)), ad.mul(solved, solved),
                          ad.matern52(ad.relu(solved)), ad.div(ad.sub(solved, 1.0), 2.0),
                          ad.tmean(conv, axis=2)]
@@ -75,7 +77,7 @@ class TestBasics:
                 for q in parts[1:]:
                     loss = ad.add(loss, ad.tsum(q))
                 backward(loss)
-                del a, x, spd, chol, solved, conv, parts, loss
+                del a, x, spd, chol, solved, conv, seq, parts, loss
             assert gc.collect() == 0
         finally:
             gc.enable()
@@ -84,7 +86,7 @@ class TestBasics:
         w = parameter(np.array([[1.0, -2.0], [0.5, 3.0]]))
         x = Tensor(np.array([[1.0, 2.0]]), requires_grad=True)
         h = ad.matmul(x, w)
-        y = ad.tanh(h)
+        y = ad.exp(h)
         loss = ad.tsum(ad.mul(y, y))
         backward(loss)
         assert h.grad is None and y.grad is None and loss.grad is None
@@ -202,6 +204,80 @@ class TestConv1d:
                       Tensor(np.zeros(b_shape)))
 
 
+def lstm_reference(x, wx, wh, b):
+    """Per-tick plain-numpy LSTM from zero state, gates ordered i, f, g, o."""
+    hdim = wh.shape[0]
+    h = np.zeros((x.shape[0], hdim))
+    c = np.zeros((x.shape[0], hdim))
+    for t in range(x.shape[1]):
+        gates = (x[:, t, :] @ wx + h @ wh) + b
+        i = expit(gates[:, :hdim])
+        f = expit(gates[:, hdim:2 * hdim])
+        g = np.tanh(gates[:, 2 * hdim:3 * hdim])
+        o = expit(gates[:, 3 * hdim:])
+        c = f * c + i * g
+        h = o * np.tanh(c)
+    return h
+
+
+def lstm_setup(seed, n, b=3, f=2, hdim=4, scale=1.0):
+    rng = seeded_rng(seed, "lstm", n)
+    x = Tensor(rng.standard_normal((b, n, f)))
+    wx = parameter(scale * rng.standard_normal((f, 4 * hdim)), "wx")
+    wh = parameter(scale * rng.standard_normal((hdim, 4 * hdim)), "wh")
+    bias = parameter(rng.standard_normal(4 * hdim), "b")
+    mix = Tensor(rng.standard_normal((b, hdim)))
+    return x, wx, wh, bias, mix
+
+
+class TestLstm:
+    def test_forward_matches_per_tick_reference_bit_for_bit(self):
+        x, wx, wh, bias, _ = lstm_setup(20, 30, b=5, f=6, hdim=16)
+        out = ad.lstm(x, wx, wh, bias)
+        assert np.array_equal(out.data, lstm_reference(x.data, wx.data, wh.data, bias.data))
+
+    @pytest.mark.parametrize("n", [1, 7])
+    def test_fd_weights(self, n):
+        x, wx, wh, bias, mix = lstm_setup(21, n, scale=0.5)
+        check_grads(lambda: ad.tsum(ad.mul(ad.lstm(x, wx, wh, bias), mix)), [wx, wh, bias])
+
+    def test_saturated_gates_finite_and_fd_consistent(self):
+        # units 0 and 1 get pre-activations near +-40, where expit returns
+        # exactly 1 (or about 4e-18) and tanh returns exactly +-1; units 2
+        # and 3 stay in range so the gradient is not all zeros
+        assert expit(40.0) == 1.0 and np.tanh(40.0) == 1.0
+        x, wx, wh, bias, mix = lstm_setup(22, 7, scale=0.1)
+        signs = np.where(seeded_rng(23, "signs").random((4, 4)) < 0.5, -40.0, 40.0)
+        signs[:, 2:] = 0.0
+        bias.data += signs.reshape(-1)
+        check_grads(lambda: ad.tsum(ad.mul(ad.lstm(x, wx, wh, bias), mix)), [wx, wh, bias])
+        for p in (wx, wh, bias):
+            assert np.all(np.isfinite(p.grad))
+        assert np.any(bias.grad[2:4] != 0.0)
+
+    @pytest.mark.parametrize("x_shape, wx_shape, wh_shape, b_shape", [
+        ((3, 6), (6, 16), (4, 16), (16,)),
+        ((3, 0, 6), (6, 16), (4, 16), (16,)),
+        ((3, 5, 6), (5, 16), (4, 16), (16,)),
+        ((3, 5, 6), (6, 12), (4, 16), (16,)),
+        ((3, 5, 6), (6, 16), (4, 12), (16,)),
+        ((3, 5, 6), (6, 16), (4, 16), (12,)),
+        ((3, 5, 6), (6, 16), (4, 16), (1, 16)),
+    ], ids=["2-d-input", "no-ticks", "wx-rows", "wx-cols", "wh", "b-length", "2-d-b"])
+    def test_shape_mismatch_rejected(self, x_shape, wx_shape, wh_shape, b_shape):
+        # H = 4 from wh's rows: wx (F, 16), wh (4, 16), b (16,)
+        args = [Tensor(np.zeros(s)) for s in (x_shape, wx_shape, wh_shape, b_shape)]
+        with pytest.raises(ValidationError, match=r"lstm shape mismatch: input \("
+                           + r", ".join(map(str, x_shape))):
+            ad.lstm(*args)
+
+    def test_input_gradient_refused(self):
+        x = parameter(np.zeros((3, 5, 6)))
+        with pytest.raises(ValidationError, match="no gradient for its input"):
+            ad.lstm(x, parameter(np.zeros((6, 16))), parameter(np.zeros((4, 16))),
+                    parameter(np.zeros(16)))
+
+
 class TestFiniteDifference:
     """Central-FD oracle against every op's analytic gradient."""
 
@@ -217,7 +293,7 @@ class TestFiniteDifference:
     def test_unary_ops(self):
         rng = seeded_rng(1, "fd-un")
         x = randt(rng, 2, 5, shift=2.0)  # positive: valid for sqrt
-        for op in (ad.exp, ad.sqrt, ad.tanh, ad.sigmoid):
+        for op in (ad.exp, ad.sqrt):
             check_grads(lambda op=op: ad.tsum(op(x)), [x])
 
     def test_relu_away_from_kink(self):

@@ -69,6 +69,13 @@ class TestWrapAngle:
             assert w == wrap_angle(float(t))
             assert -math.pi < w <= math.pi
 
+    @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
+    def test_array_non_finite_rejected(self, bad):
+        with pytest.raises(ValidationError, match=rf"non-finite angle at index 2: {bad!r}"):
+            wrap_angle_array(np.array([0.5, 4.0, bad, bad, 1.0]))
+        with pytest.raises(ValidationError, match=r"non-finite angle at index \(1, 0\)"):
+            wrap_angle_array(np.array([[0.5, 4.0], [bad, 1.0]]))
+
 
 class TestIntegrateStep:
     # integrate_step(x, y, heading, speed, accel, heading_rate, dt)

@@ -91,6 +91,28 @@ class TestShapes:
             encode(params, spec, np.zeros((2, 7, 5)))
 
 
+def graph_nodes(out: Tensor) -> int:
+    seen, stack = set(), [out]
+    while stack:
+        node = stack.pop()
+        if id(node) not in seen:
+            seen.add(id(node))
+            stack.extend(node._parents)
+    return len(seen)
+
+
+class TestLstmGraph:
+    def test_node_count_does_not_grow_with_window(self):
+        # one fused node runs the whole sequence; a graph built per tick
+        # would grow by a dozen or more nodes for every tick
+        counts = []
+        for n in (7, 50):
+            spec = make_spec("lstm", window=n, hidden=4, latent_dim=3)
+            params = init_encoder(spec, seeded_rng(0, "graph", n))
+            counts.append(graph_nodes(encode(params, spec, np.zeros((2, n, 6)))))
+        assert counts[0] == counts[1]
+
+
 class TestSpecFields:
     @pytest.mark.parametrize("kind", ["cnn", "dilated_cnn"])
     @pytest.mark.parametrize("field, value", [("dilations", (1,)), ("dilations", (1, 1, 1)),
