@@ -156,9 +156,11 @@ def integrate_step(x: float, y: float, heading: float, speed: float,
     Speed clamps at zero (no reverse) and the heading is wrapped to
     (-pi, pi]. Returns the new (x, y, heading, speed).
     """
-    vals = (x, y, heading, speed, accel, heading_rate, dt)
-    if not all(math.isfinite(v) for v in vals):
-        raise ValidationError(f"non-finite integrate_step input: {vals}")
+    isfinite = math.isfinite
+    if not (isfinite(x) and isfinite(y) and isfinite(heading) and isfinite(speed)
+            and isfinite(accel) and isfinite(heading_rate) and isfinite(dt)):
+        raise ValidationError("non-finite integrate_step input: "
+                              f"{(x, y, heading, speed, accel, heading_rate, dt)}")
     if dt <= 0.0:
         raise ValidationError(f"dt must be positive, got {dt}")
     if speed < 0.0:
@@ -194,20 +196,26 @@ TRAJ_CSV_FIELDS = ("t", "x", "y", "heading", "speed", "sigma_x", "sigma_y")
 
 def write_trajectory_csv(path, traj: Trajectory,
                          sigmas: np.ndarray | None = None) -> None:
-    """Rows `t,x,y,heading,speed,sigma_x,sigma_y`; sigma cells empty where
-    no correction was made (warm-up ticks)."""
+    """Rows `t,x,y,heading,speed,sigma_x,sigma_y`; both sigma cells are
+    empty in a row where either sigma is not finite (warm-up ticks), and
+    in every row when `sigmas` is None. `sigmas` other than (len(traj), 2),
+    or with a finite entry below 0, raises a ValidationError naming the
+    path before the file is opened: `read_trajectory_csv` would refuse it."""
+    n = len(traj)
+    sigmas = np.full((n, 2), np.nan) if sigmas is None else np.asarray(sigmas, dtype=float)
+    if sigmas.shape != (n, 2):
+        raise ValidationError(f"{path}: sigmas of shape {sigmas.shape}, trajectory needs ({n}, 2)")
+    finite = np.isfinite(sigmas)
+    if np.any(finite & (sigmas < 0.0)):
+        raise ValidationError(f"{path}: negative finite sigma")
+    table = np.column_stack((traj.timestamps, traj.poses, traj.speeds)).tolist()
+    lines = [",".join(TRAJ_CSV_FIELDS)]
+    for (t, x, y, heading, speed), sigma, ok in zip(table, sigmas.tolist(),
+                                                     finite.all(axis=1).tolist()):
+        lines.append(f"{t!r},{x!r},{y!r},{heading!r},{speed!r},"
+                     + (f"{sigma[0]!r},{sigma[1]!r}" if ok else ","))
     with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(TRAJ_CSV_FIELDS)
-        for i in range(len(traj)):
-            row = [repr(float(traj.timestamps[i])), repr(float(traj.poses[i, 0])),
-                   repr(float(traj.poses[i, 1])), repr(float(traj.poses[i, 2])),
-                   repr(float(traj.speeds[i]))]
-            if sigmas is None or not np.all(np.isfinite(sigmas[i])):
-                row += ["", ""]
-            else:
-                row += [repr(float(sigmas[i, 0])), repr(float(sigmas[i, 1]))]
-            w.writerow(row)
+        fh.write("\r\n".join(lines) + "\r\n")
 
 
 def read_trajectory_csv(path) -> tuple[Trajectory, np.ndarray]:
@@ -217,6 +225,7 @@ def read_trajectory_csv(path) -> tuple[Trajectory, np.ndarray]:
     a sigma cell neither empty nor finite and >= 0 raises a ValidationError
     naming `path:line`. Bytes that are not UTF-8 CSV, and rows that
     `Trajectory` rejects (none, or no fixed step), raise one naming `path`."""
+    isfinite, inf, nan = math.isfinite, math.inf, math.nan
     rows, sigmas = [], []
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
@@ -237,15 +246,19 @@ def read_trajectory_csv(path) -> tuple[Trajectory, np.ndarray]:
             try:
                 if len(row) != len(TRAJ_CSV_FIELDS):
                     raise ValueError(f"{len(row)} cells, header has {len(TRAJ_CSV_FIELDS)}")
-                rows.append([float(c) for c in row[:5]])
-                if not all(math.isfinite(v) for v in rows[-1]):
+                t, x, y, heading, speed, sx, sy = row
+                t, x, y, heading, speed = float(t), float(x), float(y), float(heading), float(speed)
+                if not (isfinite(t) and isfinite(x) and isfinite(y) and isfinite(heading)
+                        and isfinite(speed)):
                     raise ValueError(f"t, x, y, heading and speed {row[:5]} not all finite")
-                sigmas.append([float(c) if c != "" else np.nan for c in row[5:]])
-                if any(c != "" and not 0.0 <= s < math.inf
-                       for c, s in zip(row[5:], sigmas[-1])):
+                fx = float(sx) if sx != "" else nan
+                fy = float(sy) if sy != "" else nan
+                if (sx != "" and not 0.0 <= fx < inf) or (sy != "" and not 0.0 <= fy < inf):
                     raise ValueError(f"sigmas {row[5:]} not empty or finite and >= 0")
             except ValueError as exc:
                 raise ValidationError(f"{path}:{ln}: bad trajectory row ({exc})") from exc
+            rows.append((t, x, y, heading, speed))
+            sigmas.append((fx, fy))
     table = np.array(rows).reshape(-1, 5)
     try:
         traj = Trajectory(table[:, 0], table[:, 1:4], table[:, 4])

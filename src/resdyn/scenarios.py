@@ -72,98 +72,132 @@ class OracleState:
     last_ax: float = 0.0         # realized longitudinal accel (for logging)
 
 
-def _derivatives(s: list[float], p: OracleParams,
-                 accel_target: float, wheel_target: float):
-    """Time derivatives of the 8-float state (x, y, heading, vx, vy,
-    yaw_rate, accel_lag, wheel_angle), and the realized longitudinal accel."""
-    _, _, heading, vx, vy, yaw_rate, accel_lag, wheel_angle = s
-    dx_acc = (accel_target - accel_lag) / p.throttle_tau
-    dx_whl = (wheel_target - wheel_angle) / p.steering_tau
+def _stepper(p: OracleParams, dt: float):
+    """`step(s, cmd) -> (s', ax)`: one control tick of vehicle `p` by the
+    midpoint rule at dt/10 substeps. `s` is the 8-float state (x, y,
+    heading, vx, vy, yaw_rate, accel_lag, wheel_angle); the heading of `s'`
+    is wrapped, and `ax` is the realized longitudinal accel of the last
+    substep. The parameters are read once here, not on every substep."""
+    if not (math.isfinite(dt) and dt > 0.0):
+        raise ValidationError(f"dt must be finite and positive, got {dt!r}")
+    mass, inertia, lf, lr = p.mass, p.yaw_inertia, p.lf, p.lr
+    cf, cr, wheelbase = p.cornering_front, p.cornering_rear, p.wheelbase
+    throttle_tau, steering_tau, blend = p.throttle_tau, p.steering_tau, p.low_speed_blend
+    rolling, drag_coeff = p.rolling_resistance, p.drag_coeff
+    throttle_gain, throttle_deadzone = p.throttle_gain, p.throttle_deadzone
+    brake_gain, brake_deadzone = p.brake_gain, p.brake_deadzone
+    max_wheel = p.max_front_wheel_angle
+    cos, sin, tan, atan2 = math.cos, math.sin, math.tan, math.atan2
+    h = dt / SUBSTEPS
+    half = 0.5 * h
 
-    # rolling resistance tapers in over the first 0.1 m/s so launch
-    # dynamics stay continuous (no chattering at standstill)
-    taper = min(vx / 0.1, 1.0) if vx > 0.0 else 0.0
-    drag = (p.rolling_resistance + p.drag_coeff * vx * vx) * taper
-    ax = accel_lag - drag
+    def derivatives(vx, vy, yaw_rate, accel_lag, wheel_angle, accel_target, wheel_target):
+        """Time derivatives of (vx, vy, yaw_rate, accel_lag, wheel_angle),
+        and the realized longitudinal accel. The caller forms the
+        position and heading rates, which the first midpoint stage skips."""
+        dx_acc = (accel_target - accel_lag) / throttle_tau
+        dx_whl = (wheel_target - wheel_angle) / steering_tau
 
-    v_safe = max(vx, p.low_speed_blend)
-    alpha_f = math.atan2(vy + p.lf * yaw_rate, v_safe) - wheel_angle
-    alpha_r = math.atan2(vy - p.lr * yaw_rate, v_safe)
-    f_front = -p.cornering_front * alpha_f
-    f_rear = -p.cornering_rear * alpha_r
+        # rolling resistance tapers in over the first 0.1 m/s so launch
+        # dynamics stay continuous (no chattering at standstill). Here and
+        # for v_safe, a comparison stands for min/max: the builtin calls
+        # cost 15% of a tick.
+        taper = vx / 0.1 if vx > 0.0 else 0.0
+        if taper > 1.0:
+            taper = 1.0
+        drag = (rolling + drag_coeff * vx * vx) * taper
+        ax = accel_lag - drag
 
-    dvy = (f_front * math.cos(wheel_angle) + f_rear) / p.mass - yaw_rate * vx
-    dr = (p.lf * f_front * math.cos(wheel_angle) - p.lr * f_rear) / p.yaw_inertia
-    # cornering drag: longitudinal component of the front lateral force
-    ax -= f_front * math.sin(wheel_angle) / p.mass
+        v_safe = blend if vx < blend else vx
+        alpha_f = atan2(vy + lf * yaw_rate, v_safe) - wheel_angle
+        alpha_r = atan2(vy - lr * yaw_rate, v_safe)
+        f_front = -cf * alpha_f
+        f_rear = -cr * alpha_r
 
-    # below the blend speed the dynamic tire equations lose validity; pull
-    # lateral states toward the kinematic bicycle solution instead
-    if vx < p.low_speed_blend:
-        r_kin = vx * math.tan(wheel_angle) / p.wheelbase
-        vy_kin = r_kin * p.lr
-        w = vx / p.low_speed_blend
-        dvy = w * dvy + (1.0 - w) * (vy_kin - vy) / 0.2
-        dr = w * dr + (1.0 - w) * (r_kin - yaw_rate) / 0.2
+        cos_wheel = cos(wheel_angle)
+        dvy = (f_front * cos_wheel + f_rear) / mass - yaw_rate * vx
+        dr = (lf * f_front * cos_wheel - lr * f_rear) / inertia
+        # cornering drag: longitudinal component of the front lateral force
+        ax -= f_front * sin(wheel_angle) / mass
 
-    dvx = ax + yaw_rate * vy
-    dxw = vx * math.cos(heading) - vy * math.sin(heading)
-    dyw = vx * math.sin(heading) + vy * math.cos(heading)
-    return (dxw, dyw, yaw_rate, dvx, dvy, dr, dx_acc, dx_whl), ax
+        # below the blend speed the dynamic tire equations lose validity; pull
+        # lateral states toward the kinematic bicycle solution instead
+        if vx < blend:
+            r_kin = vx * tan(wheel_angle) / wheelbase
+            vy_kin = r_kin * lr
+            w = vx / blend
+            dvy = w * dvy + (1.0 - w) * (vy_kin - vy) / 0.2
+            dr = w * dr + (1.0 - w) * (r_kin - yaw_rate) / 0.2
 
+        return ax + yaw_rate * vy, dvy, dr, dx_acc, dx_whl, ax
 
-def _clamp_forward(s: list[float]) -> list[float]:
-    # forward driving only; a stopped vehicle has no lateral motion either
-    if s[3] <= 0.0:
-        s[3] = s[4] = s[5] = 0.0
-    return s
+    def step(s, cmd: ControlCommand):
+        accel_target = (throttle_gain * max(0.0, cmd.throttle - throttle_deadzone)
+                        - brake_gain * max(0.0, cmd.brake - brake_deadzone))
+        wheel_target = cmd.steering * max_wheel
+        x, y, heading, vx, vy, yaw_rate, accel_lag, wheel_angle = s
+        for _ in range(SUBSTEPS):
+            dvx, dvy, dr, dx_acc, dx_whl, _ = derivatives(
+                vx, vy, yaw_rate, accel_lag, wheel_angle, accel_target, wheel_target)
+            # forward driving only; a stopped vehicle has no lateral motion either
+            m_vx = vx + half * dvx
+            if m_vx <= 0.0:
+                m_vx = m_vy = m_yaw_rate = 0.0
+            else:
+                m_vy = vy + half * dvy
+                m_yaw_rate = yaw_rate + half * dr
+            m_heading = heading + half * yaw_rate
+            m_accel_lag = accel_lag + half * dx_acc
+            m_wheel_angle = wheel_angle + half * dx_whl
+            dvx, dvy, dr, dx_acc, dx_whl, ax = derivatives(
+                m_vx, m_vy, m_yaw_rate, m_accel_lag, m_wheel_angle, accel_target, wheel_target)
+            cos_h, sin_h = cos(m_heading), sin(m_heading)
+            x = x + h * (m_vx * cos_h - m_vy * sin_h)
+            y = y + h * (m_vx * sin_h + m_vy * cos_h)
+            heading = heading + h * m_yaw_rate
+            accel_lag = accel_lag + h * dx_acc
+            wheel_angle = wheel_angle + h * dx_whl
+            vx = vx + h * dvx
+            if vx <= 0.0:
+                vx = vy = yaw_rate = 0.0
+            else:
+                vy = vy + h * dvy
+                yaw_rate = yaw_rate + h * dr
+        return (x, y, wrap_angle(heading), vx, vy, yaw_rate, accel_lag, wheel_angle), ax
+
+    return step
 
 
 def oracle_step(state: OracleState, cmd: ControlCommand, dt: float,
                 params: OracleParams | None = None) -> OracleState:
-    """Advance the oracle by one control tick (midpoint rule, dt/10 substeps)."""
-    if dt <= 0:
-        raise ValidationError(f"dt must be positive, got {dt}")
-    p = params or OracleParams()
-    accel_target = (p.throttle_gain * max(0.0, cmd.throttle - p.throttle_deadzone)
-                    - p.brake_gain * max(0.0, cmd.brake - p.brake_deadzone))
-    wheel_target = cmd.steering * p.max_front_wheel_angle
-
-    s = [state.x, state.y, state.heading, state.vx, state.vy,
-         state.yaw_rate, state.accel_lag, state.wheel_angle]
-    h = dt / SUBSTEPS
-    half = 0.5 * h
-    ax = state.last_ax
-    for _ in range(SUBSTEPS):
-        k1, _ = _derivatives(s, p, accel_target, wheel_target)
-        mid = _clamp_forward([v + half * k for v, k in zip(s, k1)])
-        k2, ax = _derivatives(mid, p, accel_target, wheel_target)
-        s = _clamp_forward([v + h * k for v, k in zip(s, k2)])
-    x, y, heading, vx, vy, yaw_rate, accel_lag, wheel_angle = s
-    return OracleState(x, y, wrap_angle(heading), vx, vy, yaw_rate,
-                       accel_lag, wheel_angle, ax)
+    """Advance the oracle by one control tick (midpoint rule, dt/10 substeps).
+    A dt that is not finite and positive raises a ValidationError."""
+    step = _stepper(params or OracleParams(), dt)
+    s, ax = step((state.x, state.y, state.heading, state.vx, state.vy,
+                  state.yaw_rate, state.accel_lag, state.wheel_angle), cmd)
+    return OracleState(*s, ax)
 
 
 def oracle_log(commands: list[ControlCommand], dt: float = DEFAULT_DT,
                params: OracleParams | None = None) -> list[LogRecord]:
     """Drive the oracle from rest at the origin through a command sequence;
-    one record per tick, |commands|+1 records."""
-    s = OracleState()
-    p = params or OracleParams()
-    records = []
+    one record per tick, |commands|+1 records. A dt that is not finite and
+    positive raises a ValidationError, also for no commands."""
+    step = _stepper(params or OracleParams(), dt)
+    s, ax = (0.0,) * 8, 0.0
     cmd0 = commands[0] if commands else ControlCommand(0, 0, 0)
-    records.append(_record(0.0, cmd0, s))
+    records = [_record(0.0, cmd0, s, ax)]
     for i, cmd in enumerate(commands):
-        s = oracle_step(s, cmd, dt, p)
+        s, ax = step(s, cmd)
         nxt = commands[i + 1] if i + 1 < len(commands) else cmd
-        records.append(_record((i + 1) * dt, nxt, s))
+        records.append(_record((i + 1) * dt, nxt, s, ax))
     return records
 
 
-def _record(t: float, cmd: ControlCommand, s: OracleState) -> LogRecord:
-    return LogRecord(t, cmd,
-                     VehicleState(max(s.vx, 0.0), s.last_ax, wrap_angle(s.heading)),
-                     Pose(s.x, s.y, wrap_angle(s.heading)))
+def _record(t: float, cmd: ControlCommand, s: tuple, ax: float) -> LogRecord:
+    # the stepper leaves vx >= 0 and the heading wrapped
+    x, y, heading, vx = s[:4]
+    return LogRecord(t, cmd, VehicleState(vx, ax, heading), Pose(x, y, heading))
 
 
 # -- scenario scripts ---------------------------------------------------

@@ -120,9 +120,15 @@ class TestIntegrateStep:
         gap = math.hypot(x - ax, y - ay)
         assert 1e-4 < gap < 0.05
 
-    def test_rejects_nonfinite(self):
-        with pytest.raises(ValidationError):
-            integrate_step(0, 0, 0, float("nan"), 0.0, 0.0, 0.01)
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf],
+                             ids=["nan", "inf", "-inf"])
+    @pytest.mark.parametrize("position", range(7), ids=[
+        "x", "y", "heading", "speed", "accel", "heading_rate", "dt"])
+    def test_rejects_nonfinite(self, position, bad):
+        args = [0.0, 0.0, 0.0, 1.0, 0.0, 0.0, 0.01]
+        args[position] = bad
+        with pytest.raises(ValidationError, match="non-finite integrate_step input"):
+            integrate_step(*args)
 
     def test_rejects_nonpositive_dt(self):
         with pytest.raises(ValidationError):
@@ -279,6 +285,48 @@ class TestTrajectoryCsv:
         assert np.array_equal(np.signbit(back.poses), np.signbit(traj.poses))
         assert np.array_equal(back.speeds, traj.speeds)
         assert np.array_equal(back_sigmas, sigmas, equal_nan=True)
+
+    # signed zeros, the smallest subnormal, huge, short and full-precision
+    # values; sigma rows whole, all NaN, half NaN, half inf
+    PINNED_TRAJ = dict(
+        timestamps=[0.0, 0.01, 0.02, 0.03, 0.04],
+        poses=[[-0.0, 5e-324, 1e308], [0.1, 0.30000000000000004, -3.141592653589793],
+               [1.0, -2.5, 0.0], [1e-05, 123456.789, 2.0], [-1e308, 0.5, -0.0]],
+        speeds=[0.0, 12.5, 1e308, 5e-324, 3.0])
+    PINNED_SIGMAS = [[0.25, 0.30000000000000004], [math.nan, math.nan], [math.nan, 0.5],
+                     [-0.0, 5e-324], [math.inf, 0.1]]
+    PINNED_ROWS = (b"0.0,-0.0,5e-324,1e+308,0.0,",
+                   b"0.01,0.1,0.30000000000000004,-3.141592653589793,12.5,",
+                   b"0.02,1.0,-2.5,0.0,1e+308,",
+                   b"0.03,1e-05,123456.789,2.0,5e-324,",
+                   b"0.04,-1e+308,0.5,-0.0,3.0,")
+
+    @pytest.mark.parametrize("with_sigmas", [True, False], ids=["sigmas", "no-sigmas"])
+    def test_written_bytes(self, tmp_path, with_sigmas):
+        # the format byte for byte: CRLF line ends, repr cells, both sigma
+        # cells empty where either sigma is not finite
+        traj = Trajectory(**{k: np.array(v) for k, v in self.PINNED_TRAJ.items()})
+        path = tmp_path / "traj.csv"
+        write_trajectory_csv(path, traj, np.array(self.PINNED_SIGMAS) if with_sigmas else None)
+        cells = ((b"0.25,0.30000000000000004", b",", b",", b"-0.0,5e-324", b",")
+                 if with_sigmas else (b",",) * 5)
+        assert path.read_bytes() == b"".join(
+            line + b"\r\n" for line in (b"t,x,y,heading,speed,sigma_x,sigma_y",
+                                        *(r + c for r, c in zip(self.PINNED_ROWS, cells))))
+
+    @pytest.mark.parametrize("sigmas, match", [
+        (np.array([[0.1, 0.1], [math.nan, math.nan], [0.1, -0.1], [0.1, 0.1], [0.1, 0.1]]),
+         "negative finite sigma"),
+        (np.full((4, 2), 0.1), re.escape("sigmas of shape (4, 2), trajectory needs (5, 2)")),
+        (np.full(5, 0.1), re.escape("sigmas of shape (5,), trajectory needs (5, 2)")),
+        (np.full((5, 3), 0.1), re.escape("sigmas of shape (5, 3), trajectory needs (5, 2)")),
+    ], ids=["negative", "short", "1-D", "third-column"])
+    def test_sigmas_the_reader_refuses_rejected_before_writing(self, tmp_path, sigmas, match):
+        traj = Trajectory(**{k: np.array(v) for k, v in self.PINNED_TRAJ.items()})
+        path = tmp_path / "traj.csv"
+        with pytest.raises(ValidationError, match=re.escape(f"{path}: ") + match):
+            write_trajectory_csv(path, traj, sigmas)
+        assert not path.exists()
 
 
 def read_bytes(raw: bytes):

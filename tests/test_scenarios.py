@@ -1,11 +1,12 @@
 import csv
+import hashlib
 import math
 
 import numpy as np
 import pytest
 from scipy.integrate import solve_ivp
 
-from resdyn.core import ControlCommand, parse_log_row, write_log_csv
+from resdyn.core import ControlCommand, ValidationError, parse_log_row, write_log_csv
 from resdyn.dynamics import RuleBasedModel, rollout
 from resdyn.scenarios import (GOLDEN_NAMES, OracleParams, OracleState,
                               generate_golden_set, golden_scripts, oracle_log,
@@ -77,6 +78,14 @@ class TestOracleStep:
         assert (recs[-1].pose.x, recs[-1].pose.y) == (s.x, s.y)
         assert recs[-1].pose != oracle_log(cmds, 0.01)[-1].pose
 
+    @pytest.mark.parametrize("dt", [0.0, -0.01, math.inf, -math.inf, math.nan])
+    def test_dt_not_finite_and_positive_rejected(self, dt):
+        cmds = [ControlCommand(0.5, 0, 0.1)] * 3
+        for run in (lambda: oracle_log([], dt), lambda: oracle_log(cmds, dt),
+                    lambda: oracle_step(OracleState(vx=5.0), cmds[0], dt)):
+            with pytest.raises(ValidationError, match=r"^dt must be finite and positive"):
+                run()
+
     def test_understeer_invariant(self):
         with pytest.raises(Exception):
             OracleParams(cornering_front=2e5, cornering_rear=1e5)
@@ -123,6 +132,24 @@ class TestGoldenSet:
             write_log_csv(pa, a[name])
             write_log_csv(pb, b[name])
             assert pa.read_bytes() == pb.read_bytes()
+
+    def test_records_equal_pinned_digest(self):
+        # SHA-256 over the repr of every record field, pinned: a change to
+        # the oracle's arithmetic, by one ulp anywhere, changes it. 20 s
+        # maneuvers reach the full stop of the *_stop ones, so the
+        # forward-only clamp runs. libm's cos/sin/atan2/tan results enter
+        # the digest, so a platform with another libm may need its own.
+        logs = generate_golden_set(0, loop_duration=10.0, scenario_duration=20.0)
+        h = hashlib.sha256()
+        for name in sorted(logs):
+            h.update(name.encode())
+            for r in logs[name]:
+                h.update(repr((r.timestamp, r.command.throttle, r.command.brake,
+                               r.command.steering, r.state.speed, r.state.acceleration,
+                               r.state.heading, r.pose.x, r.pose.y, r.pose.heading)).encode())
+        assert min(r.state.speed for r in logs["left_turn_stop"]) == 0.0
+        assert h.hexdigest() == \
+            "17ccbefe5deb46dd595b29a36a1fe915b4cce3eefa3caf3df39c9dd93c787ace"
 
     def test_log_csv_round_trip(self, logs, tmp_path):
         # every cell is a plain float literal that parses back bit for bit
