@@ -3,14 +3,11 @@
 Define-by-run: every op is a module-level function (`add`, `matmul`,
 `tsum`, ...) that returns a Tensor holding the forward value and a
 closure that scatters the upstream gradient, passed in as its argument, to
-its parents. Tensors have no arithmetic operators; indexing (`x[key]`)
-is the one op spelled as a method, and it takes basic keys only (ints,
-slices, Ellipsis and None), which select each element at most once, so
-its gradient is added into a slice. A closure never references its own
-output node, so a graph holds no reference cycle: it is rebuilt each
-minibatch and freed by reference counting as soon as it is dropped.
-float64 everywhere: the models trained here are tiny and Cholesky
-robustness matters more than speed.
+its parents. Tensors have no operators and no indexing. A closure never
+references its own output node, so a graph holds no reference cycle: it
+is rebuilt each minibatch and freed by reference counting as soon as it
+is dropped. float64 everywhere: the models trained here are tiny and
+Cholesky robustness matters more than speed.
 
 `conv1d` and `lstm` are fused nodes: one node for the whole operation,
 whose closure holds the intermediates it needs (the im2col columns; each
@@ -95,31 +92,8 @@ class Tensor:
         else:
             self.grad += g
 
-    def __getitem__(self, key):
-        if not _is_basic_key(key):
-            raise ValidationError(
-                f"Tensor index {key!r} is not basic: use ints, slices, Ellipsis or None")
-        x = self
-        out = Tensor(x.data[key], _parents=(x,))
-        if out.requires_grad:
-            def _bwd(g):
-                if x.grad is None:
-                    x.grad = np.zeros_like(x.data)
-                x.grad[key] += g
-            out._backward = _bwd
-        return out
-
     def __repr__(self):
         return f"Tensor(shape={self.data.shape}, grad={'set' if self.grad is not None else 'none'}, name={self.name})"
-
-
-def _is_basic_key(key) -> bool:
-    """True for ints, slices, Ellipsis, None and tuples of these: numpy's
-    basic indexing, which yields a view."""
-    parts = key if isinstance(key, tuple) else (key,)
-    return all(k is None or k is Ellipsis or isinstance(k, slice)
-               or (isinstance(k, (int, np.integer)) and not isinstance(k, bool))
-               for k in parts)
 
 
 def as_tensor(x) -> Tensor:
@@ -374,8 +348,12 @@ def conv1d(x, w, bias, stride: int = 1, dilation: int = 1):
     """1-D convolution plus bias. x: (B, C_in, L); w: (C_out, C_in, K);
     bias: (C_out,).
 
-    Output length floor((L - dilation*(K-1) - 1)/stride) + 1.
+    Output length floor((L - dilation*(K-1) - 1)/stride) + 1. A stride or
+    dilation below 1 raises a ValidationError.
     """
+    if stride < 1 or dilation < 1:
+        raise ValidationError(
+            f"conv1d stride {stride} and dilation {dilation} must each be at least 1")
     x, w, bias = as_tensor(x), as_tensor(w), as_tensor(bias)
     xd = x.data
     if (xd.ndim != 3 or w.data.ndim != 3 or xd.shape[1] != w.data.shape[1]

@@ -56,21 +56,26 @@ class MlpDynamicModel:
     """
 
     HIDDEN = 8
+    # every array of a model, as its checkpoint names it, and its shape
+    _SHAPES = {"w1": (5, HIDDEN), "b1": (HIDDEN,), "w2": (HIDDEN, 2), "b2": (2,),
+               "in_mean": (5,), "in_std": (5,), "out_mean": (2,), "out_std": (2,)}
 
     def __init__(self, weights: dict[str, np.ndarray],
                  in_mean: np.ndarray, in_std: np.ndarray,
                  out_mean: np.ndarray, out_std: np.ndarray):
-        for key, shape in (("w1", (5, self.HIDDEN)), ("b1", (self.HIDDEN,)),
-                           ("w2", (self.HIDDEN, 2)), ("b2", (2,))):
-            if tuple(np.shape(weights[key])) != shape:
-                raise ValidationError(f"{key} has shape {np.shape(weights[key])}, want {shape}")
-        if np.any(np.asarray(in_std) <= 0) or np.any(np.asarray(out_std) <= 0):
-            raise ValidationError("normalization stds must be positive")
-        self.weights = {k: np.asarray(v, dtype=float) for k, v in weights.items()}
-        self.in_mean = np.asarray(in_mean, dtype=float)
-        self.in_std = np.asarray(in_std, dtype=float)
-        self.out_mean = np.asarray(out_mean, dtype=float)
-        self.out_std = np.asarray(out_std, dtype=float)
+        given = dict(weights, in_mean=in_mean, in_std=in_std,
+                     out_mean=out_mean, out_std=out_std)
+        arrays = {k: np.asarray(given[k], dtype=float) for k in self._SHAPES}
+        for key, shape in self._SHAPES.items():
+            a = arrays[key]
+            if a.shape != shape or not np.all(np.isfinite(a)):
+                raise ValidationError(
+                    f"{key} must be a finite array of shape {shape}, got shape {a.shape}")
+            if key.endswith("_std") and np.any(a <= 0):
+                raise ValidationError(f"{key}: normalization stds must be positive")
+        self.weights = {k: arrays[k] for k in ("w1", "b1", "w2", "b2")}
+        self.in_mean, self.in_std = arrays["in_mean"], arrays["in_std"]
+        self.out_mean, self.out_std = arrays["out_mean"], arrays["out_std"]
 
     def tick(self, throttle: float, brake: float, steering: float,
              speed: float, acceleration: float) -> tuple[float, float]:
@@ -93,9 +98,17 @@ class MlpDynamicModel:
 
     @classmethod
     def load(cls, path) -> "MlpDynamicModel":
+        """Model saved by `save`. A missing entry, or one of the wrong shape,
+        raises a ValidationError naming the path and the entry."""
         a = load_checkpoint(path)
-        weights = {k: a[k] for k in ("w1", "b1", "w2", "b2")}
-        return cls(weights, a["in_mean"], a["in_std"], a["out_mean"], a["out_std"])
+        missing = [k for k in cls._SHAPES if k not in a]
+        if missing:
+            raise ValidationError(f"{path}: checkpoint has no {missing[0]!r} entry")
+        try:
+            return cls({k: a[k] for k in ("w1", "b1", "w2", "b2")},
+                       a["in_mean"], a["in_std"], a["out_mean"], a["out_std"])
+        except ValidationError as exc:
+            raise ValidationError(f"{path}: {exc}") from exc
 
 
 def tick_training_pairs(records: list[LogRecord], dt: float) -> tuple[np.ndarray, np.ndarray]:

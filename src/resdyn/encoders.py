@@ -1,8 +1,15 @@
 """Sequence encoders mapping a command/state window to a latent vector.
 
-Five interchangeable architectures: plain and dilated temporal CNNs, a
-single-layer LSTM, stacked local dot-product attention, and a one-layer
-transformer encoder with sinusoidal positions and mean pooling.
+Each of the five kinds has one fixed structure, held in module constants.
+`cnn` and `dilated_cnn` are two ReLU conv layers with kernel 6 and stride
+4, dilated (1, 1) and (5, 1); `lstm` is one LSTM layer; `attention` is
+two blocks of self-attention within segments of 5 ticks, mean-pooled per
+segment, so its window is a multiple of 25. Each ends in a dense layer.
+`transformer` is one encoder layer with sinusoidal positions, mean-pooled
+over the window; its width is `latent_dim`, as the latent is the pooled
+embedding. A spec sets only sizes: `window`, `features`, `latent_dim`
+and the kind's `channels` (per conv layer), `hidden`, `att_dim`, or
+`ff_dim` and `dropout`.
 """
 
 from __future__ import annotations
@@ -16,17 +23,13 @@ from . import autodiff as ad
 from .autodiff import Tensor, conv1d_output_length, parameter
 from .core import ValidationError
 
-# the shipped structure of each architecture, where it differs from the
-# EncoderSpec field defaults; a transformer's latent is its pooled
-# embedding, so make_spec sets its latent_dim to embed_dim
-_DEFAULTS = {
-    "cnn": dict(latent_dim=250),
-    "dilated_cnn": dict(latent_dim=200, dilations=(5, 1)),
-    "lstm": dict(latent_dim=128),
-    "attention": dict(latent_dim=200),
-    "transformer": dict(),
-}
-KINDS = tuple(_DEFAULTS)
+# the shipped latent size of each kind
+_LATENT_DIMS = {"cnn": 250, "dilated_cnn": 200, "lstm": 128, "attention": 200,
+                "transformer": 64}
+KINDS = tuple(_LATENT_DIMS)
+_KERNEL, _STRIDE = 6, 4                               # both conv layers
+_DILATIONS = {"cnn": (1, 1), "dilated_cnn": (5, 1)}   # per conv layer
+_SEGMENT, _BLOCKS = 5, 2                              # attention
 
 
 @dataclass(frozen=True)
@@ -35,54 +38,38 @@ class EncoderSpec:
     window: int = 100
     features: int = 6
     latent_dim: int = 0
-    # conv family
-    kernel: int = 6
-    stride: int = 4
-    dilations: tuple = (1, 1)
-    channels: tuple = (16, 16)
-    # lstm
-    hidden: int = 128
-    # attention
-    segment: int = 5
-    blocks: int = 2
-    att_dim: int = 32
-    # transformer
-    embed_dim: int = 64
-    ff_dim: int = 1024
+    channels: int = 16      # conv filters, the same in both layers
+    hidden: int = 128       # lstm
+    att_dim: int = 32       # attention
+    ff_dim: int = 1024      # transformer
     dropout: float = 0.1
 
     def __post_init__(self):
         if self.kind not in KINDS:
             raise ValidationError(f"unknown encoder kind {self.kind!r}, want one of {KINDS}")
-        if len(self.dilations) != 2 or len(self.channels) != 2:
-            raise ValidationError(f"the conv encoder has two layers: dilations {self.dilations} "
-                                  f"and channels {self.channels} must each have 2 entries")
-        positives = (self.window, self.features, self.latent_dim, self.kernel,
-                     self.stride, self.hidden, self.segment, self.blocks,
-                     self.att_dim, self.embed_dim, self.ff_dim,
-                     *self.dilations, *self.channels)
+        positives = (self.window, self.features, self.latent_dim, self.channels,
+                     self.hidden, self.att_dim, self.ff_dim)
         if any(v <= 0 for v in positives):
             raise ValidationError("encoder hyperparameters must be positive")
         if not 0.0 <= self.dropout < 1.0:
             raise ValidationError(f"dropout {self.dropout} outside [0, 1)")
-        if self.kind == "transformer" and self.latent_dim != self.embed_dim:
-            raise ValidationError(
-                f"transformer latent_dim {self.latent_dim} must equal its embed_dim "
-                f"{self.embed_dim}: the latent is the pooled embedding")
         n_min = min_window_length(self)
         if self.window < n_min:
             raise ValidationError(
                 f"{self.kind} needs a window of at least {n_min} ticks, got {self.window}")
+        if self.kind == "attention" and self.window % n_min:
+            raise ValidationError(
+                f"attention needs a window that is a multiple of {n_min} ticks, "
+                f"got {self.window}")
 
 
 def make_spec(kind: str, window: int = 100, features: int = 6, **overrides) -> EncoderSpec:
-    """Spec with the shipped defaults for `kind` applied first; unknown fields are refused."""
+    """Spec with the shipped latent size for `kind` unless overridden;
+    unknown fields are refused."""
     unknown = sorted(set(overrides) - {f.name for f in fields(EncoderSpec)})
     if unknown:
         raise ValidationError(f"unknown encoder spec field(s) {unknown}")
-    values = {**_DEFAULTS.get(kind, {}), **overrides}
-    if kind == "transformer":
-        values.setdefault("latent_dim", values.get("embed_dim", EncoderSpec.embed_dim))
+    values = {"latent_dim": _LATENT_DIMS.get(kind, 0), **overrides}
     return EncoderSpec(kind=kind, window=window, features=features, **values)
 
 
@@ -91,19 +78,19 @@ def min_window_length(spec: EncoderSpec) -> int:
     if spec.kind in ("lstm", "transformer"):
         return 1
     if spec.kind == "attention":
-        return spec.segment ** spec.blocks
+        return _SEGMENT ** _BLOCKS
     # a conv layer keeps m >= 1 outputs iff its input length is at least
     # (m-1)*stride + dilation*(kernel-1) + 1; walk back from m = 1 at the top
     length = 1
-    for d in reversed(spec.dilations):
-        length = (length - 1) * spec.stride + d * (spec.kernel - 1) + 1
+    for d in reversed(_DILATIONS[spec.kind]):
+        length = (length - 1) * _STRIDE + d * (_KERNEL - 1) + 1
     return length
 
 
 def conv_chain_lengths(spec: EncoderSpec) -> list[int]:
     lengths, length = [], spec.window
-    for d in spec.dilations:
-        length = conv1d_output_length(length, spec.kernel, spec.stride, d)
+    for d in _DILATIONS[spec.kind]:
+        length = conv1d_output_length(length, _KERNEL, _STRIDE, d)
         lengths.append(length)
     return lengths
 
@@ -121,13 +108,12 @@ def init_encoder(spec: EncoderSpec, rng: np.random.Generator) -> dict[str, Tenso
 
     p: dict[str, Tensor] = {}
     if spec.kind in ("cnn", "dilated_cnn"):
-        c1, c2 = spec.channels
-        k = spec.kernel
-        p["conv1_w"] = normal("conv1_w", c1, f, k, scale=math.sqrt(2.0 / (f * k)))
-        p["conv1_b"] = zeros("conv1_b", c1)
-        p["conv2_w"] = normal("conv2_w", c2, c1, k, scale=math.sqrt(2.0 / (c1 * k)))
-        p["conv2_b"] = zeros("conv2_b", c2)
-        flat = c2 * conv_chain_lengths(spec)[-1]
+        c, k = spec.channels, _KERNEL
+        p["conv1_w"] = normal("conv1_w", c, f, k, scale=math.sqrt(2.0 / (f * k)))
+        p["conv1_b"] = zeros("conv1_b", c)
+        p["conv2_w"] = normal("conv2_w", c, c, k, scale=math.sqrt(2.0 / (c * k)))
+        p["conv2_b"] = zeros("conv2_b", c)
+        flat = c * conv_chain_lengths(spec)[-1]
         p["fc_w"] = normal("fc_w", flat, spec.latent_dim, scale=math.sqrt(1.0 / flat))
         p["fc_b"] = zeros("fc_b", spec.latent_dim)
     elif spec.kind == "lstm":
@@ -142,19 +128,16 @@ def init_encoder(spec: EncoderSpec, rng: np.random.Generator) -> dict[str, Tenso
         p["fc_b"] = zeros("fc_b", spec.latent_dim)
     elif spec.kind == "attention":
         d_in = f
-        for i in range(spec.blocks):
+        for i in range(_BLOCKS):
             for nm in ("q", "k", "v"):
                 p[f"blk{i}_{nm}"] = normal(f"blk{i}_{nm}", d_in, spec.att_dim,
                                            scale=math.sqrt(1.0 / d_in))
             d_in = spec.att_dim
-        segs = spec.window
-        for _ in range(spec.blocks):
-            segs //= spec.segment
-        flat = segs * spec.att_dim
+        flat = spec.window // _SEGMENT ** _BLOCKS * spec.att_dim
         p["fc_w"] = normal("fc_w", flat, spec.latent_dim, scale=math.sqrt(1.0 / flat))
         p["fc_b"] = zeros("fc_b", spec.latent_dim)
     elif spec.kind == "transformer":
-        e = spec.embed_dim
+        e = spec.latent_dim
         p["embed_w"] = normal("embed_w", f, e, scale=math.sqrt(1.0 / f))
         p["embed_b"] = zeros("embed_b", e)
         for nm in ("wq", "wk", "wv", "wo"):
@@ -195,16 +178,15 @@ def encode(params: dict[str, Tensor], spec: EncoderSpec, windows: np.ndarray | T
     if spec.kind == "lstm":
         return _encode_lstm(params, x)
     if spec.kind == "attention":
-        return _encode_attention(params, spec, x)
+        return _encode_attention(params, x)
     return _encode_transformer(params, spec, x, train, rng)
 
 
 def _encode_conv(p, spec, x):
+    d1, d2 = _DILATIONS[spec.kind]
     h = ad.transpose(x, (0, 2, 1))  # (B, F, N), channels first
-    h = ad.relu(ad.conv1d(h, p["conv1_w"], p["conv1_b"], stride=spec.stride,
-                          dilation=spec.dilations[0]))
-    h = ad.relu(ad.conv1d(h, p["conv2_w"], p["conv2_b"], stride=spec.stride,
-                          dilation=spec.dilations[1]))
+    h = ad.relu(ad.conv1d(h, p["conv1_w"], p["conv1_b"], stride=_STRIDE, dilation=d1))
+    h = ad.relu(ad.conv1d(h, p["conv2_w"], p["conv2_b"], stride=_STRIDE, dilation=d2))
     b = h.data.shape[0]
     flat = ad.reshape(h, (b, -1))
     return ad.affine(flat, p["fc_w"], p["fc_b"])
@@ -214,27 +196,29 @@ def _encode_lstm(p, x):
     return ad.affine(ad.lstm(x, p["wx"], p["wh"], p["b"]), p["fc_w"], p["fc_b"])
 
 
-def _attention_block(x, wq, wk, wv, segment):
-    """Local dot-product self-attention over non-overlapping segments,
-    mean-pooled per segment: (B, T, D) -> (B, T//segment, d_att)."""
+def _self_attention(flat, wq, wk, wv, groups, length):
+    """Single-head softmax(QKᵀ/√d)V within each of `groups` sequences of
+    `length` rows of flat (groups*length, D): (groups, length, d)."""
+    d = wq.data.shape[1]
+    q, k, v = (ad.reshape(ad.matmul(flat, w), (groups, length, d)) for w in (wq, wk, wv))
+    scores = ad.mul(ad.matmul(q, ad.transpose(k, (0, 2, 1))), 1.0 / math.sqrt(d))
+    return ad.matmul(ad.softmax(scores), v)
+
+
+def _attention_block(x, wq, wk, wv):
+    """Self-attention within non-overlapping segments, mean-pooled per
+    segment: (B, T, D) -> (B, T//segment, d_att); T is a multiple of the
+    segment length."""
     b, t, d = x.data.shape
-    s = t // segment
-    x = x[:, :s * segment, :]
-    flat = ad.reshape(x, (b * s * segment, d))
-    d_att = wq.data.shape[1]
-    q = ad.reshape(ad.matmul(flat, wq), (b * s, segment, d_att))
-    k = ad.reshape(ad.matmul(flat, wk), (b * s, segment, d_att))
-    v = ad.reshape(ad.matmul(flat, wv), (b * s, segment, d_att))
-    scores = ad.mul(ad.matmul(q, ad.transpose(k, (0, 2, 1))), 1.0 / math.sqrt(d_att))
-    pooled = ad.tmean(ad.matmul(ad.softmax(scores), v), axis=1)
-    return ad.reshape(pooled, (b, s, d_att))
+    s = t // _SEGMENT
+    att = _self_attention(ad.reshape(x, (b * t, d)), wq, wk, wv, b * s, _SEGMENT)
+    return ad.reshape(ad.tmean(att, axis=1), (b, s, wq.data.shape[1]))
 
 
-def _encode_attention(p, spec, x):
+def _encode_attention(p, x):
     h = x
-    for i in range(spec.blocks):
-        h = _attention_block(h, p[f"blk{i}_q"], p[f"blk{i}_k"], p[f"blk{i}_v"],
-                             spec.segment)
+    for i in range(_BLOCKS):
+        h = _attention_block(h, p[f"blk{i}_q"], p[f"blk{i}_k"], p[f"blk{i}_v"])
     b = h.data.shape[0]
     flat = ad.reshape(h, (b, -1))
     return ad.affine(flat, p["fc_w"], p["fc_b"])
@@ -242,17 +226,11 @@ def _encode_attention(p, spec, x):
 
 def _encode_transformer(p, spec, x, train, rng):
     b, n, f = x.data.shape
-    e = spec.embed_dim
+    e = spec.latent_dim
     flat = ad.reshape(x, (b * n, f))
     emb = ad.reshape(ad.affine(flat, p["embed_w"], p["embed_b"]), (b, n, e))
     emb = ad.add(emb, p["pos"])
-    # single-head self-attention
-    flat = ad.reshape(emb, (b * n, e))
-    q = ad.reshape(ad.matmul(flat, p["wq"]), (b, n, e))
-    k = ad.reshape(ad.matmul(flat, p["wk"]), (b, n, e))
-    v = ad.reshape(ad.matmul(flat, p["wv"]), (b, n, e))
-    scores = ad.mul(ad.matmul(q, ad.transpose(k, (0, 2, 1))), 1.0 / math.sqrt(e))
-    att = ad.matmul(ad.softmax(scores), v)
+    att = _self_attention(ad.reshape(emb, (b * n, e)), p["wq"], p["wk"], p["wv"], b, n)
     att = ad.reshape(ad.matmul(ad.reshape(att, (b * n, e)), p["wo"]), (b, n, e))
     sub1 = ad.layer_norm(ad.add(emb, att), p["ln1_g"], p["ln1_b"])
     # position-wise feed-forward with dropout inside

@@ -9,7 +9,7 @@ rollouts accumulate a structured, learnable residual.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 from .core import (DEFAULT_DT, ControlCommand, LogRecord, Pose,
                    ValidationError, VehicleState, wrap_angle)
@@ -19,6 +19,11 @@ SUBSTEPS = 10
 
 @dataclass(frozen=True)
 class OracleParams:
+    """Oracle vehicle. Every field is finite; the deadzones lie in [0, 1),
+    the resistance terms are >= 0, the wheel angle limit lies in
+    (0, pi/2) and every other field is > 0. A ValidationError names the
+    first field out of range."""
+
     mass: float = 1800.0            # kg
     yaw_inertia: float = 3270.0     # kg m^2
     lf: float = 1.20                # m, CoG to front axle
@@ -37,10 +42,18 @@ class OracleParams:
     low_speed_blend: float = 1.5       # m/s, below this the tires are kinematic
 
     def __post_init__(self):
-        for name in ("mass", "yaw_inertia", "lf", "lr", "cornering_front",
-                     "cornering_rear", "throttle_tau", "steering_tau"):
-            if getattr(self, name) <= 0:
-                raise ValidationError(f"{name} must be positive")
+        for f in fields(self):
+            v = getattr(self, f.name)
+            if f.name in ("throttle_deadzone", "brake_deadzone"):
+                ok, want = 0.0 <= v < 1.0, "in [0, 1)"
+            elif f.name in ("rolling_resistance", "drag_coeff"):
+                ok, want = 0.0 <= v < math.inf, "finite and >= 0"
+            elif f.name == "max_front_wheel_angle":
+                ok, want = 0.0 < v < 0.5 * math.pi, "in (0, pi/2)"
+            else:
+                ok, want = 0.0 < v < math.inf, "finite and > 0"
+            if not ok:
+                raise ValidationError(f"{f.name} must be {want}, got {v!r}")
         # understeering configuration keeps the linear bicycle stable
         if self.lr * self.cornering_rear <= self.lf * self.cornering_front:
             raise ValidationError("oracle must understeer: lr*Cr > lf*Cf")
@@ -61,6 +74,8 @@ class OracleParams:
 
 @dataclass
 class OracleState:
+    """Oracle vehicle state; every field finite and vx >= 0."""
+
     x: float = 0.0
     y: float = 0.0
     heading: float = 0.0
@@ -70,6 +85,14 @@ class OracleState:
     accel_lag: float = 0.0       # lagged longitudinal actuator output
     wheel_angle: float = 0.0     # lagged front wheel angle
     last_ax: float = 0.0         # realized longitudinal accel (for logging)
+
+    def __post_init__(self):
+        for f in fields(self):
+            v = getattr(self, f.name)
+            if not math.isfinite(v):
+                raise ValidationError(f"{f.name} must be finite, got {v!r}")
+        if self.vx < 0.0:
+            raise ValidationError(f"vx must be >= 0, got {self.vx!r}")
 
 
 def _stepper(p: OracleParams, dt: float):

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from resdyn.autodiff import save_checkpoint
 from resdyn.core import ControlCommand, Pose, ValidationError, VehicleState
 from resdyn.dynamics import (MlpDynamicModel, RuleBasedModel, rollout, rollout_states,
                              tick_training_pairs, train_dm_lb)
@@ -85,6 +86,53 @@ class TestMlpModel:
         m2 = MlpDynamicModel.load(tmp_path / "dm.ckpt")
         row = (0.3, 0.1, -0.2, 4, 0.5)
         assert m.tick(*row) == m2.tick(*row)
+
+
+def mlp_arrays():
+    return {"w1": np.zeros((5, 8)), "b1": np.zeros(8), "w2": np.zeros((8, 2)),
+            "b2": np.zeros(2), "in_mean": np.zeros(5), "in_std": np.ones(5),
+            "out_mean": np.zeros(2), "out_std": np.ones(2)}
+
+
+class TestMlpCheckpointBoundary:
+    @pytest.mark.parametrize("key", list(mlp_arrays()))
+    def test_missing_entry_named(self, tmp_path, key):
+        arrays = mlp_arrays()
+        del arrays[key]
+        path = tmp_path / "dm.ckpt"
+        save_checkpoint(path, arrays)
+        with pytest.raises(ValidationError, match=f"dm.ckpt: checkpoint has no '{key}' entry"):
+            MlpDynamicModel.load(path)
+
+    @pytest.mark.parametrize("key, bad", [
+        ("in_mean", np.zeros(3)), ("in_std", np.ones(3)), ("in_std", np.ones((5, 1))),
+        ("out_mean", np.zeros(5)), ("out_std", np.ones(1)), ("out_std", np.ones((1, 2))),
+        ("w1", np.zeros((8, 5))), ("in_std", np.zeros(5)), ("out_std", -np.ones(2))])
+    def test_wrong_shape_or_std_named(self, tmp_path, key, bad):
+        arrays = mlp_arrays()
+        arrays[key] = bad
+        path = tmp_path / "dm.ckpt"
+        save_checkpoint(path, arrays)
+        with pytest.raises(ValidationError, match=f"dm.ckpt: {key}"):
+            MlpDynamicModel.load(path)
+
+    @pytest.mark.parametrize("key", ["in_mean", "in_std", "out_mean", "out_std"])
+    def test_non_finite_normalization_named(self, tmp_path, key):
+        # save_checkpoint refuses NaN, so patch it into a saved payload
+        arrays = mlp_arrays()
+        arrays[key] = np.full(arrays[key].shape, 7.0)
+        path = tmp_path / "dm.ckpt"
+        save_checkpoint(path, arrays)
+        raw = path.read_bytes()
+        seven, nan = np.float64(7.0).tobytes(), np.float64(np.nan).tobytes()
+        path.write_bytes(raw.replace(seven, nan, 1))
+        with pytest.raises(ValidationError, match=f"dm.ckpt: entry '{key}' holds non-finite"):
+            MlpDynamicModel.load(path)
+        arrays[key] = np.full(arrays[key].shape, np.nan)
+        weights = {k: arrays[k] for k in ("w1", "b1", "w2", "b2")}
+        with pytest.raises(ValidationError, match=f"^{key} must be a finite array"):
+            MlpDynamicModel(weights, arrays["in_mean"], arrays["in_std"],
+                            arrays["out_mean"], arrays["out_std"])
 
 
 class TestTrainDmLb:

@@ -1,3 +1,5 @@
+from dataclasses import fields
+
 import numpy as np
 import pytest
 from fdcheck import check_grads
@@ -11,12 +13,30 @@ from resdyn.rng import seeded_rng
 
 # reduced specs keep the finite-difference sweep fast; kinds are unchanged
 TINY = {
-    "cnn": dict(window=26, kernel=6, stride=4, channels=(2, 2), latent_dim=3),
-    "dilated_cnn": dict(window=46, kernel=6, stride=4, dilations=(5, 1),
-                        channels=(2, 2), latent_dim=3),
+    "cnn": dict(window=26, channels=2, latent_dim=3),
+    "dilated_cnn": dict(window=46, channels=2, latent_dim=3),
     "lstm": dict(window=7, hidden=4, latent_dim=3),
-    "attention": dict(window=25, segment=5, blocks=2, att_dim=3, latent_dim=3),
-    "transformer": dict(window=6, embed_dim=4, ff_dim=8, latent_dim=4, dropout=0.0),
+    "attention": dict(window=25, att_dim=3, latent_dim=3),
+    "transformer": dict(window=6, ff_dim=8, latent_dim=4, dropout=0.0),
+}
+
+# parameter names and shapes of each kind's shipped structure at
+# make_spec(kind): window 100, 6 features
+SHIPPED = {
+    "cnn": [("conv1_w", (16, 6, 6)), ("conv1_b", (16,)), ("conv2_w", (16, 16, 6)),
+            ("conv2_b", (16,)), ("fc_w", (80, 250)), ("fc_b", (250,))],
+    "dilated_cnn": [("conv1_w", (16, 6, 6)), ("conv1_b", (16,)), ("conv2_w", (16, 16, 6)),
+                    ("conv2_b", (16,)), ("fc_w", (64, 200)), ("fc_b", (200,))],
+    "lstm": [("wx", (6, 512)), ("wh", (128, 512)), ("b", (512,)), ("fc_w", (128, 128)),
+             ("fc_b", (128,))],
+    "attention": [("blk0_q", (6, 32)), ("blk0_k", (6, 32)), ("blk0_v", (6, 32)),
+                  ("blk1_q", (32, 32)), ("blk1_k", (32, 32)), ("blk1_v", (32, 32)),
+                  ("fc_w", (128, 200)), ("fc_b", (200,))],
+    "transformer": [("embed_w", (6, 64)), ("embed_b", (64,)), ("wq", (64, 64)),
+                    ("wk", (64, 64)), ("wv", (64, 64)), ("wo", (64, 64)), ("ln1_g", (64,)),
+                    ("ln1_b", (64,)), ("ff1_w", (64, 1024)), ("ff1_b", (1024,)),
+                    ("ff2_w", (1024, 64)), ("ff2_b", (64,)), ("ln2_g", (64,)),
+                    ("ln2_b", (64,)), ("pos", (100, 64))],
 }
 
 
@@ -53,19 +73,13 @@ class TestShapes:
         assert spec.dropout == 0.1
 
     def test_transformer_latent_defaults_to_embed_dim(self):
+        # the latent is the pooled embedding, so latent_dim is the width
         assert make_spec("transformer", window=10).latent_dim == 64
-        spec = make_spec("transformer", window=10, embed_dim=16, ff_dim=8)
-        assert spec.latent_dim == 16
-        z = encode(init_encoder(spec, seeded_rng(0, "tf16")), spec, np.zeros((2, 10, 6)))
-        assert z.data.shape == (2, spec.latent_dim)
-
-    def test_transformer_latent_other_than_embed_dim_rejected(self):
-        # the latent is the pooled embedding: a GP sized from a spec whose
-        # latent_dim differs from embed_dim would not fit encode's output
-        with pytest.raises(ValidationError, match="latent_dim 16 must equal its embed_dim 64"):
-            make_spec("transformer", window=10, latent_dim=16)
-        with pytest.raises(ValidationError, match="embed_dim"):
-            EncoderSpec("transformer", latent_dim=32, embed_dim=16)
+        spec = make_spec("transformer", window=10, latent_dim=16, ff_dim=8)
+        params = init_encoder(spec, seeded_rng(0, "tf16"))
+        assert params["wq"].data.shape == (16, 16)
+        z = encode(params, spec, np.zeros((2, 10, 6)))
+        assert z.data.shape == (2, 16)
 
     def test_kinds_and_unknown_kind(self):
         assert KINDS == ("cnn", "dilated_cnn", "lstm", "attention", "transformer")
@@ -114,16 +128,30 @@ class TestLstmGraph:
 
 
 class TestSpecFields:
-    @pytest.mark.parametrize("kind", ["cnn", "dilated_cnn"])
-    @pytest.mark.parametrize("field, value", [("dilations", (1,)), ("dilations", (1, 1, 1)),
-                                              ("channels", (4,)), ("channels", (4, 4, 4))])
-    def test_conv_fields_need_two_layers(self, kind, field, value):
-        with pytest.raises(ValidationError, match="must each have 2 entries"):
-            make_spec(kind, **{field: value})
-
     def test_unknown_field_named(self):
         with pytest.raises(ValidationError, match="'foo'"):
             make_spec("cnn", foo=1)
+
+    def test_spec_sets_only_sizes(self):
+        assert [f.name for f in fields(EncoderSpec)] == [
+            "kind", "window", "features", "latent_dim", "channels", "hidden", "att_dim",
+            "ff_dim", "dropout"]
+
+    @pytest.mark.parametrize("field, value", [("kernel", 6), ("stride", 4),
+                                              ("dilations", (5, 1)), ("segment", 5),
+                                              ("blocks", 2), ("embed_dim", 64)])
+    def test_fixed_structure_is_not_a_field(self, field, value):
+        with pytest.raises(ValidationError, match=f"unknown encoder spec field.*'{field}'"):
+            make_spec("cnn", **{field: value})
+
+
+class TestShippedArchitectures:
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_parameter_names_and_shapes(self, kind):
+        params = init_encoder(make_spec(kind), seeded_rng(0, "shipped", kind))
+        assert [(n, t.data.shape) for n, t in params.items()] == SHIPPED[kind]
+        fixed = [n for n, t in params.items() if not t.requires_grad]
+        assert fixed == (["pos"] if kind == "transformer" else [])
 
 
 class TestMinWindow:
@@ -138,6 +166,17 @@ class TestMinWindow:
 
     def test_attention_min(self):
         assert min_window_length(make_spec("attention", window=25)) == 25
+
+    @pytest.mark.parametrize("n", [10, 26, 30, 49])
+    def test_attention_window_not_a_multiple_of_25_rejected(self, n):
+        with pytest.raises(ValidationError, match=r"\b25 ticks, got %d" % n):
+            make_spec("attention", window=n)
+
+    @pytest.mark.parametrize("n", [50, 100])
+    def test_attention_window_multiple_of_25_encodes(self, n):
+        spec = make_spec("attention", window=n, att_dim=3, latent_dim=3)
+        z = encode(init_encoder(spec, seeded_rng(0, "att", n)), spec, np.ones((2, n, 6)))
+        assert z.data.shape == (2, 3)
 
     def test_too_small_window_rejected_with_min_in_message(self):
         with pytest.raises(ValidationError, match="at least 26"):
@@ -187,8 +226,7 @@ class TestDeterminismAndDropout:
         assert np.array_equal(z1, z2)
 
     def test_train_dropout_differs_from_eval(self):
-        spec = make_spec("transformer", window=6, embed_dim=4, ff_dim=16,
-                         latent_dim=4, dropout=0.5)
+        spec = make_spec("transformer", window=6, ff_dim=16, latent_dim=4, dropout=0.5)
         params = init_encoder(spec, seeded_rng(6, "drop"))
         rng = seeded_rng(7, "drop-data")
         w = rng.standard_normal((2, 6, 6))

@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import hashlib
 import math
 
@@ -89,6 +90,56 @@ class TestOracleStep:
     def test_understeer_invariant(self):
         with pytest.raises(Exception):
             OracleParams(cornering_front=2e5, cornering_rear=1e5)
+
+
+# out-of-range values per OracleParams field; NaN and both infinities are
+# added to each, and the in-range boundary values must be accepted
+BAD_PARAMS = {
+    "mass": [0.0, -1800.0], "yaw_inertia": [0.0, -1.0], "lf": [0.0, -1.2],
+    "lr": [0.0, -1.65], "cornering_front": [0.0, -1.2e5], "cornering_rear": [0.0, -1.3e5],
+    "max_front_wheel_angle": [0.0, -0.47, math.pi / 2, 2.0],
+    "throttle_gain": [0.0, -4.0], "brake_gain": [0.0, -8.0],
+    "throttle_deadzone": [-0.01, 1.0, 1.5], "brake_deadzone": [-0.01, 1.0, 1.5],
+    "throttle_tau": [0.0, -0.3], "steering_tau": [0.0, -0.1],
+    "rolling_resistance": [-0.12], "drag_coeff": [-0.00023],
+    "low_speed_blend": [0.0, -1.5],
+}
+GOOD_BOUNDARY = {"throttle_deadzone": 0.0, "brake_deadzone": 0.0,
+                 "rolling_resistance": 0.0, "drag_coeff": 0.0, "max_front_wheel_angle": 1.5}
+
+
+class TestOracleRanges:
+    def test_every_field_covered(self):
+        assert set(BAD_PARAMS) == {f.name for f in dataclasses.fields(OracleParams)}
+
+    @pytest.mark.parametrize("field", sorted(BAD_PARAMS))
+    def test_out_of_range_param_rejected(self, field):
+        for value in BAD_PARAMS[field] + [math.nan, math.inf, -math.inf]:
+            with pytest.raises(ValidationError, match=f"^{field} must be"):
+                OracleParams(**{field: value})
+        if field in GOOD_BOUNDARY:
+            OracleParams(**{field: GOOD_BOUNDARY[field]})
+
+    @pytest.mark.parametrize("field", [f.name for f in dataclasses.fields(OracleState)])
+    def test_non_finite_state_rejected(self, field):
+        for value in (math.nan, math.inf, -math.inf):
+            with pytest.raises(ValidationError, match=f"^{field} must be finite"):
+                OracleState(**{field: value})
+
+    def test_negative_vx_rejected(self):
+        OracleState(vx=0.0)
+        with pytest.raises(ValidationError, match="^vx must be >= 0"):
+            OracleState(vx=-0.1)
+
+    def test_kinematic_blend_cannot_divide_by_zero(self):
+        # a zero blend speed and a reversing vehicle used to reach
+        # w = vx / blend inside the stepper
+        with pytest.raises(ValidationError):
+            oracle_step(OracleState(vx=-0.1), ControlCommand(0, 0, 0), 0.01,
+                        OracleParams(low_speed_blend=0.0))
+        with pytest.raises(ValidationError, match="^low_speed_blend must be"):
+            oracle_step(OracleState(), ControlCommand(0, 0, 0), 0.01,
+                        OracleParams(low_speed_blend=0.0))
 
 
 class TestGoldenSet:
