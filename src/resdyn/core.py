@@ -25,6 +25,13 @@ class ValidationError(ValueError):
     """Input rejected by a precondition or invariant check."""
 
 
+def check_positive_int(value, what: str) -> None:
+    """Raise a ValidationError naming `what` unless value is an int >= 1; a
+    numpy integer counts, a bool does not."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < 1:
+        raise ValidationError(f"{what} must be a positive int, got {value!r}")
+
+
 def wrap_angle(theta: float) -> float:
     """Wrap an angle to (-pi, pi]."""
     if not math.isfinite(theta):

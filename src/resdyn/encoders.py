@@ -21,7 +21,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor, conv1d_output_length, parameter
-from .core import ValidationError
+from .core import ValidationError, check_positive_int
 
 # the shipped latent size of each kind
 _LATENT_DIMS = {"cnn": 250, "dilated_cnn": 200, "lstm": 128, "attention": 200,
@@ -47,10 +47,9 @@ class EncoderSpec:
     def __post_init__(self):
         if self.kind not in KINDS:
             raise ValidationError(f"unknown encoder kind {self.kind!r}, want one of {KINDS}")
-        positives = (self.window, self.features, self.latent_dim, self.channels,
-                     self.hidden, self.att_dim, self.ff_dim)
-        if any(v <= 0 for v in positives):
-            raise ValidationError("encoder hyperparameters must be positive")
+        for name in ("window", "features", "latent_dim", "channels", "hidden", "att_dim",
+                     "ff_dim"):
+            check_positive_int(getattr(self, name), f"encoder spec field {name!r}")
         if not 0.0 <= self.dropout < 1.0:
             raise ValidationError(f"dropout {self.dropout} outside [0, 1)")
         n_min = min_window_length(self)
@@ -63,12 +62,16 @@ class EncoderSpec:
                 f"got {self.window}")
 
 
-def make_spec(kind: str, window: int = 100, features: int = 6, **overrides) -> EncoderSpec:
+def make_spec(kind: str, /, window: int = 100, features: int = 6, **overrides) -> EncoderSpec:
     """Spec with the shipped latent size for `kind` unless overridden;
-    unknown fields are refused."""
+    unknown fields, and `kind` as an override, are refused."""
     unknown = sorted(set(overrides) - {f.name for f in fields(EncoderSpec)})
     if unknown:
         raise ValidationError(f"unknown encoder spec field(s) {unknown}")
+    if "kind" in overrides:
+        raise ValidationError(
+            f"encoder spec field 'kind' is make_spec's first argument ({kind!r}), "
+            f"not an override (got {overrides['kind']!r})")
     values = {"latent_dim": _LATENT_DIMS.get(kind, 0), **overrides}
     return EncoderSpec(kind=kind, window=window, features=features, **values)
 

@@ -18,9 +18,12 @@ inside the graph. `elbo` and `predict` skip the z-score when the caller
 passes `pre_normalized=True`. An encoder's output node therefore keeps its
 gradient path into the GP.
 
-`predict` reuses the K_ZZ Cholesky factor and the variational factors
-`_l_var()` for as long as `z`, the kernel scales and `l_raw` are bitwise
-unchanged; `m`, `c` and `log_noise` are read afresh on every call.
+`predict` reads a factor cache: the K_ZZ Cholesky factor, the variational
+factors and the inducing-side kernel terms (`_inducing_terms`). Any change
+to the shape, dtype or bytes of `z`, the kernel scales or `l_raw`, down to
+one ulp or a zero's sign, rebuilds it; `m`, `c` and `log_noise` are read
+afresh. `predict` passes the cache, `m` and `c` to `_moments` as constants,
+so it builds no backward closures; `elbo` passes the live graph nodes.
 
 `elbo` and `predict` put the same jitter on K_ZZ: `_JITTER`, raised x10
 while the Cholesky fails, up to `MAX_JITTER`. Jitter is equivalent to
@@ -37,7 +40,7 @@ from scipy.cluster.vq import kmeans2
 
 from . import autodiff as ad
 from .autodiff import Tensor, parameter
-from .core import ValidationError
+from .core import ValidationError, check_positive_int
 
 LOG_2PI = math.log(2.0 * math.pi)
 MAX_JITTER = 1e-4
@@ -51,6 +54,12 @@ def _check_finite(values: np.ndarray, what: str) -> None:
     if not finite.all():
         first = tuple(int(i) for i in np.argwhere(~finite)[0])
         raise ValidationError(f"non-finite {what} at index {first}")
+
+
+def _same_bits(a: np.ndarray, b: np.ndarray) -> bool:
+    """Equal shapes, both float64, equal bytes (so -0.0 differs from 0.0)."""
+    return (a.shape == b.shape and a.dtype == b.dtype == np.float64
+            and np.array_equal(a.view(np.int64), b.view(np.int64)))
 
 
 def _checkpoint_array(arrays: dict, key: str, shape: tuple | None = None) -> np.ndarray:
@@ -70,8 +79,8 @@ class VariationalGP:
     def __init__(self, dim: int, inducing: int, num_tasks: int = 2,
                  input_mean: np.ndarray | None = None,
                  input_std: np.ndarray | None = None):
-        if inducing < 1:
-            raise ValidationError("need at least one inducing point")
+        for name, value in (("dim", dim), ("inducing", inducing), ("num_tasks", num_tasks)):
+            check_positive_int(value, f"VariationalGP argument {name!r}")
         self.dim = dim
         self.inducing = inducing
         self.num_tasks = num_tasks
@@ -88,7 +97,7 @@ class VariationalGP:
         self.log_noise = parameter(np.full(num_tasks, math.log(_INIT_NOISE)), "log_noise")
         self._eye = np.eye(inducing)
         self._strict = np.tril(np.ones((inducing, inducing)), -1)
-        self._factor_cache = None    # (key, chol, lw) of `_factors`
+        self._factor_cache = None    # (key, factors) of `_factors`
 
     # -- parameter plumbing ---------------------------------------------
 
@@ -136,15 +145,28 @@ class VariationalGP:
         return ad.div(x, ad.exp(self.log_lengthscales))
 
     @staticmethod
-    def _sqdist(a: Tensor, b: Tensor) -> Tensor:
-        a2 = ad.tsum(ad.mul(a, a), axis=1, keepdims=True)          # (n, 1)
-        b2 = ad.transpose(ad.tsum(ad.mul(b, b), axis=1, keepdims=True))  # (1, m)
+    def _row_norms(a: Tensor) -> Tensor:
+        return ad.tsum(ad.mul(a, a), axis=1, keepdims=True)        # (n, 1)
+
+    @classmethod
+    def _matern(cls, a: Tensor, b: Tensor, b2: Tensor, scale: Tensor) -> Tensor:
+        """Matern-5/2 covariance of the rows of the scaled inputs a and b,
+        given b's squared row norms b2 as (1, m)."""
         ab = ad.matmul(a, ad.transpose(b))
-        return ad.relu(ad.sub(ad.add(a2, b2), ad.mul(ab, 2.0)))
+        sqdist = ad.relu(ad.sub(ad.add(cls._row_norms(a), b2), ad.mul(ab, 2.0)))
+        return ad.mul(ad.matern52(sqdist), scale)
 
     def _cross_cov(self, a: Tensor, b: Tensor) -> Tensor:
-        return ad.mul(ad.matern52(self._sqdist(self._scaled(a), self._scaled(b))),
-                      ad.exp(self.log_outputscale))
+        bs = self._scaled(b)
+        return self._matern(self._scaled(a), bs, ad.transpose(self._row_norms(bs)),
+                            ad.exp(self.log_outputscale))
+
+    def _inducing_terms(self) -> tuple[Tensor, Tensor, Tensor, Tensor, Tensor]:
+        """The lengthscales, z scaled by them, its squared row norms (1, M),
+        and the outputscale twice, one node per use in `_moments`."""
+        zs = self._scaled(self.z)
+        return (ad.exp(self.log_lengthscales), zs, ad.transpose(self._row_norms(zs)),
+                ad.exp(self.log_outputscale), ad.exp(self.log_outputscale))
 
     def _chol_kzz(self) -> Tensor:
         """Cholesky of K_ZZ + jitter*I, the jitter rising x10 from `_JITTER`
@@ -170,26 +192,32 @@ class VariationalGP:
         diag = ad.mul(ad.exp(ad.mul(self.l_raw, Tensor(self._eye))), Tensor(self._eye))
         return ad.add(ad.mul(self.l_raw, Tensor(self._strict)), diag)
 
-    def _factors(self) -> tuple[np.ndarray, np.ndarray]:
-        """`_chol_kzz()` and `_l_var()` as arrays, rebuilt only when the
-        shape, dtype or bytes of z, the kernel scales or l_raw change."""
-        key = [(p.data.shape, p.data.dtype, p.data.tobytes())
-               for p in (self.z, self.log_lengthscales, self.log_outputscale, self.l_raw)]
-        if self._factor_cache is None or self._factor_cache[0] != key:
-            self._factor_cache = (key, self._chol_kzz().data, self._l_var().data)
-        return self._factor_cache[1:]
+    def _factors(self) -> tuple[np.ndarray, ...]:
+        """`_chol_kzz()`, `_l_var()` and `_inducing_terms()` as arrays,
+        rebuilt only when the shape, dtype or bytes of z, the kernel scales
+        or l_raw change."""
+        live = (self.z.data, self.log_lengthscales.data, self.log_outputscale.data,
+                self.l_raw.data)
+        if self._factor_cache is None or not all(map(_same_bits, self._factor_cache[0], live)):
+            factors = (self._chol_kzz().data, self._l_var().data,
+                       *(t.data for t in self._inducing_terms()))
+            self._factor_cache = (tuple(a.copy() for a in live), factors)
+        return self._factor_cache[1]
 
     # -- core quantities ---------------------------------------------------
 
-    def _moments(self, latents: Tensor, chol: Tensor, lw: Tensor) -> tuple[Tensor, Tensor]:
-        """Marginal posterior means and latent variances, both (T, B)."""
-        kxz = self._cross_cov(latents, self.z)
+    def _moments(self, latents: Tensor, m: Tensor, c: Tensor, chol: Tensor, lw: Tensor,
+                 ls: Tensor, zs: Tensor, zs2: Tensor, scale: Tensor,
+                 kxx: Tensor) -> tuple[Tensor, Tensor]:
+        """Marginal posterior means and latent variances, both (T, B), from
+        the means m, c, the factors chol, lw and `_inducing_terms()`; kxx is
+        the prior variance k(x, x), the outputscale, as matern52(0) = 1."""
+        kxz = self._matern(ad.div(latents, ls), zs, zs2, scale)
         w = ad.trisolve(chol, ad.transpose(kxz))               # (M, B) = L_K^{-1} K_ZX
-        kxx = ad.exp(self.log_outputscale)                      # matern52(0) = 1
         tasks = self.num_tasks
         # (T, 1, M) @ (M, B): one matrix-vector product per task
-        mu = ad.add(ad.reshape(ad.matmul(ad.reshape(self.m, (tasks, 1, -1)), w), (tasks, -1)),
-                    ad.reshape(self.c, (tasks, 1)))
+        mu = ad.add(ad.reshape(ad.matmul(ad.reshape(m, (tasks, 1, -1)), w), (tasks, -1)),
+                    ad.reshape(c, (tasks, 1)))
         u = ad.matmul(ad.transpose(lw, (0, 2, 1)), w)           # (T, M, B)
         var = ad.relu(ad.add(ad.sub(kxx, ad.tsum(ad.mul(w, w), axis=0)),
                              ad.tsum(ad.mul(u, u), axis=1)))
@@ -213,7 +241,8 @@ class VariationalGP:
         if bsz < 1 or total_n < bsz:
             raise ValidationError(f"bad batch/total sizes: {bsz}, {total_n}")
         lw = self._l_var()
-        mu, var = self._moments(latents, self._chol_kzz(), lw)
+        mu, var = self._moments(latents, self.m, self.c, self._chol_kzz(), lw,
+                                *self._inducing_terms())
         err = ad.sub(Tensor(y), mu)
         quad = ad.tsum(ad.add(ad.mul(err, err), var), axis=1)
         noise = ad.exp(self.log_noise)
@@ -227,9 +256,9 @@ class VariationalGP:
     def predict(self, latents: np.ndarray | Tensor,
                 pre_normalized: bool = False) -> tuple[np.ndarray, np.ndarray]:
         """Predictive means and stds, both (B, num_tasks); std includes noise."""
-        latents = self._latent_node(latents, pre_normalized)
-        chol, lw = self._factors()
-        mu, var = self._moments(latents, Tensor(chol), Tensor(lw))
+        latents = self._latent_node(ad.as_tensor(latents).data, pre_normalized)
+        mu, var = self._moments(latents, Tensor(self.m.data), Tensor(self.c.data),
+                                *map(Tensor, self._factors()))
         std = np.sqrt(var.data + np.exp(self.log_noise.data)[:, None])
         return mu.data.T, std.T
 

@@ -152,6 +152,29 @@ class TestConv1d:
             b = Tensor(np.zeros(4))
             assert ad.conv1d(x, w, b, stride=s, dilation=d).data.shape == (2, 4, expect)
 
+    @pytest.mark.parametrize("batch", [1, 7, 256])
+    @pytest.mark.parametrize("dilations", [(1, 1), (5, 1)], ids=["cnn", "dilated_cnn"])
+    def test_forward_matches_loop(self, batch, dilations):
+        # both layers of a conv encoder (6 features, 16 channels, kernel 6,
+        # stride 4, window 100) against a sum written out per (b, o, l)
+        rng = seeded_rng(batch, "conv-forward", *dilations)
+        c_in, length = 6, 100
+        for dilation in dilations:
+            x = rng.standard_normal((batch, c_in, length))
+            w = rng.standard_normal((16, c_in, 6))
+            bias = rng.standard_normal(16)
+            y = ad.conv1d(Tensor(x), Tensor(w), Tensor(bias), stride=4, dilation=dilation).data
+            l_out = ad.conv1d_output_length(length, 6, 4, dilation)
+            taps = np.arange(6) * dilation
+            ref = np.empty((batch, 16, l_out))
+            for b in range(batch):
+                for o in range(16):
+                    for pos in range(l_out):
+                        ref[b, o, pos] = bias[o] + np.sum(x[b][:, 4 * pos + taps] * w[o])
+            assert y.shape == ref.shape
+            assert np.allclose(y, ref, rtol=0.0, atol=1e-12)
+            c_in, length = 16, l_out
+
     @pytest.mark.parametrize("k, stride, dilation, length", [
         (7, 1, 2, 40),   # up to 7 taps on one input position
         (6, 4, 5, 60),   # the encoders' strided, dilated layer

@@ -144,6 +144,28 @@ class TestSpecFields:
         with pytest.raises(ValidationError, match=f"unknown encoder spec field.*'{field}'"):
             make_spec("cnn", **{field: value})
 
+    @pytest.mark.parametrize("kind, field, value", [
+        ("attention", "window", 100.0), ("cnn", "channels", 2.5), ("cnn", "hidden", True),
+        ("lstm", "latent_dim", "8"), ("transformer", "ff_dim", np.float64(16.0))])
+    def test_size_that_is_not_an_int_rejected(self, kind, field, value):
+        with pytest.raises(ValidationError,
+                           match=f"encoder spec field '{field}' must be a positive int"):
+            make_spec(kind, **{field: value})
+
+    @pytest.mark.parametrize("field", ["window", "features", "latent_dim", "channels",
+                                       "hidden", "att_dim", "ff_dim"])
+    def test_size_below_one_rejected(self, field):
+        with pytest.raises(ValidationError,
+                           match=f"encoder spec field '{field}' must be a positive int"):
+            make_spec("cnn", **{field: 0})
+
+    def test_numpy_integer_size_accepted(self):
+        assert make_spec("cnn", channels=np.int64(3)).channels == 3
+
+    def test_kind_as_override_rejected(self):
+        with pytest.raises(ValidationError, match="'kind' is make_spec's first argument"):
+            make_spec("cnn", kind="lstm")
+
 
 class TestShippedArchitectures:
     @pytest.mark.parametrize("kind", KINDS)

@@ -246,6 +246,22 @@ def gp_arrays():
     return gp, {k: np.array(v) for k, v in gp.to_arrays().items()}
 
 
+class TestConstructorArguments:
+    @pytest.mark.parametrize("args, name", [
+        ((0, 4), "dim"), ((-2, 4), "dim"), ((3.0, 4), "dim"), ((True, 4), "dim"),
+        ((3, 0), "inducing"), ((3, 4.0), "inducing"), ((3, "4"), "inducing"),
+        ((3, 4, 0), "num_tasks"), ((3, 4, 2.5), "num_tasks"), ((3, 4, False), "num_tasks"),
+    ])
+    def test_not_a_positive_int_rejected(self, args, name):
+        with pytest.raises(ValidationError,
+                           match=f"VariationalGP argument '{name}' must be a positive int"):
+            VariationalGP(*args)
+
+    def test_numpy_integers_accepted(self):
+        gp = VariationalGP(np.int64(3), np.int32(4), num_tasks=np.int64(1))
+        assert gp.z.data.shape == (4, 3) and gp.m.data.shape == (1, 4)
+
+
 class TestFromArrays:
     def test_round_trip_keeps_each_task(self):
         gp, arrays = gp_arrays()
@@ -299,6 +315,54 @@ def same_bits(got, want) -> bool:
 def fresh_predict(gp, x):
     """`predict` of a GP rebuilt from `gp`'s arrays, with no call history."""
     return VariationalGP.from_arrays(gp.to_arrays()).predict(x)
+
+
+def graph_predict(gp, x):
+    """`predict`'s mean and std through `_moments` on the live parameter
+    nodes: the graph `elbo` builds, with no factor cache."""
+    mu, var = gp._moments(gp._latent_node(x, pre_normalized=False), gp.m, gp.c,
+                          gp._chol_kzz(), gp._l_var(), *gp._inducing_terms())
+    return mu.data.T, np.sqrt(var.data + np.exp(gp.log_noise.data)[:, None]).T
+
+
+class TestPredictMatchesGraph:
+    X = seeded_rng(34, "graph-x").standard_normal((6, 2))
+
+    @staticmethod
+    def gp():
+        gp = VariationalGP.from_arrays(gp_arrays()[1])
+        gp.input_mean, gp.input_std = np.array([0.25, -0.5]), np.array([1.5, 0.75])
+        return gp
+
+    def test_fresh_gp(self):
+        gp = self.gp()
+        assert same_bits(gp.predict(self.X), graph_predict(gp, self.X))
+
+    def test_after_adam_steps(self):
+        gp = self.gp()
+        opt = Adam(gp.parameters(), lr=0.05)
+        y = seeded_rng(35, "graph-y").standard_normal((6, 2))
+        for _ in range(4):
+            gp.predict(self.X)       # the cache must follow every step
+            opt.zero_grad()
+            backward(gp.loss(self.X, y, total_n=30))
+            assert opt.step()
+            assert same_bits(gp.predict(self.X), graph_predict(gp, self.X))
+
+    def test_moments_hold_no_graph(self, monkeypatch):
+        # latents that require a gradient included: predict takes none
+        gp, seen = self.gp(), []
+        moments = VariationalGP._moments
+
+        def spy(self, *args):
+            seen.extend(moments(self, *args))
+            return seen[-2:]
+
+        monkeypatch.setattr(VariationalGP, "_moments", spy)
+        for _ in range(2):
+            gp.predict(parameter(self.X))
+        assert len(seen) == 4
+        assert all(not t.requires_grad and t._backward is None for t in seen)
 
 
 class TestPredictAfterChanges:
