@@ -13,6 +13,13 @@ Cholesky robustness matters more than speed.
 whose closure holds the intermediates it needs (the im2col columns; each
 tick's gates and cell state) instead of a graph of elementwise nodes.
 
+An op none of whose operands is a Tensor returns its plain numpy value,
+after the same shape checks, and builds no node (`_node`): a pure
+evaluation, such as a GP prediction on cached factors, runs the graph's
+ops at numpy's cost. Triangular solves call LAPACK's dtrtrs directly,
+passing the operands as scipy's `solve_triangular` would, so the values
+match it bit for bit.
+
 `backward` frees each interior node's gradient as soon as that node's
 closure has passed it on, so after `backward` only leaves (parameters and
 inputs created with `requires_grad`) hold a `.grad`. A node's first
@@ -28,7 +35,7 @@ import sys
 
 import numpy as np
 from numpy.lib.stride_tricks import as_strided
-from scipy.linalg import solve_triangular
+from scipy.linalg.lapack import dtrtrs
 from scipy.special import expit
 
 from .core import ValidationError
@@ -101,6 +108,20 @@ def as_tensor(x) -> Tensor:
     return x if isinstance(x, Tensor) else Tensor(x)
 
 
+def _value(x) -> np.ndarray:
+    """A Tensor's data, or x as a float64 array."""
+    return x.data if isinstance(x, Tensor) else np.asarray(x, dtype=np.float64)
+
+
+def _node(data, *parents):
+    """A Tensor holding `data` over `parents`, or `data` itself when no
+    parent is a Tensor: an op on plain operands builds no node."""
+    for p in parents:
+        if isinstance(p, Tensor):
+            return Tensor(data, _parents=tuple(map(as_tensor, parents)))
+    return data
+
+
 def parameter(data, name: str | None = None) -> Tensor:
     return Tensor(np.array(data, dtype=np.float64), requires_grad=True, name=name)
 
@@ -144,13 +165,14 @@ def _unbroadcast(g: np.ndarray, shape: tuple) -> np.ndarray:
 # -- elementwise binary ------------------------------------------------
 
 def _binary(a, b, fwd, da, db):
-    a, b = as_tensor(a), as_tensor(b)
+    av, bv = _value(a), _value(b)
     try:
-        data = fwd(a.data, b.data)
+        data = fwd(av, bv)
     except ValueError as exc:
-        raise ValidationError(f"shape mismatch: {a.data.shape} vs {b.data.shape}") from exc
-    out = Tensor(data, _parents=(a, b))
-    if out.requires_grad:
+        raise ValidationError(f"shape mismatch: {av.shape} vs {bv.shape}") from exc
+    out = _node(data, a, b)
+    if isinstance(out, Tensor) and out.requires_grad:
+        a, b = out._parents
         def _bwd(g):
             if a.requires_grad:
                 a._acc(_unbroadcast(da(g, a.data, b.data), a.data.shape))
@@ -180,10 +202,9 @@ def div(a, b):
 # -- elementwise unary -------------------------------------------------
 
 def _unary(x, fwd, dfn):
-    x = as_tensor(x)
-    data = fwd(x.data)
-    out = Tensor(data, _parents=(x,))
-    if out.requires_grad:
+    data = fwd(_value(x))
+    out = _node(data, x)
+    if isinstance(out, Tensor) and out.requires_grad:
         y = out.data
         def _bwd(g):
             x._acc(dfn(g, x.data, y))
@@ -223,9 +244,9 @@ def matern52(sqdist):
 # -- reductions and shape ops -----------------------------------------
 
 def tsum(x, axis=None, keepdims=False):
-    x = as_tensor(x)
-    out = Tensor(x.data.sum(axis=axis, keepdims=keepdims), _parents=(x,))
-    if out.requires_grad:
+    data = _value(x).sum(axis=axis, keepdims=keepdims)
+    out = _node(data, x)
+    if isinstance(out, Tensor) and out.requires_grad:
         def _bwd(g):
             if axis is not None and not keepdims:
                 g = np.expand_dims(g, axis)
@@ -235,19 +256,19 @@ def tsum(x, axis=None, keepdims=False):
 
 
 def tmean(x, axis=None, keepdims=False):
-    x = as_tensor(x)
+    shape = _value(x).shape
     if axis is None:
-        count = x.data.size
+        count = math.prod(shape)
     else:
         axes = axis if isinstance(axis, tuple) else (axis,)
-        count = int(np.prod([x.data.shape[i] for i in axes]))
+        count = int(np.prod([shape[i] for i in axes]))
     return mul(tsum(x, axis, keepdims), 1.0 / count)
 
 
 def reshape(x, shape):
-    x = as_tensor(x)
-    out = Tensor(x.data.reshape(shape), _parents=(x,))
-    if out.requires_grad:
+    data = _value(x).reshape(shape)
+    out = _node(data, x)
+    if isinstance(out, Tensor) and out.requires_grad:
         def _bwd(g):
             x._acc(g.reshape(x.data.shape))
         out._backward = _bwd
@@ -255,9 +276,9 @@ def reshape(x, shape):
 
 
 def transpose(x, axes=None):
-    x = as_tensor(x)
-    out = Tensor(x.data.transpose(axes), _parents=(x,))
-    if out.requires_grad:
+    data = _value(x).transpose(axes)
+    out = _node(data, x)
+    if isinstance(out, Tensor) and out.requires_grad:
         inv = None if axes is None else np.argsort(axes)
         def _bwd(g):
             x._acc(g.transpose(inv))
@@ -268,17 +289,16 @@ def transpose(x, axes=None):
 # -- linear algebra ----------------------------------------------------
 
 def matmul(a, b):
-    a, b = as_tensor(a), as_tensor(b)
-    if a.data.ndim < 2 or b.data.ndim < 2:
-        raise ValidationError(
-            f"matmul needs >=2-D operands, got {a.data.shape} @ {b.data.shape}")
+    av, bv = _value(a), _value(b)
+    if av.ndim < 2 or bv.ndim < 2:
+        raise ValidationError(f"matmul needs >=2-D operands, got {av.shape} @ {bv.shape}")
     try:
-        data = a.data @ b.data
+        data = av @ bv
     except ValueError as exc:
-        raise ValidationError(
-            f"matmul shape mismatch: {a.data.shape} @ {b.data.shape}") from exc
-    out = Tensor(data, _parents=(a, b))
-    if out.requires_grad:
+        raise ValidationError(f"matmul shape mismatch: {av.shape} @ {bv.shape}") from exc
+    out = _node(data, a, b)
+    if isinstance(out, Tensor) and out.requires_grad:
+        a, b = out._parents
         def _bwd(g):
             if a.requires_grad:
                 a._acc(_unbroadcast(g @ np.swapaxes(b.data, -1, -2), a.data.shape))
@@ -290,12 +310,11 @@ def matmul(a, b):
 
 def softmax(x):
     """Softmax over the last axis."""
-    x = as_tensor(x)
-    shifted = x.data - x.data.max(axis=-1, keepdims=True)
-    e = np.exp(shifted)
+    xv = _value(x)
+    e = np.exp(xv - xv.max(axis=-1, keepdims=True))
     y = e / e.sum(axis=-1, keepdims=True)
-    out = Tensor(y, _parents=(x,))
-    if out.requires_grad:
+    out = _node(y, x)
+    if isinstance(out, Tensor) and out.requires_grad:
         def _bwd(g):
             x._acc((g - (g * y).sum(axis=-1, keepdims=True)) * y)
         out._backward = _bwd
@@ -308,32 +327,48 @@ def _phi_half_diag(m: np.ndarray) -> np.ndarray:
     return p
 
 
+def _solve_lower(l: np.ndarray, b: np.ndarray, trans: int) -> np.ndarray:
+    """x with L x = b (trans 0) or L^T x = b (trans 1), L (M, M) lower
+    triangular, b (M, B). A C-ordered L goes to LAPACK as its Fortran-ordered
+    transpose with `lower` and `trans` flipped, as in `solve_triangular`.
+    A non-finite operand raises a ValidationError, a singular L a LinAlgError."""
+    if l.ndim != 2 or b.ndim != 2 or l.shape[0] != l.shape[1] or b.shape[0] != l.shape[0]:
+        raise ValidationError(f"triangular solve needs L (M, M) and b (M, B), "
+                              f"got {l.shape}, {b.shape}")
+    if not (np.isfinite(l).all() and np.isfinite(b).all()):
+        raise ValidationError("triangular solve operand holds non-finite values")
+    if l.flags.f_contiguous:
+        x, info = dtrtrs(l, b, lower=1, trans=trans)
+    else:
+        x, info = dtrtrs(l.T, b, lower=0, trans=1 - trans)
+    if info != 0:
+        raise np.linalg.LinAlgError(f"singular triangular factor (dtrtrs info {info})")
+    return x
+
+
 def cholesky(a):
     """Lower Cholesky factor; the input must be built symmetrically upstream
     (the returned adjoint is symmetrized)."""
-    a = as_tensor(a)
-    l_data = np.linalg.cholesky(a.data)
-    out = Tensor(l_data, _parents=(a,))
-    if out.requires_grad:
+    l_data = np.linalg.cholesky(_value(a))
+    out = _node(l_data, a)
+    if isinstance(out, Tensor) and out.requires_grad:
         def _bwd(g):
             p = _phi_half_diag(l_data.T @ g)
-            tmp = solve_triangular(l_data, p, lower=True, trans="T")
-            s = solve_triangular(l_data, tmp.T, lower=True, trans="T").T
+            tmp = _solve_lower(l_data, p, 1)
+            s = _solve_lower(l_data, tmp.T, 1).T
             a._acc(0.5 * (s + s.T))
         out._backward = _bwd
     return out
 
 
 def trisolve(l, b):
-    """Solve L x = b for lower-triangular L."""
-    l, b = as_tensor(l), as_tensor(b)
-    if b.data.ndim != 2 or l.data.ndim != 2:
-        raise ValidationError(f"trisolve needs 2-D operands, got {l.data.shape}, {b.data.shape}")
-    x_data = solve_triangular(l.data, b.data, lower=True, trans="N")
-    out = Tensor(x_data, _parents=(l, b))
-    if out.requires_grad:
+    """Solve L x = b for lower-triangular L (M, M) and b (M, B)."""
+    x_data = _solve_lower(_value(l), _value(b), 0)
+    out = _node(x_data, l, b)
+    if isinstance(out, Tensor) and out.requires_grad:
+        l, b = out._parents
         def _bwd(g):
-            gb = solve_triangular(l.data, g, lower=True, trans="T")
+            gb = _solve_lower(l.data, g, 1)
             gl = -gb @ x_data.T
             if l.requires_grad:
                 l._acc(np.tril(gl))
@@ -360,14 +395,12 @@ def conv1d(x, w, bias, stride: int = 1, dilation: int = 1):
     if stride < 1 or dilation < 1:
         raise ValidationError(
             f"conv1d stride {stride} and dilation {dilation} must each be at least 1")
-    x, w, bias = as_tensor(x), as_tensor(w), as_tensor(bias)
-    xd = x.data
-    if (xd.ndim != 3 or w.data.ndim != 3 or xd.shape[1] != w.data.shape[1]
-            or bias.data.shape != w.data.shape[:1]):
+    xd, wd, bd = _value(x), _value(w), _value(bias)
+    if xd.ndim != 3 or wd.ndim != 3 or xd.shape[1] != wd.shape[1] or bd.shape != wd.shape[:1]:
         raise ValidationError(f"conv1d shape mismatch: input {xd.shape}, "
-                              f"kernel {w.data.shape}, bias {bias.data.shape}")
+                              f"kernel {wd.shape}, bias {bd.shape}")
     b, c_in, length = xd.shape
-    c_out, _, k = w.data.shape
+    c_out, _, k = wd.shape
     l_out = conv1d_output_length(length, k, stride, dilation)
     if l_out < 1:
         raise ValidationError(
@@ -379,15 +412,16 @@ def conv1d(x, w, bias, stride: int = 1, dilation: int = 1):
     taps = as_strided(xd, (c_in, k, b, l_out), (sc, dilation * sl, sb, stride * sl),
                       writeable=False)
     cols = taps.copy().reshape(c_in * k, b * l_out)
-    w2 = w.data.reshape(c_out, c_in * k)
+    w2 = wd.reshape(c_out, c_in * k)
     data = (w2 @ cols).reshape(c_out, b, l_out).transpose(1, 0, 2)
-    data = data + bias.data[:, None]
-    out = Tensor(data, _parents=(x, w, bias))
-    if out.requires_grad:
+    data = data + bd[:, None]
+    out = _node(data, x, w, bias)
+    if isinstance(out, Tensor) and out.requires_grad:
+        x, w, bias = out._parents
         def _bwd(g):
             g2 = g.transpose(1, 0, 2).reshape(c_out, b * l_out)
             if w.requires_grad:
-                w._acc((g2 @ np.ascontiguousarray(cols.T)).reshape(w.data.shape))
+                w._acc((g2 @ np.ascontiguousarray(cols.T)).reshape(wd.shape))
             if x.requires_grad:
                 gcols = (w2.T @ g2).reshape(c_in, k, b, l_out)
                 gx = np.zeros_like(xd)
@@ -420,15 +454,14 @@ def lstm(x, wx, wh, b):
     gradients equal that graph's bit for bit. x takes no gradient: an x
     that requires one is refused rather than silently dropped.
     """
-    x, wx, wh, b = as_tensor(x), as_tensor(wx), as_tensor(wh), as_tensor(b)
-    xd, wxd, whd, bd = x.data, wx.data, wh.data, b.data
+    xd, wxd, whd, bd = _value(x), _value(wx), _value(wh), _value(b)
     hdim = whd.shape[0] if whd.ndim == 2 else 0
     if (xd.ndim != 3 or xd.shape[1] < 1 or wxd.shape != (xd.shape[-1], 4 * hdim)
             or whd.shape != (hdim, 4 * hdim) or bd.shape != (4 * hdim,)):
         raise ValidationError(f"lstm shape mismatch: input {xd.shape} (want (B, N>=1, F)), "
                               f"wx {wxd.shape} (want (F, 4H)), wh {whd.shape} "
                               f"(want (H, 4H)), b {bd.shape} (want (4H,))")
-    if x.requires_grad:
+    if isinstance(x, Tensor) and x.requires_grad:
         raise ValidationError("lstm takes no gradient for its input x")
     i_s, f_s, g_s, o_s = (slice(k * hdim, (k + 1) * hdim) for k in range(4))
     h = np.zeros((xd.shape[0], hdim))
@@ -444,8 +477,9 @@ def lstm(x, wx, wh, b):
         hs.append(h)
         cs.append(c)
         ticks.append((i, f, g, o, tc))
-    out = Tensor(h, _parents=(x, wx, wh, b))
-    if out.requires_grad:
+    out = _node(h, x, wx, wh, b)
+    if isinstance(out, Tensor) and out.requires_grad:
+        x, wx, wh, b = out._parents
         def _bwd(dh):
             gwx, gwh, gb = np.zeros_like(wxd), np.zeros_like(whd), np.zeros_like(bd)
             dgates = np.empty((xd.shape[0], 4 * hdim))
@@ -477,17 +511,15 @@ def dropout(x, rate: float, rng: np.random.Generator | None = None,
     if not 0.0 <= rate < 1.0:
         raise ValidationError(f"dropout rate {rate} outside [0, 1)")
     if not train or rate == 0.0:
-        return as_tensor(x)
+        return x if isinstance(x, Tensor) else _value(x)
     if rng is None:
         raise ValidationError("dropout in train mode needs an rng")
-    x = as_tensor(x)
-    mask = (rng.random(x.data.shape) >= rate) / (1.0 - rate)
-    return mul(x, Tensor(mask))
+    mask = (rng.random(_value(x).shape) >= rate) / (1.0 - rate)
+    return mul(x, mask)
 
 
 def layer_norm(x, gamma, beta):
     """Normalize the last axis (variance floor 1e-5), then scale and shift."""
-    x = as_tensor(x)
     mu = tmean(x, axis=-1, keepdims=True)
     centered = sub(x, mu)
     var = tmean(mul(centered, centered), axis=-1, keepdims=True)

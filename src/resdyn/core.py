@@ -1,10 +1,9 @@
-"""Shared domain types, pose integration and CSV I/O.
+"""Shared domain types, input checks and CSV I/O.
 
 The dataclasses check their fields once, where data comes in (logs,
-CSV rows, rollout start states). `integrate_step` works on plain floats
-so per-tick loops build no objects. Everything here is immutable after
-construction; operations are pure functions, safe to call from parallel
-workers.
+CSV rows, rollout start states), so per-tick loops work on plain floats
+and build no objects. Everything here is immutable after construction;
+operations are pure functions, safe to call from parallel workers.
 """
 
 from __future__ import annotations
@@ -30,6 +29,21 @@ def check_positive_int(value, what: str) -> None:
     numpy integer counts, a bool does not."""
     if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < 1:
         raise ValidationError(f"{what} must be a positive int, got {value!r}")
+
+
+def check_dt(dt: float) -> None:
+    """Raise a ValidationError unless the time step dt is finite and > 0."""
+    if not (math.isfinite(dt) and dt > 0.0):
+        raise ValidationError(f"dt must be finite and positive, got {dt!r}")
+
+
+def check_finite(values: np.ndarray, what: str) -> None:
+    """Raise a ValidationError naming `what` and the first index of values
+    that holds a NaN or an infinity."""
+    finite = np.isfinite(values)
+    if not finite.all():
+        first = tuple(int(i) for i in np.argwhere(~finite)[0])
+        raise ValidationError(f"non-finite {what} at index {first}")
 
 
 def wrap_angle(theta: float) -> float:
@@ -153,29 +167,6 @@ class Trajectory:
     @property
     def xy(self) -> np.ndarray:
         return self.poses[:, :2]
-
-
-def integrate_step(x: float, y: float, heading: float, speed: float,
-                   accel: float, heading_rate: float, dt: float
-                   ) -> tuple[float, float, float, float]:
-    """One forward-Euler tick: velocity and heading sampled at interval start.
-
-    Speed clamps at zero (no reverse) and the heading is wrapped to
-    (-pi, pi]. Returns the new (x, y, heading, speed).
-    """
-    isfinite = math.isfinite
-    if not (isfinite(x) and isfinite(y) and isfinite(heading) and isfinite(speed)
-            and isfinite(accel) and isfinite(heading_rate) and isfinite(dt)):
-        raise ValidationError("non-finite integrate_step input: "
-                              f"{(x, y, heading, speed, accel, heading_rate, dt)}")
-    if dt <= 0.0:
-        raise ValidationError(f"dt must be positive, got {dt}")
-    if speed < 0.0:
-        raise ValidationError(f"negative speed {speed}")
-    return (x + speed * math.cos(heading) * dt,
-            y + speed * math.sin(heading) * dt,
-            wrap_angle(heading + heading_rate * dt),
-            max(0.0, speed + accel * dt))
 
 
 def write_log_csv(path, records: list[LogRecord]) -> None:

@@ -3,9 +3,10 @@
 Two flavors: a rule-based kinematic bicycle with an affine actuator map
 (deadzone + quadratic drag), and a small learned MLP. A model's `tick`
 takes (throttle, brake, steering, speed, acceleration) as floats and
-returns (accel, heading rate). `rollout_states` is the one rollout loop:
-it integrates the ticks into a state table on plain floats, and
-`rollout` derives its Trajectory from that table.
+returns (accel, heading rate). `rollout_states` is the one rollout kernel:
+it steps the speed and heading tick by tick on plain floats, integrates
+the position in one vectorized pass after the loop, and `rollout` derives
+its Trajectory from that table.
 """
 
 from __future__ import annotations
@@ -18,7 +19,8 @@ import numpy as np
 from . import autodiff as ad
 from .autodiff import Adam, Tensor, backward, load_checkpoint, parameter, save_checkpoint
 from .core import (DEFAULT_DT, ControlCommand, LogRecord, Pose, Trajectory,
-                   ValidationError, VehicleState, integrate_step, wrap_angle)
+                   ValidationError, VehicleState, check_dt, check_finite,
+                   check_positive_int, wrap_angle)
 from .rng import seeded_rng
 
 # DM-RB calibration. Module constants, not class attributes: CPython 3.11
@@ -113,7 +115,9 @@ class MlpDynamicModel:
 
 def tick_training_pairs(records: list[LogRecord], dt: float) -> tuple[np.ndarray, np.ndarray]:
     """(features, labels) per tick; labels are the effective accel and heading
-    rate realized over the next tick, finite-differenced from the log."""
+    rate realized over the next tick, finite-differenced from the log. A dt
+    that is not finite and positive raises a ValidationError."""
+    check_dt(dt)
     n = len(records) - 1
     x = np.empty((n, 5))
     y = np.empty((n, 2))
@@ -138,9 +142,18 @@ class DmTrainReport:
 def train_dm_lb(features: np.ndarray, labels: np.ndarray, seed: int = 0,
                 epochs: int = 200, patience: int = 10
                 ) -> tuple[MlpDynamicModel, DmTrainReport]:
-    """MSE-trained with Adam; early stop when validation plateaus."""
+    """MSE-trained with Adam; early stop when validation plateaus. Features
+    must be (n, 5) and labels (n, 2), both finite, and epochs and patience
+    positive ints; anything else raises a ValidationError."""
+    check_positive_int(epochs, "epochs")
+    check_positive_int(patience, "patience")
     features = np.asarray(features, dtype=float)
     labels = np.asarray(labels, dtype=float)
+    if features.ndim != 2 or features.shape[1] != 5 or labels.shape != (len(features), 2):
+        raise ValidationError(f"features must be (n, 5) and labels (n, 2), "
+                              f"got {features.shape} and {labels.shape}")
+    check_finite(features, "features")
+    check_finite(labels, "labels")
     if len(features) == 0:
         raise ValidationError("empty dynamic-model training set")
     rng = seeded_rng(seed, "dm-lb")
@@ -220,17 +233,38 @@ def rollout_states(model, start_pose: Pose, start_state: VehicleState,
     rows (speed_i, accel_i, heading_i, x_i, y_i), length |commands|+1.
 
     Row i holds the state consumed by tick i (accel = output of tick i-1,
-    measured state at row 0). A non-finite model output raises
-    ValidationError from `integrate_step`.
+    measured state at row 0). Forward Euler, speed and heading sampled at
+    interval start: the loop steps them on floats, clamping the speed at 0
+    and wrapping the heading to (-pi, pi]; x and y then follow in one
+    vectorized pass, x_{i+1} = x_i + speed_i * cos(heading_i) * dt in that
+    order of operations. A dt that is not finite and positive (also with no
+    commands), a non-finite model output or table entry raises a
+    ValidationError.
     """
-    x, y, heading = start_pose.x, start_pose.y, start_pose.heading
-    speed, accel = start_state.speed, start_state.acceleration
+    check_dt(dt)
+    speed, accel, heading = start_state.speed, start_state.acceleration, start_pose.heading
     VehicleState(speed, accel, heading)  # Pose leaves the heading range unchecked
-    n = len(commands)
-    table = np.empty((n + 1, 5))
+    tick, isfinite, pi = model.tick, math.isfinite, math.pi
+    rows = [speed, accel, heading]
     for i, cmd in enumerate(commands):
-        table[i] = (speed, accel, heading, x, y)
-        accel, rate = model.tick(cmd.throttle, cmd.brake, cmd.steering, speed, accel)
-        x, y, heading, speed = integrate_step(x, y, heading, speed, accel, rate, dt)
-    table[n] = (speed, accel, heading, x, y)
+        accel, rate = tick(cmd.throttle, cmd.brake, cmd.steering, speed, accel)
+        # checked here: the clamp below would turn a NaN accel into speed 0
+        if not (isfinite(accel) and isfinite(rate)):
+            raise ValidationError(f"non-finite model output at tick {i}: "
+                                  f"accel {accel!r}, heading rate {rate!r}")
+        heading += rate * dt
+        if not -pi < heading <= pi:   # wrap_angle returns in-range values as they are
+            heading = wrap_angle(heading)
+        speed += accel * dt
+        if not speed > 0.0:           # max(0.0, speed): -0.0 becomes 0.0 too
+            speed = 0.0
+        rows += (speed, accel, heading)
+    table = np.empty((len(rows) // 3, 5))
+    table[:, :3] = np.fromiter(rows, float, len(rows)).reshape(-1, 3)
+    speeds, headings = table[:-1, 0], table[:-1, 2]
+    table[0, 3:] = start_pose.x, start_pose.y
+    table[1:, 3] = speeds * np.cos(headings) * dt
+    table[1:, 4] = speeds * np.sin(headings) * dt
+    np.cumsum(table[:, 3:], axis=0, out=table[:, 3:])
+    check_finite(table, "rollout state (row, column)")
     return table

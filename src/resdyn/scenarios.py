@@ -12,7 +12,7 @@ import math
 from dataclasses import dataclass, fields
 
 from .core import (DEFAULT_DT, ControlCommand, LogRecord, Pose,
-                   ValidationError, VehicleState, wrap_angle)
+                   ValidationError, VehicleState, check_dt, wrap_angle)
 
 SUBSTEPS = 10
 
@@ -101,8 +101,7 @@ def _stepper(p: OracleParams, dt: float):
     heading, vx, vy, yaw_rate, accel_lag, wheel_angle); the heading of `s'`
     is wrapped, and `ax` is the realized longitudinal accel of the last
     substep. The parameters are read once here, not on every substep."""
-    if not (math.isfinite(dt) and dt > 0.0):
-        raise ValidationError(f"dt must be finite and positive, got {dt!r}")
+    check_dt(dt)
     mass, inertia, lf, lr = p.mass, p.yaw_inertia, p.lf, p.lr
     cf, cr, wheelbase = p.cornering_front, p.cornering_rear, p.wheelbase
     throttle_tau, steering_tau, blend = p.throttle_tau, p.steering_tau, p.low_speed_blend

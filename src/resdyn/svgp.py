@@ -11,19 +11,21 @@ tasks: `m` (T, M), `l_raw` (T, M, M), `c` (T,) and `log_noise` (T,), so
 one graph serves all tasks. `to_arrays`/`from_arrays` keep one key per
 task: `m{t}`, `l_raw{t}`, `c{t}` and `log_noise{t}`, next to `num_tasks`.
 
-Latents enter `elbo`, `predict` and `init_from_latents` one way: made a
-graph node (an ndarray becomes a constant `Tensor`), checked to be a
-finite (B, dim) array, then z-scored by the stored input mean and std
-inside the graph. `elbo` and `predict` skip the z-score when the caller
-passes `pre_normalized=True`. An encoder's output node therefore keeps its
-gradient path into the GP.
+Latents enter `elbo`, `predict` and `init_from_latents` one way
+(`_latent_node`): checked to be a finite (B, dim) array, then z-scored by
+the stored input mean and std, which `elbo` and `predict` skip when the
+caller passes `pre_normalized=True`. A Tensor stays a graph node, so an
+encoder's output keeps its gradient path into the GP; anything else stays
+a plain array. `predict` and `init_from_latents` take the latents' values.
 
 `predict` reads a factor cache: the K_ZZ Cholesky factor, the variational
 factors and the inducing-side kernel terms (`_inducing_terms`). Any change
 to the shape, dtype or bytes of `z`, the kernel scales or `l_raw`, down to
 one ulp or a zero's sign, rebuilds it; `m`, `c` and `log_noise` are read
-afresh. `predict` passes the cache, `m` and `c` to `_moments` as constants,
-so it builds no backward closures; `elbo` passes the live graph nodes.
+afresh. `elbo` and `predict` run the one formula, `_moments`: `elbo` on
+the live graph nodes, `predict` on the cache, `m.data`, `c.data` and the
+latents' values, all plain arrays, on which the autodiff ops build no
+node, so `predict` builds no `Tensor`.
 
 `elbo` and `predict` put the same jitter on K_ZZ: `_JITTER`, raised x10
 while the Cholesky fails, up to `MAX_JITTER`. Jitter is equivalent to
@@ -40,7 +42,7 @@ from scipy.cluster.vq import kmeans2
 
 from . import autodiff as ad
 from .autodiff import Tensor, parameter
-from .core import ValidationError, check_positive_int
+from .core import ValidationError, check_finite, check_positive_int
 
 LOG_2PI = math.log(2.0 * math.pi)
 MAX_JITTER = 1e-4
@@ -49,11 +51,9 @@ _INIT_NOISE = 0.01    # sigma_n^2 of every task at construction, m^2
 _TASK_PARAMS = ("m", "l_raw", "c", "log_noise")   # leading task axis
 
 
-def _check_finite(values: np.ndarray, what: str) -> None:
-    finite = np.isfinite(values)
-    if not finite.all():
-        first = tuple(int(i) for i in np.argwhere(~finite)[0])
-        raise ValidationError(f"non-finite {what} at index {first}")
+def _values(x) -> np.ndarray:
+    """A Tensor's data, or x as a float array."""
+    return x.data if isinstance(x, Tensor) else np.asarray(x, dtype=float)
 
 
 def _same_bits(a: np.ndarray, b: np.ndarray) -> bool:
@@ -69,7 +69,7 @@ def _checkpoint_array(arrays: dict, key: str, shape: tuple | None = None) -> np.
     a = np.array(arrays[key], dtype=float)
     if shape is not None and a.shape != shape:
         raise ValidationError(f"GP array {key!r} has shape {a.shape}, expected {shape}")
-    _check_finite(a, f"GP array {key!r}")
+    check_finite(a, f"GP array {key!r}")
     return a
 
 
@@ -84,10 +84,16 @@ class VariationalGP:
         self.dim = dim
         self.inducing = inducing
         self.num_tasks = num_tasks
-        self.input_mean = np.zeros(dim) if input_mean is None else np.asarray(input_mean, float)
-        self.input_std = np.ones(dim) if input_std is None else np.asarray(input_std, float)
+        for name, value, default in (("input_mean", input_mean, 0.0),
+                                     ("input_std", input_std, 1.0)):
+            a = np.full(dim, default) if value is None else np.asarray(value, float)
+            if a.shape != (dim,):
+                raise ValidationError(
+                    f"VariationalGP argument {name!r} must have shape ({dim},), got {a.shape}")
+            check_finite(a, f"VariationalGP argument {name!r}")
+            setattr(self, name, a)
         if np.any(self.input_std <= 0):
-            raise ValidationError("input_std must be positive")
+            raise ValidationError("VariationalGP argument 'input_std' must be positive")
         self.z = parameter(np.zeros((inducing, dim)), "z")
         self.log_lengthscales = parameter(np.zeros(dim), "log_lengthscales")
         self.log_outputscale = parameter(np.array(0.0), "log_outputscale")
@@ -109,7 +115,7 @@ class VariationalGP:
                           rng: np.random.Generator) -> None:
         """k-means++ inducing seeding over a subsample; constant means start
         at the per-task target means."""
-        latents = self._latent_node(latents, pre_normalized=False).data
+        latents = self._latent_node(_values(latents), pre_normalized=False)
         y = self._targets(targets)
         sub = latents if len(latents) <= 2048 else \
             latents[rng.choice(len(latents), 2048, replace=False)]
@@ -120,23 +126,25 @@ class VariationalGP:
         self.z.data = centers.astype(float)
         self.c.data = y.mean(axis=1)
 
-    def _latent_node(self, latents: np.ndarray | Tensor, pre_normalized: bool) -> Tensor:
-        """(B, dim) latents as a finite graph node, z-scored unless
-        `pre_normalized`."""
-        x = ad.as_tensor(latents)
-        if x.data.ndim != 2 or x.data.shape[1] != self.dim:
-            raise ValidationError(f"latents must be (B, {self.dim}), got {x.data.shape}")
-        _check_finite(x.data, "latents")
+    def _latent_node(self, latents: np.ndarray | Tensor,
+                     pre_normalized: bool) -> np.ndarray | Tensor:
+        """(B, dim) latents checked finite and z-scored unless
+        `pre_normalized`: a Tensor as a graph node, else a plain array."""
+        values = _values(latents)
+        if values.ndim != 2 or values.shape[1] != self.dim:
+            raise ValidationError(f"latents must be (B, {self.dim}), got {values.shape}")
+        check_finite(values, "latents")
+        x = latents if isinstance(latents, Tensor) else values
         if pre_normalized:
             return x
-        return ad.div(ad.sub(x, Tensor(self.input_mean)), Tensor(self.input_std))
+        return ad.div(ad.sub(x, self.input_mean), self.input_std)
 
     def _targets(self, targets: np.ndarray) -> np.ndarray:
         """(B, T) targets as a finite, contiguous (T, B) array."""
         y = np.asarray(targets, float)
         if y.ndim != 2 or y.shape[1] != self.num_tasks:
             raise ValidationError(f"targets must be (B, {self.num_tasks}), got {y.shape}")
-        _check_finite(y, "targets")
+        check_finite(y, "targets")
         return np.ascontiguousarray(y.T)
 
     # -- kernel graph pieces ----------------------------------------------
@@ -179,7 +187,7 @@ class VariationalGP:
         jitter = _JITTER
         while True:
             try:
-                return ad.cholesky(ad.add(kzz, Tensor(jitter * self._eye)))
+                return ad.cholesky(ad.add(kzz, jitter * self._eye))
             except np.linalg.LinAlgError:
                 jitter *= 10.0
                 if jitter > MAX_JITTER:
@@ -189,8 +197,8 @@ class VariationalGP:
     def _l_var(self) -> Tensor:
         """Variational Cholesky factors (T, M, M): strict lower of raw, exp
         on the diagonal."""
-        diag = ad.mul(ad.exp(ad.mul(self.l_raw, Tensor(self._eye))), Tensor(self._eye))
-        return ad.add(ad.mul(self.l_raw, Tensor(self._strict)), diag)
+        diag = ad.mul(ad.exp(ad.mul(self.l_raw, self._eye)), self._eye)
+        return ad.add(ad.mul(self.l_raw, self._strict), diag)
 
     def _factors(self) -> tuple[np.ndarray, ...]:
         """`_chol_kzz()`, `_l_var()` and `_inducing_terms()` as arrays,
@@ -206,12 +214,11 @@ class VariationalGP:
 
     # -- core quantities ---------------------------------------------------
 
-    def _moments(self, latents: Tensor, m: Tensor, c: Tensor, chol: Tensor, lw: Tensor,
-                 ls: Tensor, zs: Tensor, zs2: Tensor, scale: Tensor,
-                 kxx: Tensor) -> tuple[Tensor, Tensor]:
+    def _moments(self, latents, m, c, chol, lw, ls, zs, zs2, scale, kxx):
         """Marginal posterior means and latent variances, both (T, B), from
         the means m, c, the factors chol, lw and `_inducing_terms()`; kxx is
-        the prior variance k(x, x), the outputscale, as matern52(0) = 1."""
+        the prior variance k(x, x), the outputscale, as matern52(0) = 1.
+        Graph nodes give nodes; plain arrays throughout give plain arrays."""
         kxz = self._matern(ad.div(latents, ls), zs, zs2, scale)
         w = ad.trisolve(chol, ad.transpose(kxz))               # (M, B) = L_K^{-1} K_ZX
         tasks = self.num_tasks
@@ -225,7 +232,7 @@ class VariationalGP:
 
     def _kl(self, lw: Tensor) -> Tensor:
         """KL(q(u_t) || p(u_t)) per task, (T,)."""
-        log_det = ad.tsum(ad.mul(self.l_raw, Tensor(self._eye)), axis=(1, 2))
+        log_det = ad.tsum(ad.mul(self.l_raw, self._eye), axis=(1, 2))
         return ad.mul(ad.sub(ad.add(ad.tsum(ad.mul(self.m, self.m), axis=1),
                                     ad.tsum(ad.mul(lw, lw), axis=(1, 2))),
                              ad.add(ad.mul(log_det, 2.0), float(self.inducing))),
@@ -243,7 +250,7 @@ class VariationalGP:
         lw = self._l_var()
         mu, var = self._moments(latents, self.m, self.c, self._chol_kzz(), lw,
                                 *self._inducing_terms())
-        err = ad.sub(Tensor(y), mu)
+        err = ad.sub(y, mu)
         quad = ad.tsum(ad.add(ad.mul(err, err), var), axis=1)
         noise = ad.exp(self.log_noise)
         loglik = ad.sub(ad.mul(self.log_noise, -0.5 * bsz),
@@ -256,11 +263,10 @@ class VariationalGP:
     def predict(self, latents: np.ndarray | Tensor,
                 pre_normalized: bool = False) -> tuple[np.ndarray, np.ndarray]:
         """Predictive means and stds, both (B, num_tasks); std includes noise."""
-        latents = self._latent_node(ad.as_tensor(latents).data, pre_normalized)
-        mu, var = self._moments(latents, Tensor(self.m.data), Tensor(self.c.data),
-                                *map(Tensor, self._factors()))
-        std = np.sqrt(var.data + np.exp(self.log_noise.data)[:, None])
-        return mu.data.T, std.T
+        latents = self._latent_node(_values(latents), pre_normalized)
+        mu, var = self._moments(latents, self.m.data, self.c.data, *self._factors())
+        std = np.sqrt(var + np.exp(self.log_noise.data)[:, None])
+        return mu.T, std.T
 
     # -- persistence -------------------------------------------------------
 

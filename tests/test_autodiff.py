@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 from fdcheck import check_grads
 from hypothesis import given, strategies as st
+from scipy.linalg import solve_triangular
 from scipy.special import expit
 
 import resdyn.autodiff as ad
@@ -404,6 +405,117 @@ class TestFiniteDifference:
         assert y.data[0] == pytest.approx(1.0)
         backward(ad.tsum(y))
         assert s.grad[0] == pytest.approx(-5.0 / 6.0)
+
+
+def _plain_cases():
+    """(op name, op, plain operands) covering every autodiff op."""
+    rng = seeded_rng(3, "plain-ops")
+    a, b = rng.standard_normal((3, 4)), rng.standard_normal((3, 4))
+    spd = a @ a.T + 3.0 * np.eye(3)
+    low = np.linalg.cholesky(spd)
+    x3 = rng.standard_normal((2, 5, 3))
+    return [
+        ("add", ad.add, (a, b)), ("sub", ad.sub, (a, 2.0)), ("mul", ad.mul, (a, b[0])),
+        ("div", ad.div, (a, b)), ("exp", ad.exp, (a,)), ("sqrt", ad.sqrt, (np.abs(a),)),
+        ("relu", ad.relu, (a,)), ("matern52", ad.matern52, (np.abs(a),)),
+        ("tsum", ad.tsum, (a,)), ("tsum axis", lambda v: ad.tsum(v, axis=1, keepdims=True), (a,)),
+        ("tmean", lambda v: ad.tmean(v, axis=(0, 1)), (x3,)),
+        ("reshape", lambda v: ad.reshape(v, (4, 3)), (a,)),
+        ("transpose", lambda v: ad.transpose(v, (2, 0, 1)), (x3,)),
+        ("matmul", ad.matmul, (x3, rng.standard_normal((3, 2)))),
+        ("softmax", ad.softmax, (a,)), ("cholesky", ad.cholesky, (spd,)),
+        ("trisolve", ad.trisolve, (low, b)),
+        ("conv1d", lambda v, w, c: ad.conv1d(v, w, c, stride=2, dilation=2),
+         (rng.standard_normal((2, 3, 12)), rng.standard_normal((4, 3, 2)), rng.standard_normal(4))),
+        ("lstm", ad.lstm, (x3, rng.standard_normal((3, 8)), rng.standard_normal((2, 8)),
+                           rng.standard_normal(8))),
+        ("dropout eval", lambda v: ad.dropout(v, 0.5), (a,)),
+        ("dropout train", lambda v: ad.dropout(v, 0.5, seeded_rng(1, "mask"), train=True), (a,)),
+        ("layer_norm", ad.layer_norm, (a, b[0], b[1])),
+        ("affine", ad.affine, (a, b.T, b[0, :3])),
+    ]
+
+
+class TestPlainOperands:
+    """An op none of whose operands is a Tensor returns the plain numpy value
+    of the node it would otherwise build, and builds no node."""
+
+    @pytest.mark.parametrize("name, op, operands", _plain_cases(),
+                             ids=[c[0] for c in _plain_cases()])
+    def test_value_equals_node_data(self, name, op, operands):
+        plain = op(*operands)
+        node = op(*[Tensor(o) for o in operands])
+        assert isinstance(plain, (np.ndarray, np.floating)) and isinstance(node, Tensor)
+        assert np.shape(plain) == node.data.shape
+        assert np.asarray(plain).tobytes() == node.data.tobytes()
+
+    def test_one_tensor_operand_gives_a_node(self):
+        w = parameter(np.ones((2, 2)))
+        out = ad.matmul(np.eye(2), w)
+        assert isinstance(out, Tensor) and out.requires_grad
+
+    @pytest.mark.parametrize("op, operands, message", [
+        (ad.add, (np.ones((2, 3)), np.ones(4)), "shape mismatch"),
+        (ad.matmul, (np.ones(3), np.ones((3, 3))), "matmul needs >=2-D"),
+        (ad.matmul, (np.ones((2, 3)), np.ones((2, 3))), "matmul shape mismatch"),
+        (ad.trisolve, (np.eye(3), np.ones((4, 1))), "triangular solve needs"),
+        (ad.trisolve, (np.eye(3), np.ones(3)), "triangular solve needs"),
+        (ad.conv1d, (np.ones((1, 2, 9)), np.ones((3, 4, 2)), np.ones(3)), "conv1d shape mismatch"),
+        (ad.lstm, (np.ones((1, 3, 2)), np.ones((2, 8)), np.ones((2, 8)), np.ones(7)),
+         "lstm shape mismatch"),
+    ])
+    def test_shape_checks_kept(self, op, operands, message):
+        with pytest.raises(ValidationError, match=message):
+            op(*operands)
+
+
+class TestTriangularSolve:
+    """`trisolve` and the `cholesky` adjoint call LAPACK dtrtrs directly;
+    they must equal scipy's `solve_triangular` bit for bit."""
+
+    @staticmethod
+    def factor(m=128, seed=0):
+        a = seeded_rng(seed, "tri-factor").standard_normal((m, m))
+        return np.linalg.cholesky(a @ a.T / m + 0.1 * np.eye(m))
+
+    @pytest.mark.parametrize("width", [1, 7, 256])
+    @pytest.mark.parametrize("trans", ["N", "T"])
+    @pytest.mark.parametrize("l_order, b_order", [("C", "C"), ("C", "F"), ("F", "C"), ("F", "F")])
+    def test_equals_solve_triangular(self, width, trans, l_order, b_order):
+        l = np.asarray(self.factor(), order=l_order)
+        b = np.asarray(seeded_rng(width, "tri-b").standard_normal((128, width)), order=b_order)
+        want = solve_triangular(l, b, lower=True, trans=trans)
+        got = ad._solve_lower(l, b, "NT".index(trans))
+        assert got.shape == want.shape and got.tobytes() == want.tobytes()
+        if trans == "N":
+            assert ad.trisolve(l, b).tobytes() == want.tobytes()
+            assert ad.trisolve(Tensor(l), b).data.tobytes() == want.tobytes()
+
+    def test_cholesky_adjoint_equals_solve_triangular_form(self):
+        rng = seeded_rng(2, "tri-adjoint")
+        a = rng.standard_normal((16, 16))
+        a_node = parameter(a @ a.T + np.eye(16))
+        g = rng.standard_normal((16, 16))
+        backward(ad.tsum(ad.mul(ad.cholesky(a_node), g)))
+        l = np.linalg.cholesky(a_node.data)
+        p = np.tril(l.T @ g)
+        p[np.diag_indices_from(p)] *= 0.5
+        tmp = solve_triangular(l, p, lower=True, trans="T")
+        s = solve_triangular(l, tmp.T, lower=True, trans="T").T
+        assert a_node.grad.tobytes() == (0.5 * (s + s.T)).tobytes()
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("where", ["l lower", "l upper", "b"])
+    def test_non_finite_operand_rejected(self, where, bad):
+        l, b = self.factor(8), np.ones((8, 3))
+        if where == "b":
+            b[5, 2] = bad
+        else:
+            l[(6, 2) if where == "l lower" else (2, 6)] = bad
+        for solve in (lambda: ad._solve_lower(l, b, 0), lambda: ad._solve_lower(l, b, 1),
+                      lambda: ad.trisolve(l, b), lambda: ad.trisolve(Tensor(l), Tensor(b))):
+            with pytest.raises(ValidationError, match="non-finite"):
+                solve()
 
 
 class TestCholeskyAdjoint:

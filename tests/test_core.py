@@ -2,15 +2,16 @@ import math
 import re
 import tempfile
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 from hypothesis import example, given, strategies as st
 
 from resdyn.core import (TRAJ_CSV_FIELDS, ControlCommand, Pose, Trajectory,
-                         ValidationError, VehicleState, integrate_step,
-                         read_trajectory_csv, wrap_angle, wrap_angle_array,
-                         write_trajectory_csv)
+                         ValidationError, VehicleState, read_trajectory_csv,
+                         wrap_angle, wrap_angle_array, write_trajectory_csv)
+from resdyn.dynamics import rollout_states
 
 # the float boundaries of the (-pi, pi] wrap
 EDGE_ANGLES = (math.pi, -math.pi, math.nextafter(math.pi, 4),
@@ -24,18 +25,6 @@ SIGMA = st.floats(min_value=0.0, allow_infinity=False) | st.sampled_from(
     (0.0, -0.0, 5e-324, 2.2250738585072014e-308, 1e308))
 ROW = st.tuples(FINITE, FINITE, FINITE, FINITE,
                 st.none() | st.tuples(SIGMA, SIGMA))
-
-
-def fine_reference_rollout(pose, speed, accel, heading_rate, dt, n_steps, refine=1000):
-    """Independent fine-step integrator: same Euler rule at dt/refine."""
-    x, y, h, v = pose.x, pose.y, pose.heading, speed
-    fine = dt / refine
-    for _ in range(n_steps * refine):
-        x += v * math.cos(h) * fine
-        y += v * math.sin(h) * fine
-        h += heading_rate * fine
-        v = max(0.0, v + accel * fine)
-    return x, y, h, v
 
 
 class TestWrapAngle:
@@ -77,14 +66,44 @@ class TestWrapAngle:
             wrap_angle_array(np.array([[0.5, 4.0], [bad, 1.0]]))
 
 
+class Replay:
+    """A stub model whose i-th tick returns outputs[i], an (accel, heading
+    rate) pair, whatever the command and state."""
+
+    def __init__(self, outputs):
+        self._next = iter(outputs).__next__
+
+    def tick(self, throttle, brake, steering, speed, acceleration):
+        return self._next()
+
+
+def replay_table(outputs, x=0.0, y=0.0, heading=0.0, speed=0.0, dt=0.01):
+    """`rollout_states` table of a model that replays `outputs`, one tick
+    per (accel, heading rate) pair."""
+    outputs = list(outputs)
+    return rollout_states(Replay(outputs), Pose(x, y, heading),
+                          VehicleState(speed, 0.0, heading),
+                          [ControlCommand(0, 0, 0)] * len(outputs), dt)
+
+
+def replay_end(outputs, **start):
+    """(x, y, heading, speed) after the last tick of `replay_table`."""
+    speed, _, heading, x, y = replay_table(outputs, **start)[-1]
+    return x, y, heading, speed
+
+
 class TestIntegrateStep:
-    # integrate_step(x, y, heading, speed, accel, heading_rate, dt)
-    #   -> (x, y, heading, speed)
+    """The integration step of `dynamics.rollout_states`, the one rollout
+    kernel: forward Euler with speed and heading sampled at interval start,
+    speed clamped at zero, heading wrapped. Stub models feed it given
+    (accel, heading rate) pairs."""
+
     def test_stationary(self):
-        assert integrate_step(0, 0, 0, 0.0, 0.0, 0.0, 0.01) == (0.0, 0.0, 0.0, 0.0)
+        assert replay_end([(0.0, 0.0)]) == (0.0, 0.0, 0.0, 0.0)
+        assert not replay_table([(0.0, 0.0)] * 5).any()
 
     def test_straight_line(self):
-        x, y, _, v = integrate_step(0, 0, 0, 10.0, 0.0, 0.0, 0.01)
+        x, y, _, v = replay_end([(0.0, 0.0)], speed=10.0)
         assert x == pytest.approx(0.1)
         assert y == 0.0
         assert v == 10.0
@@ -102,10 +121,8 @@ class TestIntegrateStep:
     def test_fine_step_converges_to_true_motion(self):
         # the step rule refined to dt/1000 must approach the analytic arc;
         # one second of curved, accelerating motion
-        fine = 0.01 / 1000
-        x, y, h, v = 0.0, 0.0, math.pi / 2, 5.0
-        for _ in range(100 * 1000):
-            x, y, h, v = integrate_step(x, y, h, v, 2.0, 0.1, fine)
+        x, y, _, _ = replay_end([(2.0, 0.1)] * (100 * 1000), heading=math.pi / 2,
+                                speed=5.0, dt=0.01 / 1000)
         ax, ay = self._analytic_arc(5.0, 2.0, math.pi / 2, 0.1, 1.0)
         assert math.hypot(x - ax, y - ay) < 1e-3
 
@@ -113,48 +130,54 @@ class TestIntegrateStep:
         # at the production tick the Euler gap to the true arc stays small
         # but visible (~1e-2 m over 1 s); that gap is part of what the
         # residual corrector later absorbs
-        x, y, h, v = 0.0, 0.0, math.pi / 2, 5.0
-        for _ in range(100):
-            x, y, h, v = integrate_step(x, y, h, v, 2.0, 0.1, 0.01)
+        x, y, _, _ = replay_end([(2.0, 0.1)] * 100, heading=math.pi / 2, speed=5.0)
         ax, ay = self._analytic_arc(5.0, 2.0, math.pi / 2, 0.1, 1.0)
         gap = math.hypot(x - ax, y - ay)
         assert 1e-4 < gap < 0.05
+
+    # what each start value, model output or dt is refused by
+    REFUSALS = {"x": "non-finite rollout state", "y": "non-finite rollout state",
+                "heading": "non-finite state field", "speed": "non-finite state field",
+                "accel": "non-finite model output at tick 0",
+                "heading_rate": "non-finite model output at tick 0",
+                "dt": "dt must be finite and positive"}
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf],
                              ids=["nan", "inf", "-inf"])
     @pytest.mark.parametrize("position", range(7), ids=[
         "x", "y", "heading", "speed", "accel", "heading_rate", "dt"])
     def test_rejects_nonfinite(self, position, bad):
-        args = [0.0, 0.0, 0.0, 1.0, 0.0, 0.0, 0.01]
-        args[position] = bad
-        with pytest.raises(ValidationError, match="non-finite integrate_step input"):
-            integrate_step(*args)
+        # duck-typed start pose and state: the kernel's own checks, not
+        # the dataclasses', are under test
+        names = list(self.REFUSALS)
+        args = dict(zip(names, [0.0, 0.0, 0.0, 1.0, 0.0, 0.0, 0.01]))
+        args[names[position]] = bad
+        pose = SimpleNamespace(x=args["x"], y=args["y"], heading=args["heading"])
+        state = SimpleNamespace(speed=args["speed"], acceleration=0.0)
+        model = Replay([(args["accel"], args["heading_rate"])])
+        with pytest.raises(ValidationError, match=self.REFUSALS[names[position]]):
+            rollout_states(model, pose, state, [ControlCommand(0, 0, 0)], args["dt"])
 
     def test_rejects_nonpositive_dt(self):
-        with pytest.raises(ValidationError):
-            integrate_step(0, 0, 0, 1.0, 0.0, 0.0, 0.0)
+        for dt in (0.0, -0.0, -0.01):
+            with pytest.raises(ValidationError, match="dt must be finite and positive"):
+                replay_table([(0.0, 0.0)], speed=1.0, dt=dt)
 
     @given(st.lists(st.tuples(st.floats(-5, 5), st.floats(-1, 1)),
                     min_size=1, max_size=30))
     def test_speed_never_negative(self, steps):
-        state = (0.0, 0.0, 0.0, 1.0)
-        for accel, omega in steps:
-            state = integrate_step(*state, accel, omega, 0.01)
-            assert state[3] >= 0.0
+        assert np.all(replay_table(steps, speed=1.0)[:, 0] >= 0.0)
 
     def test_fold_associativity(self):
-        # integrating k steps one by one equals folding the same sequence
+        # a rollout continued from row 20 of another equals it bit for bit
+        # (but for row 20's accel, which the continuation starts at 0)
         rng = np.random.default_rng(7)
         seq = [(rng.uniform(-3, 3), rng.uniform(-1, 1)) for _ in range(50)]
-        state_a = (1.0, 2.0, 0.3, 4.0)
-        for a, w in seq:
-            state_a = integrate_step(*state_a, a, w, 0.01)
-        state_b = (1.0, 2.0, 0.3, 4.0)
-        for a, w in seq[:20]:
-            state_b = integrate_step(*state_b, a, w, 0.01)
-        for a, w in seq[20:]:
-            state_b = integrate_step(*state_b, a, w, 0.01)
-        assert state_a == state_b
+        start = dict(x=1.0, y=2.0, heading=0.3, speed=4.0)
+        whole = replay_table(seq, **start)
+        speed, _, heading, x, y = replay_table(seq[:20], **start)[-1]
+        rest = replay_table(seq[20:], x=x, y=y, heading=heading, speed=speed)
+        assert whole[20:, [0, 2, 3, 4]].tobytes() == rest[:, [0, 2, 3, 4]].tobytes()
 
 
 class TestTypes:

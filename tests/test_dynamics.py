@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from resdyn.autodiff import save_checkpoint
-from resdyn.core import ControlCommand, Pose, ValidationError, VehicleState
+from resdyn.core import ControlCommand, Pose, ValidationError, VehicleState, wrap_angle
 from resdyn.dynamics import (MlpDynamicModel, RuleBasedModel, rollout, rollout_states,
                              tick_training_pairs, train_dm_lb)
 from resdyn.rng import seeded_rng
@@ -12,6 +12,20 @@ from resdyn.scenarios import generate_golden_set
 
 CMD0 = ControlCommand(0, 0, 0)
 REST = VehicleState(0, 0, 0)
+BAD_DTS = [0.0, -0.01, math.nan, math.inf, -math.inf]
+
+
+def reference_table(model, pose, state, commands, dt=0.01):
+    """`rollout_states` written tick by tick: math.cos and math.sin, and
+    each tick's (x, y, heading, speed) update in one expression."""
+    x, y, h, v, a = pose.x, pose.y, pose.heading, state.speed, state.acceleration
+    rows = [(v, a, h, x, y)]
+    for c in commands:
+        a, rate = model.tick(c.throttle, c.brake, c.steering, v, a)
+        x, y, h, v = (x + v * math.cos(h) * dt, y + v * math.sin(h) * dt,
+                      wrap_angle(h + rate * dt), max(0.0, v + a * dt))
+        rows.append((v, a, h, x, y))
+    return np.array(rows)
 
 
 def zero_mlp():
@@ -135,10 +149,40 @@ class TestMlpCheckpointBoundary:
                             arrays["out_mean"], arrays["out_std"])
 
 
+class TestTickTrainingPairs:
+    @pytest.mark.parametrize("dt", BAD_DTS)
+    def test_bad_dt_rejected(self, dt):
+        records = generate_golden_set(0, loop_duration=0.1, scenario_duration=0.1)["loop"]
+        with pytest.raises(ValidationError, match="dt must be finite and positive"):
+            tick_training_pairs(records, dt)
+
+
 class TestTrainDmLb:
     def test_empty_dataset_rejected(self):
         with pytest.raises(ValidationError):
             train_dm_lb(np.empty((0, 5)), np.empty((0, 2)))
+
+    @pytest.mark.parametrize("x_shape, y_shape", [
+        ((10, 4), (10, 2)), ((10, 6), (10, 2)), ((10,), (10, 2)), ((10, 5, 1), (10, 2)),
+        ((10, 5), (10, 3)), ((10, 5), (9, 2)), ((10, 5), (10,))])
+    def test_wrong_shapes_rejected(self, x_shape, y_shape):
+        with pytest.raises(ValidationError, match=r"features must be \(n, 5\) and labels \(n, 2\)"):
+            train_dm_lb(np.zeros(x_shape), np.zeros(y_shape))
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    @pytest.mark.parametrize("what", ["features", "labels"])
+    def test_non_finite_rejected_at_first_bad_index(self, what, bad):
+        data = {"features": np.ones((10, 5)), "labels": np.ones((10, 2))}
+        data[what][7, 1] = bad
+        data[what][8, 0] = bad
+        with pytest.raises(ValidationError, match=rf"non-finite {what} at index \(7, 1\)"):
+            train_dm_lb(data["features"], data["labels"])
+
+    @pytest.mark.parametrize("name, value", [("epochs", 0), ("epochs", -3), ("epochs", 2.5),
+                                             ("patience", 0), ("patience", True)])
+    def test_epochs_and_patience_must_be_positive_ints(self, name, value):
+        with pytest.raises(ValidationError, match=f"{name} must be a positive int"):
+            train_dm_lb(np.ones((10, 5)), np.ones((10, 2)), **{name: value})
 
     def test_identical_rows_converge_to_constant(self):
         x = np.tile([0.3, 0.0, 0.1, 5.0, 0.5], (64, 1))
@@ -230,3 +274,87 @@ class TestRollout:
     def test_start_heading_outside_range_rejected(self):
         with pytest.raises(ValidationError):
             rollout(RuleBasedModel(), Pose(0, 0, 4.0), REST, [CMD0] * 3)
+
+
+class Replay:
+    """A stub model whose i-th tick returns outputs[i]."""
+
+    def __init__(self, outputs):
+        self._next = iter(outputs).__next__
+
+    def tick(self, throttle, brake, steering, speed, acceleration):
+        return self._next()
+
+
+def small_lb_model(logs):
+    x, y = tick_training_pairs(logs["loop"], 0.01)
+    return train_dm_lb(x, y, seed=0, epochs=3)[0]
+
+
+class TestRolloutStates:
+    """`rollout_states` integrates the position after its loop, in one
+    vectorized pass; it must equal the tick-by-tick rule bit for bit."""
+
+    LOGS = generate_golden_set(0, loop_duration=6.0, scenario_duration=3.0)
+
+    @pytest.mark.parametrize("kind", ["rb", "lb"])
+    def test_windows_and_whole_logs_equal_reference(self, kind):
+        model = RuleBasedModel() if kind == "rb" else small_lb_model(self.LOGS)
+        cases = 0
+        for name, records in self.LOGS.items():
+            cmds = [r.command for r in records[:-1]]
+            starts = list(range(0, len(cmds) - 100 + 1, 50))
+            for i, n in [(i, 100) for i in starts] + [(0, len(cmds))]:
+                r0 = records[i]
+                got = rollout_states(model, r0.pose, r0.state, cmds[i:i + n])
+                want = reference_table(model, r0.pose, r0.state, cmds[i:i + n])
+                assert got.tobytes() == want.tobytes(), (name, i, n)
+                cases += 1
+        assert cases == 8 * 5 + 11 + 9   # golden and loop windows, whole logs
+
+    @pytest.mark.parametrize("case", ["heading wraps", "stop", "stop and turn"])
+    def test_wraps_and_stops_equal_reference(self, case):
+        cmd = {"heading wraps": ControlCommand(0.3, 0, 1.0),
+               "stop": ControlCommand(0, 1.0, 0),
+               "stop and turn": ControlCommand(0, 0.4, -1.0)}[case]
+        pose, state = Pose(5.0, -2.0, 3.0), VehicleState(6.0, 0.0, 3.0)
+        model = RuleBasedModel()
+        got = rollout_states(model, pose, state, [cmd] * 400)
+        assert got.tobytes() == reference_table(model, pose, state, [cmd] * 400).tobytes()
+        if case == "heading wraps":
+            assert got[:, 2].max() > 3.1 and got[:, 2].min() < -3.1
+        else:
+            assert got[-1, 0] == 0.0 and got[-2, 0] == 0.0
+
+    def test_clamp_maps_negative_zero_to_zero(self):
+        # as max(0.0, speed) does: a speed of -0.0 leaves the tick as +0.0
+        model = Replay([(-0.0, 0.0)] * 2)
+        got = rollout_states(model, Pose(0, 0, 0), VehicleState(-0.0, 0.0, 0.0), [CMD0] * 2)
+        want = reference_table(Replay([(-0.0, 0.0)] * 2), Pose(0, 0, 0),
+                               VehicleState(-0.0, 0.0, 0.0), [CMD0] * 2)
+        assert got.tobytes() == want.tobytes()
+        assert math.copysign(1.0, got[1, 0]) == 1.0
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("tick", [0, 50, 99])
+    @pytest.mark.parametrize("output", ["accel", "rate"])
+    def test_non_finite_output_rejected(self, output, tick, bad):
+        # a NaN accel would otherwise vanish in the clamp: max(0.0, nan) == 0.0
+        outputs = [(0.5, 0.1)] * 100
+        outputs[tick] = (bad, 0.1) if output == "accel" else (0.5, bad)
+        with pytest.raises(ValidationError, match=f"non-finite model output at tick {tick}"):
+            rollout_states(Replay(outputs), Pose(0, 0, 0), REST, [CMD0] * 100)
+
+    def test_state_overflowing_to_inf_rejected(self):
+        with pytest.raises(ValidationError, match=r"non-finite rollout state .* \(1, 0\)"):
+            rollout_states(Replay([(1e308, 0.0)]), Pose(0, 0, 0), REST, [CMD0], 10.0)
+
+    @pytest.mark.parametrize("dt", BAD_DTS)
+    def test_bad_dt_rejected_with_and_without_commands(self, dt):
+        for cmds in ([], [CMD0] * 3):
+            with pytest.raises(ValidationError, match="dt must be finite and positive"):
+                rollout_states(RuleBasedModel(), Pose(0, 0, 0), REST, cmds, dt)
+
+    def test_no_commands_gives_the_start_row(self):
+        table = rollout_states(RuleBasedModel(), Pose(1, 2, 0.5), VehicleState(3, 0.25, 0.5), [])
+        assert table.tolist() == [[3.0, 0.25, 0.5, 1.0, 2.0]]
