@@ -11,14 +11,15 @@ Cholesky robustness matters more than speed.
 
 `conv1d` and `lstm` are fused nodes: one node for the whole operation,
 whose closure holds the intermediates it needs (the im2col columns; each
-tick's gates and cell state) instead of a graph of elementwise nodes.
+tick's gates and cell state) instead of a graph of elementwise nodes. The
+SVGP's ELBO (`svgp.VariationalGP.elbo`) is built the same way, outside
+this module, from a `Tensor` over its parameters and a closure that calls
+each parent's `_acc`; its kernel, Cholesky and triangular-solve algebra
+live in `svgp` with it.
 
 An op none of whose operands is a Tensor returns its plain numpy value,
 after the same shape checks, and builds no node (`_node`): a pure
-evaluation, such as a GP prediction on cached factors, runs the graph's
-ops at numpy's cost. Triangular solves call LAPACK's dtrtrs directly,
-passing the operands as scipy's `solve_triangular` would, so the values
-match it bit for bit.
+evaluation runs the graph's ops at numpy's cost.
 
 `backward` frees each interior node's gradient as soon as that node's
 closure has passed it on, so after `backward` only leaves (parameters and
@@ -35,12 +36,9 @@ import sys
 
 import numpy as np
 from numpy.lib.stride_tricks import as_strided
-from scipy.linalg.lapack import dtrtrs
 from scipy.special import expit
 
 from .core import ValidationError
-
-SQRT5 = np.sqrt(5.0)
 
 # glibc mallopt parameter numbers, from malloc.h
 _M_TRIM_THRESHOLD = -1
@@ -212,33 +210,12 @@ def _unary(x, fwd, dfn):
     return out
 
 
-def exp(x):
-    return _unary(x, np.exp, lambda g, v, y: g * y)
-
-
 def sqrt(x):
     return _unary(x, np.sqrt, lambda g, v, y: g * 0.5 / y)
 
 
 def relu(x):
     return _unary(x, lambda v: np.maximum(v, 0.0), lambda g, v, y: g * (v > 0))
-
-
-def matern52(sqdist):
-    """Matern-5/2 radial profile as a function of the squared distance.
-
-    Expressed on s = r^2 so the derivative stays finite at s = 0 (the raw
-    chain rule through sqrt(0) would produce NaN on kernel diagonals).
-    """
-    def fwd(s):
-        r = np.sqrt(np.maximum(s, 0.0))
-        return (1.0 + SQRT5 * r + (5.0 / 3.0) * s) * np.exp(-SQRT5 * r)
-
-    def dfn(g, s, y):
-        r = np.sqrt(np.maximum(s, 0.0))
-        return g * (-(5.0 / 6.0) * (1.0 + SQRT5 * r) * np.exp(-SQRT5 * r))
-
-    return _unary(sqdist, fwd, dfn)
 
 
 # -- reductions and shape ops -----------------------------------------
@@ -317,63 +294,6 @@ def softmax(x):
     if isinstance(out, Tensor) and out.requires_grad:
         def _bwd(g):
             x._acc((g - (g * y).sum(axis=-1, keepdims=True)) * y)
-        out._backward = _bwd
-    return out
-
-
-def _phi_half_diag(m: np.ndarray) -> np.ndarray:
-    p = np.tril(m)
-    p[np.diag_indices_from(p)] *= 0.5
-    return p
-
-
-def _solve_lower(l: np.ndarray, b: np.ndarray, trans: int) -> np.ndarray:
-    """x with L x = b (trans 0) or L^T x = b (trans 1), L (M, M) lower
-    triangular, b (M, B). A C-ordered L goes to LAPACK as its Fortran-ordered
-    transpose with `lower` and `trans` flipped, as in `solve_triangular`.
-    A non-finite operand raises a ValidationError, a singular L a LinAlgError."""
-    if l.ndim != 2 or b.ndim != 2 or l.shape[0] != l.shape[1] or b.shape[0] != l.shape[0]:
-        raise ValidationError(f"triangular solve needs L (M, M) and b (M, B), "
-                              f"got {l.shape}, {b.shape}")
-    if not (np.isfinite(l).all() and np.isfinite(b).all()):
-        raise ValidationError("triangular solve operand holds non-finite values")
-    if l.flags.f_contiguous:
-        x, info = dtrtrs(l, b, lower=1, trans=trans)
-    else:
-        x, info = dtrtrs(l.T, b, lower=0, trans=1 - trans)
-    if info != 0:
-        raise np.linalg.LinAlgError(f"singular triangular factor (dtrtrs info {info})")
-    return x
-
-
-def cholesky(a):
-    """Lower Cholesky factor; the input must be built symmetrically upstream
-    (the returned adjoint is symmetrized)."""
-    l_data = np.linalg.cholesky(_value(a))
-    out = _node(l_data, a)
-    if isinstance(out, Tensor) and out.requires_grad:
-        def _bwd(g):
-            p = _phi_half_diag(l_data.T @ g)
-            tmp = _solve_lower(l_data, p, 1)
-            s = _solve_lower(l_data, tmp.T, 1).T
-            a._acc(0.5 * (s + s.T))
-        out._backward = _bwd
-    return out
-
-
-def trisolve(l, b):
-    """Solve L x = b for lower-triangular L (M, M) and b (M, B)."""
-    x_data = _solve_lower(_value(l), _value(b), 0)
-    out = _node(x_data, l, b)
-    if isinstance(out, Tensor) and out.requires_grad:
-        l, b = out._parents
-        def _bwd(g):
-            gb = _solve_lower(l.data, g, 1)
-            gl = -gb @ x_data.T
-            if l.requires_grad:
-                l._acc(np.tril(gl))
-            if b.requires_grad:
-                b._acc(gb)
         out._backward = _bwd
     return out
 

@@ -258,6 +258,8 @@ class ScenarioScript:
         return self.segments[-1].at(t)
 
     def commands(self, dt: float = DEFAULT_DT) -> list[ControlCommand]:
+        """The command at every tick of the script; dt must be finite and > 0."""
+        check_dt(dt)
         n = int(round(self.duration / dt))
         return [self.command(i * dt) for i in range(n)]
 

@@ -7,25 +7,30 @@ upstream sequence encoder, by one optimizer on the minibatch ELBO (`loss`);
 this module has no standalone trainer on fixed latents.
 
 Each per-task parameter is one tensor with a leading axis over the T
-tasks: `m` (T, M), `l_raw` (T, M, M), `c` (T,) and `log_noise` (T,), so
-one graph serves all tasks. `to_arrays`/`from_arrays` keep one key per
-task: `m{t}`, `l_raw{t}`, `c{t}` and `log_noise{t}`, next to `num_tasks`.
+tasks: `m` (T, M), `l_raw` (T, M, M), `c` (T,) and `log_noise` (T,).
+`to_arrays`/`from_arrays` keep one key per task: `m{t}`, `l_raw{t}`, `c{t}`
+and `log_noise{t}`, next to `num_tasks`.
 
 Latents enter `elbo`, `predict` and `init_from_latents` one way
-(`_latent_node`): checked to be a finite (B, dim) array, then z-scored by
-the stored input mean and std, which `elbo` and `predict` skip when the
-caller passes `pre_normalized=True`. A Tensor stays a graph node, so an
-encoder's output keeps its gradient path into the GP; anything else stays
-a plain array. `predict` and `init_from_latents` take the latents' values.
+(`_latents`): checked to be a finite (B, dim) array, then z-scored by the
+stored input mean and std, which `elbo` and `predict` skip when the caller
+passes `pre_normalized=True`. A Tensor's values are used; when it requires
+a gradient, the ELBO node passes one back to it, so an encoder's output
+keeps its gradient path into the GP.
 
-`predict` reads a factor cache: the K_ZZ Cholesky factor, the variational
-factors and the inducing-side kernel terms (`_inducing_terms`). Any change
-to the shape, dtype or bytes of `z`, the kernel scales or `l_raw`, down to
-one ulp or a zero's sign, rebuilds it; `m`, `c` and `log_noise` are read
-afresh. `elbo` and `predict` run the one formula, `_moments`: `elbo` on
-the live graph nodes, `predict` on the cache, `m.data`, `c.data` and the
-latents' values, all plain arrays, on which the autodiff ops build no
-node, so `predict` builds no `Tensor`.
+The ELBO is one fused autodiff node over the latents and the 7 parameters,
+as `autodiff.lstm` is one node over a sequence. Its value is computed on
+plain arrays, and its closure keeps the intermediates and runs a
+hand-derived adjoint: through the likelihood and the KL, the whitened
+factors, W = L^-1 K_ZX, the Cholesky factor L of K_ZZ (Murray,
+Differentiation of the Cholesky decomposition, 2016) and the Matern-5/2
+cross-covariances, into the latents, z and both log-scales.
+
+`elbo` and `predict` run the one formula, `_moments`, on plain arrays:
+`elbo` on terms `_inducing` builds from the parameters at the call,
+`predict` on a cache of them, rebuilt by any change to the shape, dtype or
+bytes of `z`, the kernel scales or `l_raw`, down to one ulp or a zero's
+sign; `m`, `c` and `log_noise` are read afresh.
 
 `elbo` and `predict` put the same jitter on K_ZZ: `_JITTER`, raised x10
 while the Cholesky fails, up to `MAX_JITTER`. Jitter is equivalent to
@@ -39,8 +44,9 @@ import math
 
 import numpy as np
 from scipy.cluster.vq import kmeans2
+from scipy.linalg.lapack import dtrtrs
+from scipy.spatial.distance import cdist
 
-from . import autodiff as ad
 from .autodiff import Tensor, parameter
 from .core import ValidationError, check_finite, check_positive_int
 
@@ -49,6 +55,7 @@ MAX_JITTER = 1e-4
 _JITTER = 1e-8        # first jitter tried on K_ZZ, by `elbo` and `predict` alike
 _INIT_NOISE = 0.01    # sigma_n^2 of every task at construction, m^2
 _TASK_PARAMS = ("m", "l_raw", "c", "log_noise")   # leading task axis
+_SQRT5 = math.sqrt(5.0)
 
 
 def _values(x) -> np.ndarray:
@@ -71,6 +78,97 @@ def _checkpoint_array(arrays: dict, key: str, shape: tuple | None = None) -> np.
         raise ValidationError(f"GP array {key!r} has shape {a.shape}, expected {shape}")
     check_finite(a, f"GP array {key!r}")
     return a
+
+
+def _kmeans_pp_seeds(data: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarray:
+    """k-means++ seeds (k, d) from the rows of data, drawn as scipy's
+    `kmeans2(minit="++")` draws them, with the same rng calls, so the seeds
+    are the same bytes; the squared distance to the nearest seed is kept as
+    a running minimum instead of recomputed against every seed so far."""
+    seeds = np.empty((k, data.shape[1]))
+    seeds[0] = data[rng.integers(data.shape[0])]
+    d2 = None
+    for i in range(1, k):
+        near = cdist(seeds[i - 1:i], data, metric="sqeuclidean")[0]
+        d2 = near if d2 is None else np.minimum(d2, near)
+        cumprobs = (d2 / d2.sum()).cumsum()
+        seeds[i] = data[int(np.searchsorted(cumprobs, rng.uniform()))]
+    return seeds
+
+
+def _solve_lower(l: np.ndarray, b: np.ndarray, trans: int) -> np.ndarray:
+    """x with L x = b (trans 0) or L^T x = b (trans 1), L (M, M) lower
+    triangular, b (M, B). A C-ordered L goes to LAPACK as its Fortran-ordered
+    transpose with `lower` and `trans` flipped, as in scipy's
+    `solve_triangular`, so the values match it bit for bit. A non-finite b
+    raises a ValidationError, a singular L a LinAlgError; L itself is not
+    checked, as every factor here comes from a K_ZZ `_chol_kzz` checked."""
+    if l.ndim != 2 or b.ndim != 2 or l.shape[0] != l.shape[1] or b.shape[0] != l.shape[0]:
+        raise ValidationError(f"triangular solve needs L (M, M) and b (M, B), "
+                              f"got {l.shape}, {b.shape}")
+    if not np.isfinite(b).all():
+        raise ValidationError("triangular solve right-hand side holds non-finite values")
+    if l.flags.f_contiguous:
+        x, info = dtrtrs(l, b, lower=1, trans=trans)
+    else:
+        x, info = dtrtrs(l.T, b, lower=0, trans=1 - trans)
+    if info != 0:
+        raise np.linalg.LinAlgError(f"singular triangular factor (dtrtrs info {info})")
+    return x
+
+
+def _trisolve_adjoint(l: np.ndarray, x: np.ndarray, g: np.ndarray):
+    """Gradients of sum(g * x), for x = L^-1 b, with respect to L (lower
+    triangle) and b."""
+    gb = _solve_lower(l, g, 1)
+    return -np.tril(gb @ x.T), gb
+
+
+def _cholesky_adjoint(l: np.ndarray, g: np.ndarray) -> np.ndarray:
+    """Gradient of sum(g * L), for L the lower Cholesky factor of a
+    symmetric A and g lower triangular, with respect to A, symmetrized:
+    sym(L^-T Phi(L^T g) L^-1), Phi keeping the lower triangle and halving
+    the diagonal (Murray 2016)."""
+    p = np.tril(l.T @ g)
+    p[np.diag_indices_from(p)] *= 0.5
+    tmp = _solve_lower(l, p, 1)
+    s = _solve_lower(l, tmp.T, 1).T
+    return 0.5 * (s + s.T)
+
+
+def _matern52(sq: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Matern-5/2 profile k(s) of squared distances s >= 0, and its slope
+    dk/ds, which stays finite at s = 0 (-5/6) where the chain rule through
+    r = sqrt(s) would not."""
+    r = np.sqrt(sq)
+    t = 1.0 + _SQRT5 * r
+    e = np.exp(-_SQRT5 * r)
+    return (t + (5.0 / 3.0) * sq) * e, (-(5.0 / 6.0) * t) * e
+
+
+def _matern(a: np.ndarray, b: np.ndarray, b2: np.ndarray, scale):
+    """Matern-5/2 covariance (n, m) of the rows of the scaled inputs a and
+    b, given b's squared row norms b2 as (1, m), and the parts its adjoint
+    reads: the squared distances, the unit-scale kernel and its slope."""
+    sq = np.maximum(((a * a).sum(axis=1, keepdims=True) + b2) - (a @ b.T) * 2.0, 0.0)
+    unit, slope = _matern52(sq)
+    return unit * scale, (sq, unit, slope)
+
+
+def _matern_adjoint(gk: np.ndarray, a: np.ndarray, b: np.ndarray, parts, scale):
+    """Gradients of sum(gk * k), for k = _matern(a, b, b2, scale) with b2
+    b's squared row norms, with respect to a, b and scale. A clipped
+    squared distance (0 after rounding) passes no gradient. When b is a,
+    gk must be symmetric, and the two equal gradients are formed once."""
+    sq, unit, slope = parts
+    g_scale = (gk * unit).sum()
+    gs = gk * slope
+    gs *= scale
+    gs *= sq > 0.0
+    ga = (a * gs.sum(axis=1, keepdims=True) - gs @ b) * 2.0
+    if b is a:
+        return ga, ga, g_scale
+    return ga, (b * gs.sum(axis=0)[:, None] - gs.T @ a) * 2.0, g_scale
 
 
 class VariationalGP:
@@ -102,7 +200,7 @@ class VariationalGP:
         self.c = parameter(np.zeros(num_tasks), "c")
         self.log_noise = parameter(np.full(num_tasks, math.log(_INIT_NOISE)), "log_noise")
         self._eye = np.eye(inducing)
-        self._strict = np.tril(np.ones((inducing, inducing)), -1)
+        self._diag = np.arange(inducing)
         self._factor_cache = None    # (key, factors) of `_factors`
 
     # -- parameter plumbing ---------------------------------------------
@@ -115,29 +213,25 @@ class VariationalGP:
                           rng: np.random.Generator) -> None:
         """k-means++ inducing seeding over a subsample; constant means start
         at the per-task target means."""
-        latents = self._latent_node(_values(latents), pre_normalized=False)
+        latents = self._latents(latents, pre_normalized=False)
         y = self._targets(targets)
         sub = latents if len(latents) <= 2048 else \
             latents[rng.choice(len(latents), 2048, replace=False)]
         if len(sub) < self.inducing:
             raise ValidationError(
                 f"{len(sub)} latents cannot seed {self.inducing} inducing points")
-        centers, _ = kmeans2(sub, self.inducing, minit="++", seed=rng)
+        centers, _ = kmeans2(sub, _kmeans_pp_seeds(sub, self.inducing, rng), minit="matrix")
         self.z.data = centers.astype(float)
         self.c.data = y.mean(axis=1)
 
-    def _latent_node(self, latents: np.ndarray | Tensor,
-                     pre_normalized: bool) -> np.ndarray | Tensor:
-        """(B, dim) latents checked finite and z-scored unless
-        `pre_normalized`: a Tensor as a graph node, else a plain array."""
-        values = _values(latents)
-        if values.ndim != 2 or values.shape[1] != self.dim:
-            raise ValidationError(f"latents must be (B, {self.dim}), got {values.shape}")
-        check_finite(values, "latents")
-        x = latents if isinstance(latents, Tensor) else values
-        if pre_normalized:
-            return x
-        return ad.div(ad.sub(x, self.input_mean), self.input_std)
+    def _latents(self, latents, pre_normalized: bool) -> np.ndarray:
+        """The values of (B, dim) latents, checked finite and z-scored
+        unless `pre_normalized`."""
+        x = _values(latents)
+        if x.ndim != 2 or x.shape[1] != self.dim:
+            raise ValidationError(f"latents must be (B, {self.dim}), got {x.shape}")
+        check_finite(x, "latents")
+        return x if pre_normalized else (x - self.input_mean) / self.input_std
 
     def _targets(self, targets: np.ndarray) -> np.ndarray:
         """(B, T) targets as a finite, contiguous (T, B) array."""
@@ -147,124 +241,159 @@ class VariationalGP:
         check_finite(y, "targets")
         return np.ascontiguousarray(y.T)
 
-    # -- kernel graph pieces ----------------------------------------------
+    # -- inducing-side terms ------------------------------------------------
 
-    def _scaled(self, x: Tensor) -> Tensor:
-        return ad.div(x, ad.exp(self.log_lengthscales))
-
-    @staticmethod
-    def _row_norms(a: Tensor) -> Tensor:
-        return ad.tsum(ad.mul(a, a), axis=1, keepdims=True)        # (n, 1)
-
-    @classmethod
-    def _matern(cls, a: Tensor, b: Tensor, b2: Tensor, scale: Tensor) -> Tensor:
-        """Matern-5/2 covariance of the rows of the scaled inputs a and b,
-        given b's squared row norms b2 as (1, m)."""
-        ab = ad.matmul(a, ad.transpose(b))
-        sqdist = ad.relu(ad.sub(ad.add(cls._row_norms(a), b2), ad.mul(ab, 2.0)))
-        return ad.mul(ad.matern52(sqdist), scale)
-
-    def _cross_cov(self, a: Tensor, b: Tensor) -> Tensor:
-        bs = self._scaled(b)
-        return self._matern(self._scaled(a), bs, ad.transpose(self._row_norms(bs)),
-                            ad.exp(self.log_outputscale))
-
-    def _inducing_terms(self) -> tuple[Tensor, Tensor, Tensor, Tensor, Tensor]:
-        """The lengthscales, z scaled by them, its squared row norms (1, M),
-        and the outputscale twice, one node per use in `_moments`."""
-        zs = self._scaled(self.z)
-        return (ad.exp(self.log_lengthscales), zs, ad.transpose(self._row_norms(zs)),
-                ad.exp(self.log_outputscale), ad.exp(self.log_outputscale))
-
-    def _chol_kzz(self) -> Tensor:
-        """Cholesky of K_ZZ + jitter*I, the jitter rising x10 from `_JITTER`
-        to `MAX_JITTER`; a non-finite K_ZZ raises a ValidationError."""
-        kzz = self._cross_cov(self.z, self.z)
-        if not np.all(np.isfinite(kzz.data)):
+    def _chol_kzz(self, kzz: np.ndarray) -> np.ndarray:
+        """Cholesky factor of kzz + jitter*I, the jitter rising x10 from
+        `_JITTER` to `MAX_JITTER`; a non-finite kzz raises a ValidationError."""
+        if not np.isfinite(kzz).all():
             raise ValidationError(
                 f"K_ZZ is not finite at log_lengthscales {self.log_lengthscales.data}, "
                 f"log_outputscale {self.log_outputscale.data}")
         jitter = _JITTER
         while True:
             try:
-                return ad.cholesky(ad.add(kzz, jitter * self._eye))
+                return np.linalg.cholesky(kzz + jitter * self._eye)
             except np.linalg.LinAlgError:
                 jitter *= 10.0
                 if jitter > MAX_JITTER:
                     raise ValidationError(
                         f"K_ZZ not factorizable even at jitter {MAX_JITTER}")
 
-    def _l_var(self) -> Tensor:
+    def _l_var(self) -> np.ndarray:
         """Variational Cholesky factors (T, M, M): strict lower of raw, exp
         on the diagonal."""
-        diag = ad.mul(ad.exp(ad.mul(self.l_raw, self._eye)), self._eye)
-        return ad.add(ad.mul(self.l_raw, self._strict), diag)
+        l_raw, diag = self.l_raw.data, self._diag
+        lw = np.tril(l_raw, -1)
+        lw[:, diag, diag] = np.exp(l_raw[:, diag, diag])
+        return lw
+
+    def _inducing(self):
+        """The inducing-side arguments of `_moments` from the parameters'
+        values: the K_ZZ Cholesky factor, `_l_var()`, the lengthscales, z
+        scaled by them, its squared row norms (1, M) and the outputscale;
+        and K_ZZ's kernel parts, for the adjoint."""
+        ls = np.exp(self.log_lengthscales.data)
+        scale = np.exp(self.log_outputscale.data)
+        zs = self.z.data / ls
+        zs2 = (zs * zs).sum(axis=1, keepdims=True).T
+        kzz, kzz_parts = _matern(zs, zs, zs2, scale)
+        return (self._chol_kzz(kzz), self._l_var(), ls, zs, zs2, scale), kzz_parts
 
     def _factors(self) -> tuple[np.ndarray, ...]:
-        """`_chol_kzz()`, `_l_var()` and `_inducing_terms()` as arrays,
-        rebuilt only when the shape, dtype or bytes of z, the kernel scales
-        or l_raw change."""
+        """`_inducing()`'s `_moments` arguments, rebuilt only when the
+        shape, dtype or bytes of z, the kernel scales or l_raw change."""
         live = (self.z.data, self.log_lengthscales.data, self.log_outputscale.data,
                 self.l_raw.data)
         if self._factor_cache is None or not all(map(_same_bits, self._factor_cache[0], live)):
-            factors = (self._chol_kzz().data, self._l_var().data,
-                       *(t.data for t in self._inducing_terms()))
+            factors = self._inducing()[0]
             self._factor_cache = (tuple(a.copy() for a in live), factors)
         return self._factor_cache[1]
 
     # -- core quantities ---------------------------------------------------
 
-    def _moments(self, latents, m, c, chol, lw, ls, zs, zs2, scale, kxx):
-        """Marginal posterior means and latent variances, both (T, B), from
-        the means m, c, the factors chol, lw and `_inducing_terms()`; kxx is
-        the prior variance k(x, x), the outputscale, as matern52(0) = 1.
-        Graph nodes give nodes; plain arrays throughout give plain arrays."""
-        kxz = self._matern(ad.div(latents, ls), zs, zs2, scale)
-        w = ad.trisolve(chol, ad.transpose(kxz))               # (M, B) = L_K^{-1} K_ZX
+    def _moments(self, x, m, c, chol, lw, ls, zs, zs2, scale):
+        """Marginal posterior means and latent variances, both (T, B), of
+        the z-scored latents x, from the means m, c and `_inducing()`'s
+        terms; the prior variance k(x, x) is the outputscale, as the unit
+        kernel is 1 at distance 0. Also returns what the ELBO's adjoint
+        reads: x scaled, the K_XZ kernel parts, W = L^-1 K_ZX and the
+        whitened factors' products U = lw^T W."""
+        xs = x / ls
+        kxz, kxz_parts = _matern(xs, zs, zs2, scale)
+        w = _solve_lower(chol, kxz.T, 0)                        # (M, B)
         tasks = self.num_tasks
         # (T, 1, M) @ (M, B): one matrix-vector product per task
-        mu = ad.add(ad.reshape(ad.matmul(ad.reshape(m, (tasks, 1, -1)), w), (tasks, -1)),
-                    ad.reshape(c, (tasks, 1)))
-        u = ad.matmul(ad.transpose(lw, (0, 2, 1)), w)           # (T, M, B)
-        var = ad.relu(ad.add(ad.sub(kxx, ad.tsum(ad.mul(w, w), axis=0)),
-                             ad.tsum(ad.mul(u, u), axis=1)))
-        return mu, var
+        mu = (m.reshape(tasks, 1, -1) @ w).reshape(tasks, -1) + c.reshape(tasks, 1)
+        u = lw.transpose(0, 2, 1) @ w                            # (T, M, B)
+        var = np.maximum((scale - (w * w).sum(axis=0)) + (u * u).sum(axis=1), 0.0)
+        return mu, var, (xs, kxz_parts, w, u)
 
-    def _kl(self, lw: Tensor) -> Tensor:
+    def _kl(self, lw: np.ndarray) -> np.ndarray:
         """KL(q(u_t) || p(u_t)) per task, (T,)."""
-        log_det = ad.tsum(ad.mul(self.l_raw, self._eye), axis=(1, 2))
-        return ad.mul(ad.sub(ad.add(ad.tsum(ad.mul(self.m, self.m), axis=1),
-                                    ad.tsum(ad.mul(lw, lw), axis=(1, 2))),
-                             ad.add(ad.mul(log_det, 2.0), float(self.inducing))),
-                      0.5)
+        m = self.m.data
+        log_det = (self.l_raw.data * self._eye).sum(axis=(1, 2))
+        return (((m * m).sum(axis=1) + (lw * lw).sum(axis=(1, 2)))
+                - (log_det * 2.0 + float(self.inducing))) * 0.5
 
     def elbo(self, latents: Tensor | np.ndarray, targets: np.ndarray, total_n: int,
              pre_normalized: bool = False) -> Tensor:
         """Scalar ELBO node (sum over tasks). Batch likelihood is rescaled
-        by total_n / B; the KL appears once per task."""
-        latents = self._latent_node(latents, pre_normalized)
-        y = self._targets(targets)                              # (T, B)
-        bsz = y.shape[1]
-        if bsz < 1 or total_n < bsz:
-            raise ValidationError(f"bad batch/total sizes: {bsz}, {total_n}")
-        lw = self._l_var()
-        mu, var = self._moments(latents, self.m, self.c, self._chol_kzz(), lw,
-                                *self._inducing_terms())
-        err = ad.sub(y, mu)
-        quad = ad.tsum(ad.add(ad.mul(err, err), var), axis=1)
-        noise = ad.exp(self.log_noise)
-        loglik = ad.sub(ad.mul(self.log_noise, -0.5 * bsz),
-                        ad.add(ad.div(quad, ad.mul(noise, 2.0)), 0.5 * bsz * LOG_2PI))
-        return ad.tsum(ad.sub(ad.mul(loglik, total_n / bsz), self._kl(lw)))
+        by total_n / B; the KL appears once per task. There must be one
+        row of targets per latent."""
+        return self._elbo_node(latents, targets, total_n, pre_normalized, 1.0)
 
     def loss(self, latents, targets, total_n, pre_normalized=False) -> Tensor:
-        return ad.mul(self.elbo(latents, targets, total_n, pre_normalized), -1.0)
+        """The negated ELBO, as one node."""
+        return self._elbo_node(latents, targets, total_n, pre_normalized, -1.0)
+
+    def _elbo_node(self, latents, targets, total_n, pre_normalized: bool,
+                   sign: float) -> Tensor:
+        """sign * ELBO as one node over the latents, when they are a Tensor,
+        and the 7 parameters."""
+        x = self._latents(latents, pre_normalized)
+        y = self._targets(targets)                              # (T, B)
+        bsz = y.shape[1]
+        if len(x) != bsz:
+            raise ValidationError(
+                f"{len(x)} latents but {bsz} target rows: one target row per latent")
+        if bsz < 1 or total_n < bsz:
+            raise ValidationError(f"bad batch/total sizes: {bsz}, {total_n}")
+        (chol, lw, ls, zs, zs2, scale), kzz_parts = self._inducing()
+        m, log_noise = self.m.data, self.log_noise.data
+        mu, var, (xs, kxz_parts, w, u) = self._moments(x, m, self.c.data, chol, lw,
+                                                       ls, zs, zs2, scale)
+        err = y - mu
+        quad = (err * err + var).sum(axis=1)
+        noise2 = np.exp(log_noise) * 2.0
+        loglik = log_noise * (-0.5 * bsz) - (quad / noise2 + 0.5 * bsz * LOG_2PI)
+        rescale = total_n / bsz
+        value = ((loglik * rescale) - self._kl(lw)).sum() * sign
+        params = self.parameters()
+        lat = latents if isinstance(latents, Tensor) and latents.requires_grad else None
+        out = Tensor(value, _parents=tuple(params) + ((lat,) if lat is not None else ()))
+        input_std = None if pre_normalized else self.input_std
+        diag = self._diag
+
+        def _bwd(g):
+            s = float(g) * sign                     # d out / d ELBO
+            sn = s * rescale                        # d out / d loglik, every task
+            q = -sn / noise2                        # d out / d quad, (T,)
+            g_mu = (-2.0 * q)[:, None] * err        # (T, B)
+            g_var = np.where(var > 0.0, q[:, None], 0.0)
+            g_u = u * (2.0 * g_var)[:, None, :]     # (T, M, B)
+            g_w = m.T @ g_mu + (lw @ g_u).sum(axis=0) - w * (2.0 * g_var.sum(axis=0))
+            g_lw = (g_u @ w.T).transpose(0, 2, 1) - s * lw
+            # lw's diagonal is exp(l_raw's), and the KL's log-det term adds s
+            g_l_raw = np.tril(g_lw, -1)
+            g_l_raw[:, diag, diag] = g_lw[:, diag, diag] * lw[:, diag, diag] + s
+            g_chol, g_kzx = _trisolve_adjoint(chol, w, g_w)
+            g_kzz = _cholesky_adjoint(chol, g_chol)
+            g_xs, g_zs, g_scale_x = _matern_adjoint(g_kzx.T, xs, zs, kxz_parts, scale)
+            g_zz, _, g_scale_z = _matern_adjoint(g_kzz, zs, zs, kzz_parts, scale)
+            g_zs += 2.0 * g_zz                     # K_ZZ takes z as both operands
+            # in `parameters()` order; the log-scales through xs, zs, and the
+            # outputscale through K_XZ, K_ZZ and the prior variance k(x, x)
+            grads = (g_zs / ls,
+                     -((g_xs * xs).sum(axis=0) + (g_zs * zs).sum(axis=0)),
+                     scale * (g_scale_x + g_scale_z + g_var.sum()),
+                     g_mu @ w.T - s * m,
+                     g_l_raw,
+                     g_mu.sum(axis=1),
+                     sn * (quad / noise2 - 0.5 * bsz))
+            for p, gp in zip(params, grads):
+                p._acc(gp)
+            if lat is not None:
+                g_x = g_xs / ls
+                lat._acc(g_x if input_std is None else g_x / input_std)
+        out._backward = _bwd
+        return out
 
     def predict(self, latents: np.ndarray | Tensor,
                 pre_normalized: bool = False) -> tuple[np.ndarray, np.ndarray]:
         """Predictive means and stds, both (B, num_tasks); std includes noise."""
-        latents = self._latent_node(_values(latents), pre_normalized)
-        mu, var = self._moments(latents, self.m.data, self.c.data, *self._factors())
+        x = self._latents(latents, pre_normalized)
+        mu, var, _ = self._moments(x, self.m.data, self.c.data, *self._factors())
         std = np.sqrt(var + np.exp(self.log_noise.data)[:, None])
         return mu.T, std.T
 

@@ -6,7 +6,7 @@ from pathlib import Path
 import mpmath
 import numpy as np
 import pytest
-from fdcheck import check_grads
+from fdcheck import assert_matches, check_directional, check_grads, fd_grad
 from hypothesis import given, strategies as st
 from scipy.linalg import solve_triangular
 from scipy.special import expit
@@ -15,7 +15,8 @@ import resdyn.autodiff as ad
 from resdyn.autodiff import Adam, Tensor, backward, parameter
 from resdyn.core import ValidationError
 from resdyn.rng import seeded_rng
-from resdyn.svgp import MAX_JITTER
+from resdyn import svgp
+from resdyn.svgp import MAX_JITTER, VariationalGP
 
 
 def randt(rng, *shape, shift=0.0):
@@ -65,20 +66,20 @@ class TestBasics:
             for _ in range(3):
                 a = randt(rng, 4, 4)
                 x = randt(rng, 2, 3, 8)
-                spd = ad.add(ad.matmul(a, ad.transpose(a)), Tensor(4.0 * np.eye(4)))
-                chol = ad.cholesky(spd)
-                solved = ad.trisolve(chol, ad.softmax(a))
+                solved = ad.matmul(ad.transpose(a), ad.softmax(a))
                 conv = ad.conv1d(x, randt(rng, 2, 3, 3), randt(rng, 2))
                 seq = ad.lstm(Tensor(x.data), randt(rng, 8, 8), randt(rng, 2, 8), randt(rng, 8))
-                parts = [ad.exp(ad.softmax(solved)), seq,
+                gp = VariationalGP(dim=4, inducing=3)
+                gp.z.data = rng.standard_normal((3, 4))
+                parts = [ad.softmax(solved), seq,
                          ad.sqrt(ad.add(ad.relu(solved), 1.0)), ad.mul(solved, solved),
-                         ad.matern52(ad.relu(solved)), ad.div(ad.sub(solved, 1.0), 2.0),
-                         ad.tmean(conv, axis=2)]
+                         ad.div(ad.sub(solved, 1.0), 2.0), ad.tmean(conv, axis=2),
+                         gp.loss(solved, np.zeros((4, 2)), total_n=8)]
                 loss = ad.tsum(ad.reshape(parts[0], (-1,)))
                 for q in parts[1:]:
                     loss = ad.add(loss, ad.tsum(q))
                 backward(loss)
-                del a, x, spd, chol, solved, conv, seq, parts, loss
+                del a, x, solved, conv, seq, gp, parts, loss
             assert gc.collect() == 0
         finally:
             gc.enable()
@@ -87,7 +88,7 @@ class TestBasics:
         w = parameter(np.array([[1.0, -2.0], [0.5, 3.0]]))
         x = Tensor(np.array([[1.0, 2.0]]), requires_grad=True)
         h = ad.matmul(x, w)
-        y = ad.exp(h)
+        y = ad.relu(h)
         loss = ad.tsum(ad.mul(y, y))
         backward(loss)
         assert h.grad is None and y.grad is None and loss.grad is None
@@ -269,6 +270,12 @@ class TestLstm:
             assert np.all(np.isfinite(p.grad))
         assert np.any(bias.grad[2:4] != 0.0)
 
+    def test_directional_at_encoder_size(self):
+        # the lstm encoder's sizes: B=64 windows of N=100 ticks, F=6, H=128
+        x, wx, wh, bias, mix = lstm_setup(24, 100, b=64, f=6, hdim=128, scale=0.1)
+        check_directional(lambda: ad.tsum(ad.mul(ad.lstm(x, wx, wh, bias), mix)),
+                          [wx, wh, bias], seeded_rng(25, "lstm-direction"))
+
     @pytest.mark.parametrize("x_shape, wx_shape, wh_shape, b_shape", [
         ((3, 6), (6, 16), (4, 16), (16,)),
         ((3, 0, 6), (6, 16), (4, 16), (16,)),
@@ -307,8 +314,7 @@ class TestFiniteDifference:
     def test_unary_ops(self):
         rng = seeded_rng(1, "fd-un")
         x = randt(rng, 2, 5, shift=2.0)  # positive: valid for sqrt
-        for op in (ad.exp, ad.sqrt):
-            check_grads(lambda op=op: ad.tsum(op(x)), [x])
+        check_grads(lambda: ad.tsum(ad.sqrt(x)), [x])
 
     def test_relu_away_from_kink(self):
         rng = seeded_rng(1, "fd-relu")
@@ -374,57 +380,75 @@ class TestFiniteDifference:
         check_grads(lambda: ad.tsum(ad.mul(ad.layer_norm(x, gamma, beta), w)),
                     [x, gamma, beta])
 
+    # The SVGP's Cholesky, triangular-solve and Matern-5/2 adjoints, which
+    # its fused ELBO node chains, against central differences of their
+    # forward maps.
+
     def test_cholesky(self):
         rng = seeded_rng(1, "fd-chol")
-        b = randt(rng, 4, 4)
-        w = Tensor(rng.standard_normal((4, 4)))
+        b = Tensor(rng.standard_normal((4, 4)))
+        w = rng.standard_normal((4, 4))
 
         def f():
-            a = ad.add(ad.matmul(ad.transpose(b), b),
-                       Tensor(2.0 * np.eye(4)))
-            return ad.tsum(ad.mul(ad.cholesky(a), w))
-        check_grads(f, [b], h=1e-6, rtol=3e-4)
+            return Tensor(np.sum(w * np.linalg.cholesky(b.data.T @ b.data + 2.0 * np.eye(4))))
+        l = np.linalg.cholesky(b.data.T @ b.data + 2.0 * np.eye(4))
+        ga = svgp._cholesky_adjoint(l, np.tril(w))
+        (num,) = fd_grad(f, [b], h=1e-6)
+        assert_matches(b.data @ (ga + ga.T), num, "b", rtol=3e-4)
 
     def test_trisolve(self):
         rng = seeded_rng(1, "fd-tri")
-        raw = rng.standard_normal((4, 4))
-        l = parameter(np.tril(raw) + 3.0 * np.eye(4))
-        b = randt(rng, 4, 3)
-        w = Tensor(rng.standard_normal((4, 3)))
-        check_grads(lambda: ad.tsum(ad.mul(ad.trisolve(l, b), w)), [l, b])
+        l = Tensor(np.tril(rng.standard_normal((4, 4))) + 3.0 * np.eye(4))
+        b = Tensor(rng.standard_normal((4, 3)))
+        w = rng.standard_normal((4, 3))
+
+        def f():
+            return Tensor(np.sum(w * svgp._solve_lower(l.data, b.data, 0)))
+        gl, gb = svgp._trisolve_adjoint(l.data, svgp._solve_lower(l.data, b.data, 0), w)
+        num_l, num_b = fd_grad(f, [l, b])
+        assert_matches(gl, num_l, "l")
+        assert_matches(gb, num_b, "b")
 
     def test_matern52(self):
         rng = seeded_rng(1, "fd-mat")
-        s = parameter(rng.uniform(0.1, 4.0, (3, 3)))
-        w = Tensor(rng.standard_normal((3, 3)))
-        check_grads(lambda: ad.tsum(ad.mul(ad.matern52(s), w)), [s])
+        a, b = Tensor(rng.standard_normal((3, 2))), Tensor(rng.standard_normal((4, 2)))
+        scale = Tensor(np.array(1.7))
+        w = rng.standard_normal((3, 4))
+
+        def k():
+            return svgp._matern(a.data, b.data, (b.data * b.data).sum(axis=1, keepdims=True).T,
+                                scale.data)
+        ga, gb, g_scale = svgp._matern_adjoint(w, a.data, b.data, k()[1], scale.data)
+        numeric = fd_grad(lambda: Tensor(np.sum(w * k()[0])), [a, b, scale])
+        for what, got, num in zip("a b scale".split(), (ga, gb, g_scale), numeric):
+            assert_matches(got, num, what)
 
     def test_matern52_at_zero(self):
-        s = parameter(np.array([0.0]))
-        y = ad.matern52(s)
-        assert y.data[0] == pytest.approx(1.0)
-        backward(ad.tsum(y))
-        assert s.grad[0] == pytest.approx(-5.0 / 6.0)
+        unit, slope = svgp._matern52(np.array([0.0]))
+        assert unit[0] == pytest.approx(1.0)
+        assert slope[0] == pytest.approx(-5.0 / 6.0)
+        # coincident rows: a zero distance passes a finite, zero gradient
+        a = np.array([[0.3, -1.2], [2.0, 0.5]])
+        _, parts = svgp._matern(a, a, (a * a).sum(axis=1, keepdims=True).T, 1.0)
+        ga, gb, _ = svgp._matern_adjoint(np.eye(2), a, a, parts, 1.0)
+        assert np.array_equal(ga, np.zeros_like(a)) and np.array_equal(gb, np.zeros_like(a))
 
 
 def _plain_cases():
     """(op name, op, plain operands) covering every autodiff op."""
     rng = seeded_rng(3, "plain-ops")
     a, b = rng.standard_normal((3, 4)), rng.standard_normal((3, 4))
-    spd = a @ a.T + 3.0 * np.eye(3)
-    low = np.linalg.cholesky(spd)
     x3 = rng.standard_normal((2, 5, 3))
     return [
         ("add", ad.add, (a, b)), ("sub", ad.sub, (a, 2.0)), ("mul", ad.mul, (a, b[0])),
-        ("div", ad.div, (a, b)), ("exp", ad.exp, (a,)), ("sqrt", ad.sqrt, (np.abs(a),)),
-        ("relu", ad.relu, (a,)), ("matern52", ad.matern52, (np.abs(a),)),
+        ("div", ad.div, (a, b)), ("sqrt", ad.sqrt, (np.abs(a),)),
+        ("relu", ad.relu, (a,)),
         ("tsum", ad.tsum, (a,)), ("tsum axis", lambda v: ad.tsum(v, axis=1, keepdims=True), (a,)),
         ("tmean", lambda v: ad.tmean(v, axis=(0, 1)), (x3,)),
         ("reshape", lambda v: ad.reshape(v, (4, 3)), (a,)),
         ("transpose", lambda v: ad.transpose(v, (2, 0, 1)), (x3,)),
         ("matmul", ad.matmul, (x3, rng.standard_normal((3, 2)))),
-        ("softmax", ad.softmax, (a,)), ("cholesky", ad.cholesky, (spd,)),
-        ("trisolve", ad.trisolve, (low, b)),
+        ("softmax", ad.softmax, (a,)),
         ("conv1d", lambda v, w, c: ad.conv1d(v, w, c, stride=2, dilation=2),
          (rng.standard_normal((2, 3, 12)), rng.standard_normal((4, 3, 2)), rng.standard_normal(4))),
         ("lstm", ad.lstm, (x3, rng.standard_normal((3, 8)), rng.standard_normal((2, 8)),
@@ -458,8 +482,8 @@ class TestPlainOperands:
         (ad.add, (np.ones((2, 3)), np.ones(4)), "shape mismatch"),
         (ad.matmul, (np.ones(3), np.ones((3, 3))), "matmul needs >=2-D"),
         (ad.matmul, (np.ones((2, 3)), np.ones((2, 3))), "matmul shape mismatch"),
-        (ad.trisolve, (np.eye(3), np.ones((4, 1))), "triangular solve needs"),
-        (ad.trisolve, (np.eye(3), np.ones(3)), "triangular solve needs"),
+        (svgp._solve_lower, (np.eye(3), np.ones((4, 1)), 0), "triangular solve needs"),
+        (svgp._solve_lower, (np.eye(3), np.ones(3), 0), "triangular solve needs"),
         (ad.conv1d, (np.ones((1, 2, 9)), np.ones((3, 4, 2)), np.ones(3)), "conv1d shape mismatch"),
         (ad.lstm, (np.ones((1, 3, 2)), np.ones((2, 8)), np.ones((2, 8)), np.ones(7)),
          "lstm shape mismatch"),
@@ -470,7 +494,8 @@ class TestPlainOperands:
 
 
 class TestTriangularSolve:
-    """`trisolve` and the `cholesky` adjoint call LAPACK dtrtrs directly;
+    """The SVGP's triangular solves (`svgp._solve_lower`), in its forward
+    W = L^-1 K_ZX and in its Cholesky adjoint, call LAPACK dtrtrs directly;
     they must equal scipy's `solve_triangular` bit for bit."""
 
     @staticmethod
@@ -485,41 +510,42 @@ class TestTriangularSolve:
         l = np.asarray(self.factor(), order=l_order)
         b = np.asarray(seeded_rng(width, "tri-b").standard_normal((128, width)), order=b_order)
         want = solve_triangular(l, b, lower=True, trans=trans)
-        got = ad._solve_lower(l, b, "NT".index(trans))
+        got = svgp._solve_lower(l, b, "NT".index(trans))
         assert got.shape == want.shape and got.tobytes() == want.tobytes()
-        if trans == "N":
-            assert ad.trisolve(l, b).tobytes() == want.tobytes()
-            assert ad.trisolve(Tensor(l), b).data.tobytes() == want.tobytes()
 
     def test_cholesky_adjoint_equals_solve_triangular_form(self):
         rng = seeded_rng(2, "tri-adjoint")
         a = rng.standard_normal((16, 16))
-        a_node = parameter(a @ a.T + np.eye(16))
         g = rng.standard_normal((16, 16))
-        backward(ad.tsum(ad.mul(ad.cholesky(a_node), g)))
-        l = np.linalg.cholesky(a_node.data)
+        l = np.linalg.cholesky(a @ a.T + np.eye(16))
+        grad = svgp._cholesky_adjoint(l, g)
         p = np.tril(l.T @ g)
         p[np.diag_indices_from(p)] *= 0.5
         tmp = solve_triangular(l, p, lower=True, trans="T")
         s = solve_triangular(l, tmp.T, lower=True, trans="T").T
-        assert a_node.grad.tobytes() == (0.5 * (s + s.T)).tobytes()
+        assert grad.tobytes() == (0.5 * (s + s.T)).tobytes()
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     @pytest.mark.parametrize("where", ["l lower", "l upper", "b"])
     def test_non_finite_operand_rejected(self, where, bad):
+        # a factor is not re-checked per solve: it is made only from a K_ZZ
+        # checked whole, so a bad value in either triangle of K_ZZ is
+        # refused before any factor exists
         l, b = self.factor(8), np.ones((8, 3))
         if where == "b":
             b[5, 2] = bad
+            for trans in (0, 1):
+                with pytest.raises(ValidationError, match="right-hand side holds non-finite"):
+                    svgp._solve_lower(l, b, trans)
         else:
-            l[(6, 2) if where == "l lower" else (2, 6)] = bad
-        for solve in (lambda: ad._solve_lower(l, b, 0), lambda: ad._solve_lower(l, b, 1),
-                      lambda: ad.trisolve(l, b), lambda: ad.trisolve(Tensor(l), Tensor(b))):
-            with pytest.raises(ValidationError, match="non-finite"):
-                solve()
+            kzz = l @ l.T
+            kzz[(6, 2) if where == "l lower" else (2, 6)] = bad
+            with pytest.raises(ValidationError, match="K_ZZ is not finite"):
+                VariationalGP(dim=1, inducing=8)._chol_kzz(kzz)
 
 
 class TestCholeskyAdjoint:
-    """`cholesky`'s adjoint (Murray, Differentiation of the Cholesky
+    """The SVGP's Cholesky adjoint, `svgp._cholesky_adjoint` (Murray, Differentiation of the Cholesky
     decomposition, 2016) on a near-singular K_ZZ: duplicated inducing points
     make the Matern-5/2 kernel matrix rank-deficient, and the jitter is all
     that keeps it positive definite."""
@@ -546,16 +572,15 @@ class TestCholeskyAdjoint:
         base = rng.standard_normal((5, 3))
         z = base[rng.permutation(np.repeat(np.arange(5), 2))]     # 10 points, rank 5
         sq = ((z[:, None, :] - z[None, :, :]) ** 2).sum(axis=-1)
-        k = ad.matern52(Tensor(sq)).data
+        k = svgp._matern52(sq)[0]
         assert np.linalg.matrix_rank(k, tol=1e-10) == 5
         a = k + jitter * np.eye(len(z))
         da = rng.standard_normal(a.shape)
         da = da + da.T
         g = np.tril(rng.standard_normal(a.shape))    # L's cotangent lives on its lower triangle
-        a_node = parameter(a)
-        backward(ad.tsum(ad.mul(ad.cholesky(a_node), Tensor(g))))
-        assert np.isfinite(a_node.grad).all()
-        lhs = float((a_node.grad * da).sum())
+        grad = svgp._cholesky_adjoint(np.linalg.cholesky(a), g)
+        assert np.isfinite(grad).all()
+        lhs = float((grad * da).sum())
         dl = self.reference_dl(a, da)
         with mpmath.workdps(50):
             terms = [mpmath.mpf(float(g[i, j])) * dl[i, j]

@@ -227,6 +227,14 @@ class TestGoldenSet:
             cmds = script.commands(0.01)
             assert len(cmds) == 6000
 
+    @pytest.mark.parametrize("dt", [0.0, -0.0, -0.01, math.nan, math.inf])
+    def test_commands_dt_not_finite_and_positive_rejected(self, dt):
+        script = golden_scripts(duration=5.0)[0]
+        for run in (lambda: script.commands(dt),
+                    lambda: generate_golden_set(0, dt, loop_duration=5.0, scenario_duration=5.0)):
+            with pytest.raises(ValidationError, match=r"^dt must be finite and positive"):
+                run()
+
     def test_oracle_log_is_well_formed(self, logs):
         recs = logs["left_turn"]
         ts = np.array([r.timestamp for r in recs])

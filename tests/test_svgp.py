@@ -1,11 +1,14 @@
+import gc
 import math
 import re
+import weakref
 
 import numpy as np
 import pytest
-from fdcheck import check_grads
+from fdcheck import check_directional, check_grads
+from scipy.cluster.vq import kmeans2
+from scipy.linalg import solve_triangular
 
-import resdyn.autodiff as ad
 from resdyn import svgp
 from resdyn.autodiff import Adam, Tensor, backward, parameter
 from resdyn.core import ValidationError
@@ -73,11 +76,12 @@ def fit(x, y, inducing, batch_size, lr, epochs, seed):
 
 
 def kernel_value(a, b, lengthscales, outputscale):
-    """k(a, b) as the GP computes it: its `_cross_cov` at one pair of points."""
-    gp = VariationalGP(dim=len(lengthscales), inducing=1)
-    gp.log_lengthscales.data = np.log(np.asarray(lengthscales, float))
-    gp.log_outputscale.data = np.array(math.log(outputscale))
-    return float(gp._cross_cov(Tensor(np.atleast_2d(a)), Tensor(np.atleast_2d(b))).data[0, 0])
+    """k(a, b) as the GP computes it: `_matern` of the two points scaled
+    by the lengthscales."""
+    ls = np.asarray(lengthscales, float)
+    a, b = np.atleast_2d(a) / ls, np.atleast_2d(b) / ls
+    k, _ = svgp._matern(a, b, (b * b).sum(axis=1, keepdims=True).T, outputscale)
+    return float(k[0, 0])
 
 
 class TestKernel:
@@ -109,7 +113,7 @@ class TestElboAgainstDenseOracle:
         x, y, _ = toy_instance()
         gp = make_toy_gp(x)
         kl = gp._kl(gp._l_var())
-        assert float(kl.data[0]) == pytest.approx(0.0, abs=1e-12)
+        assert float(kl[0]) == pytest.approx(0.0, abs=1e-12)
 
     def test_elbo_matches_lml_at_exact_posterior(self, monkeypatch):
         x, y, k = toy_instance()
@@ -246,6 +250,26 @@ def gp_arrays():
     return gp, {k: np.array(v) for k, v in gp.to_arrays().items()}
 
 
+class TestKmeansSeeds:
+    """`init_from_latents` seeds k-means with `_kmeans_pp_seeds`, which must
+    draw what scipy's `kmeans2(minit="++")` draws, by the same rng calls."""
+
+    @pytest.mark.parametrize("case", ["random", "n equals k", "duplicated rows"])
+    def test_same_bytes_and_next_draw_as_scipy(self, case):
+        rng = seeded_rng(71, "kpp-data", case)
+        if case == "random":
+            data, k = rng.standard_normal((300, 5)), 16
+        elif case == "n equals k":
+            data, k = rng.standard_normal((12, 3)), 12
+        else:
+            data, k = np.repeat(rng.standard_normal((10, 3)), 3, axis=0), 8
+        ours, theirs = seeded_rng(72, "kpp", case), seeded_rng(72, "kpp", case)
+        got = kmeans2(data, svgp._kmeans_pp_seeds(data, k, ours), minit="matrix")
+        want = kmeans2(data, k, minit="++", seed=theirs)
+        assert all(a.tobytes() == b.tobytes() for a, b in zip(got, want))
+        assert ours.random() == theirs.random()
+
+
 class TestConstructorArguments:
     @pytest.mark.parametrize("args, name", [
         ((0, 4), "dim"), ((-2, 4), "dim"), ((3.0, 4), "dim"), ((True, 4), "dim"),
@@ -330,16 +354,35 @@ def fresh_predict(gp, x):
     return VariationalGP.from_arrays(gp.to_arrays()).predict(x)
 
 
-def graph_predict(gp, x):
-    """`predict`'s mean and std through `_moments` on the live parameter
-    nodes: the graph `elbo` builds, with no factor cache."""
-    mu, var = gp._moments(gp._latent_node(x, pre_normalized=False), gp.m, gp.c,
-                          gp._chol_kzz(), gp._l_var(), *gp._inducing_terms())
-    return mu.data.T, np.sqrt(var.data + np.exp(gp.log_noise.data)[:, None]).T
+def moments_of_loss(gp, latents, y, pre_normalized):
+    """The (mu, var, parts) that `_moments` returns inside the loss node."""
+    seen = []
+    moments = VariationalGP._moments
+
+    def spy(self, *args):
+        seen.append(moments(self, *args))
+        return seen[-1]
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(VariationalGP, "_moments", spy)
+        gp.loss(latents, y, total_n=40, pre_normalized=pre_normalized)
+    (moments_out,) = seen
+    return moments_out
+
+
+def node_predict(gp, x, y):
+    """`predict`'s mean and std from the moments the ELBO node computes on
+    the live parameters, with no factor cache."""
+    mu, var, _ = moments_of_loss(gp, x, y, pre_normalized=False)
+    return mu.T, np.sqrt(var + np.exp(gp.log_noise.data)[:, None]).T
 
 
 class TestPredictMatchesGraph:
+    """`predict` on its factor cache equals the ELBO node's moments, which
+    it computes afresh from the parameters."""
+
     X = seeded_rng(34, "graph-x").standard_normal((6, 2))
+    Y = seeded_rng(35, "graph-y").standard_normal((6, 2))
 
     @staticmethod
     def gp():
@@ -349,34 +392,35 @@ class TestPredictMatchesGraph:
 
     def test_fresh_gp(self):
         gp = self.gp()
-        assert same_bits(gp.predict(self.X), graph_predict(gp, self.X))
+        assert same_bits(gp.predict(self.X), node_predict(gp, self.X, self.Y))
 
     def test_after_adam_steps(self):
         gp = self.gp()
         opt = Adam(gp.parameters(), lr=0.05)
-        y = seeded_rng(35, "graph-y").standard_normal((6, 2))
         for _ in range(4):
             gp.predict(self.X)       # the cache must follow every step
             opt.zero_grad()
-            backward(gp.loss(self.X, y, total_n=30))
+            backward(gp.loss(self.X, self.Y, total_n=30))
             assert opt.step()
-            assert same_bits(gp.predict(self.X), graph_predict(gp, self.X))
+            assert same_bits(gp.predict(self.X), node_predict(gp, self.X, self.Y))
 
     def test_moments_hold_no_graph(self, monkeypatch):
-        # latents that require a gradient included: predict runs `_moments`
-        # on plain arrays, so it builds no Tensor at all
+        # latents that require a gradient included: `predict` and the ELBO
+        # node both run `_moments` on plain arrays
         gp, seen = self.gp(), []
         moments = VariationalGP._moments
 
         def spy(self, *args):
-            seen.extend(moments(self, *args))
-            return seen[-2:]
+            mu, var, parts = moments(self, *args)
+            seen.extend((mu, var, *parts[1:]))
+            return mu, var, parts
 
         monkeypatch.setattr(VariationalGP, "_moments", spy)
         for _ in range(2):
             gp.predict(parameter(self.X))
-        assert len(seen) == 4
-        assert all(type(t) is np.ndarray for t in seen)
+        backward(gp.loss(parameter(self.X), self.Y, total_n=30))
+        assert len(seen) == 15
+        assert all(type(t) in (np.ndarray, tuple) for t in seen)
 
 
 class TestPredictAfterChanges:
@@ -500,6 +544,181 @@ class TestGradients:
         def f():
             return gp.loss(latents, targets, total_n=10)
         check_grads(f, gp.parameters() + [latents], h=1e-6, rtol=3e-4)
+
+
+def elbo_reference(gp, latents, targets, total_n, pre_normalized):
+    """The ELBO in plain numpy, op for op in the order of the graph of
+    autodiff nodes that computed it before it became one node."""
+    x = latents if pre_normalized else (latents - gp.input_mean) / gp.input_std
+    y = np.ascontiguousarray(targets.T)
+    bsz, tasks, size = y.shape[1], gp.num_tasks, gp.inducing
+    eye = np.eye(size)
+    l_raw, m, c, log_noise = gp.l_raw.data, gp.m.data, gp.c.data, gp.log_noise.data
+
+    def matern(a, b, b2, scale):
+        sq = np.maximum(((a * a).sum(axis=1, keepdims=True) + b2) - (a @ b.T) * 2.0, 0.0)
+        r = np.sqrt(np.maximum(sq, 0.0))
+        return (1.0 + SQRT5 * r + (5.0 / 3.0) * sq) * np.exp(-SQRT5 * r) * scale
+
+    # K_ZZ scaled z once per operand, and took exp of each scale per use
+    zb = gp.z.data / np.exp(gp.log_lengthscales.data)
+    za = gp.z.data / np.exp(gp.log_lengthscales.data)
+    kzz = matern(za, zb, (zb * zb).sum(axis=1, keepdims=True).T,
+                 np.exp(gp.log_outputscale.data))
+    jitter = svgp._JITTER
+    while True:
+        try:
+            chol = np.linalg.cholesky(kzz + jitter * eye)
+            break
+        except np.linalg.LinAlgError:
+            jitter *= 10.0
+    lw = l_raw * np.tril(np.ones((size, size)), -1) + np.exp(l_raw * eye) * eye
+    ls = np.exp(gp.log_lengthscales.data)
+    zs = gp.z.data / np.exp(gp.log_lengthscales.data)
+    kxz = matern(x / ls, zs, (zs * zs).sum(axis=1, keepdims=True).T,
+                 np.exp(gp.log_outputscale.data))
+    w = solve_triangular(chol, kxz.T, lower=True)
+    mu = (m.reshape(tasks, 1, -1) @ w).reshape(tasks, -1) + c.reshape(tasks, 1)
+    u = lw.transpose(0, 2, 1) @ w
+    var = np.maximum((np.exp(gp.log_outputscale.data) - (w * w).sum(axis=0))
+                     + (u * u).sum(axis=1), 0.0)
+    err = y - mu
+    quad = (err * err + var).sum(axis=1)
+    loglik = log_noise * (-0.5 * bsz) - (quad / (np.exp(log_noise) * 2.0)
+                                         + 0.5 * bsz * svgp.LOG_2PI)
+    log_det = (l_raw * eye).sum(axis=(1, 2))
+    kl = (((m * m).sum(axis=1) + (lw * lw).sum(axis=(1, 2)))
+          - (log_det * 2.0 + float(size))) * 0.5
+    return ((loglik * (total_n / bsz)) - kl).sum()
+
+
+def random_gp(seed, dim, inducing, tasks=2):
+    """A GP with every parameter drawn at random, each task different."""
+    rng = seeded_rng(seed, "random-gp")
+    gp = VariationalGP(dim, inducing, num_tasks=tasks, input_mean=rng.standard_normal(dim),
+                       input_std=rng.uniform(0.5, 2.0, dim))
+    gp.z.data = rng.standard_normal((inducing, dim))
+    gp.log_lengthscales.data = rng.uniform(-0.3, 0.3, dim) + 0.5 * math.log(dim)
+    gp.log_outputscale.data = np.array(0.2)
+    gp.m.data = rng.standard_normal((tasks, inducing)) * 0.5
+    gp.l_raw.data = np.tril(rng.standard_normal((tasks, inducing, inducing)) * 0.2, -1) \
+        + rng.uniform(-0.5, 0.2, (tasks, 1, inducing)) * np.eye(inducing)
+    gp.c.data = rng.standard_normal(tasks)
+    gp.log_noise.data = rng.uniform(-3.0, -1.0, tasks)
+    return gp
+
+
+class TestElboNode:
+    """The ELBO and the loss are one autodiff node over the latents and the
+    7 parameters, with a hand-derived adjoint."""
+
+    @pytest.mark.parametrize("pre_normalized", [False, True])
+    def test_value_matches_reference_op_order(self, pre_normalized):
+        gp = random_gp(51, dim=3, inducing=6)
+        rng = seeded_rng(52, "elbo-ref")
+        x, y = rng.standard_normal((5, 3)), rng.standard_normal((5, 2))
+        want = elbo_reference(gp, x, y, 40, pre_normalized)
+        for latents in (x, parameter(x)):
+            elbo = gp.elbo(latents, y, 40, pre_normalized=pre_normalized)
+            loss = gp.loss(latents, y, 40, pre_normalized=pre_normalized)
+            assert elbo.data.tobytes() == want.tobytes()
+            assert loss.data.tobytes() == (-want).tobytes()
+
+    def test_one_node_over_latents_and_parameters(self):
+        gp = random_gp(53, dim=3, inducing=4)
+        latents = parameter(np.ones((2, 3)))
+        loss = gp.loss(latents, np.zeros((2, 2)), 10)
+        assert len(loss._parents) == 8 and loss._parents[-1] is latents
+        assert all(p is q for p, q in zip(loss._parents, gp.parameters()))
+        assert len(gp.loss(Tensor(latents.data), np.zeros((2, 2)), 10)._parents) == 7
+
+    def test_freed_without_cycle_collector(self):
+        gp = random_gp(54, dim=3, inducing=4)
+        latents = parameter(seeded_rng(55, "free").standard_normal((5, 3)))
+        gc.collect()
+        gc.disable()
+        try:
+            # the closure holds every intermediate; a Tensor takes no weakref
+            loss = gp.loss(latents, np.ones((5, 2)), 20)
+            closure, value = weakref.ref(loss._backward), weakref.ref(loss.data)
+            backward(loss)
+            del loss
+            assert closure() is None and value() is None
+            assert latents.grad is not None and gp.z.grad is not None
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
+
+    @pytest.mark.parametrize("n_latents, n_targets", [(8, 1), (1, 8), (8, 5)])
+    def test_one_target_row_per_latent(self, n_latents, n_targets):
+        gp = VariationalGP(dim=2, inducing=3)
+        for call in (gp.loss, gp.elbo):
+            with pytest.raises(ValidationError,
+                               match=f"{n_latents} latents but {n_targets} target rows"):
+                call(np.zeros((n_latents, 2)), np.ones((n_targets, 2)), 100)
+
+    def test_directional_at_benchmark_size(self):
+        # train_cnn's sizes: B=256, M=128, dim 250, latents included
+        gp = random_gp(56, dim=250, inducing=128)
+        rng = seeded_rng(57, "direction")
+        latents = parameter(rng.standard_normal((256, 250)))
+        y = rng.standard_normal((256, 2))
+        check_directional(lambda: gp.loss(latents, y, 1024, pre_normalized=True),
+                          gp.parameters() + [latents], rng)
+
+
+class TestGradientsAtKinks:
+    """Central differences, entry by entry, where the adjoint meets a clip
+    or a retried factorization. Latents sit exactly on inducing points."""
+
+    @staticmethod
+    def setup(seed):
+        gp = random_gp(seed, dim=2, inducing=5)
+        rng = seeded_rng(seed, "kink-latents")
+        latents = parameter(np.concatenate([gp.z.data[[1, 3, 4]], rng.standard_normal((3, 2))]))
+        return gp, latents, rng.standard_normal((6, 2))
+
+    def test_distance_zero(self):
+        # K_ZZ's diagonal and three K_XZ entries are at distance 0, where
+        # the squared distance is clipped and passes no gradient
+        gp, latents, y = self.setup(61)
+        _, _, (_, (sq, _, _), _, _) = moments_of_loss(gp, latents, y, True)
+        assert np.all(sq[[0, 1, 2], [1, 3, 4]] == 0.0)
+        assert np.all(np.diagonal(gp._inducing()[1][0]) == 0.0)
+        check_grads(lambda: gp.loss(latents, y, 40, pre_normalized=True),
+                    gp.parameters() + [latents], h=1e-6, rtol=3e-4)
+
+    def test_clipped_variance(self, monkeypatch):
+        # no jitter and a nearly zero variational factor: at an inducing
+        # point the latent variance k - |W|^2 + |U|^2 is 0 up to rounding,
+        # and relu clips those that round below 0
+        monkeypatch.setattr(svgp, "_JITTER", 0.0)
+        gp, latents, y = self.setup(62)
+        gp.l_raw.data = np.tile(-30.0 * np.eye(5), (2, 1, 1))
+        _, var, _ = moments_of_loss(gp, latents, y, True)
+        assert (var[:, :3] == 0.0).any() and (var[:, 3:] > 0.0).all()
+        check_grads(lambda: gp.loss(latents, y, 40, pre_normalized=True),
+                    gp.parameters() + [latents], h=1e-6, rtol=3e-4)
+
+    def test_escalated_jitter(self, monkeypatch):
+        # the first Cholesky of every factorization fails, as on a K_ZZ that
+        # needs more than the first jitter, so each uses 10 x _JITTER
+        cholesky, calls = np.linalg.cholesky, []
+
+        def failing_first(a):
+            calls.append(a)
+            if len(calls) % 2:
+                raise np.linalg.LinAlgError("not positive definite")
+            return cholesky(a)
+
+        monkeypatch.setattr(np.linalg, "cholesky", failing_first)
+        gp, latents, y = self.setup(63)
+        gp.z.data[2] = gp.z.data[0] + 1e-3        # nearly duplicated inducing points
+        check_grads(lambda: gp.loss(latents, y, 40, pre_normalized=True),
+                    gp.parameters() + [latents], h=1e-6, rtol=3e-4)
+        assert len(calls) % 2 == 0
+        for failed, used in zip(calls[::2], calls[1::2]):
+            assert np.allclose(used - failed, 9 * svgp._JITTER * np.eye(5), rtol=0, atol=1e-15)
 
 
 class TestFit:
