@@ -11,11 +11,13 @@ Cholesky robustness matters more than speed.
 
 `conv1d` and `lstm` are fused nodes: one node for the whole operation,
 whose closure holds the intermediates it needs (the im2col columns; each
-tick's gates and cell state) instead of a graph of elementwise nodes. The
-SVGP's ELBO (`svgp.VariationalGP.elbo`) is built the same way, outside
-this module, from a `Tensor` over its parameters and a closure that calls
-each parent's `_acc`; its kernel, Cholesky and triangular-solve algebra
-live in `svgp` with it.
+tick's operand [1 | x_t | h_t], gates and cell state) instead of a graph
+of elementwise nodes. `lstm` runs one GEMM per tick each way and matches
+such a graph to about 1e-15 relative, not bit for bit. The SVGP's ELBO
+(`svgp.VariationalGP.elbo`) is built the same way, outside this module,
+from a `Tensor` over its parameters and a closure that calls each
+parent's `_acc`; its kernel, Cholesky and triangular-solve algebra live
+in `svgp` with it.
 
 An op none of whose operands is a Tensor returns its plain numpy value,
 after the same shape checks, and builds no node (`_node`): a pure
@@ -36,7 +38,7 @@ import sys
 
 import numpy as np
 from numpy.lib.stride_tricks import as_strided
-from scipy.special import expit
+from scipy.linalg.blas import dgemm
 
 from .core import ValidationError
 
@@ -112,8 +114,8 @@ def _value(x) -> np.ndarray:
 
 
 def _node(data, *parents):
-    """A Tensor holding `data` over `parents`, or `data` itself when no
-    parent is a Tensor: an op on plain operands builds no node."""
+    """A Tensor holding `data` over `parents` (a plain one as its `_value`, so
+    it is converted once), or `data` itself when none is a Tensor."""
     for p in parents:
         if isinstance(p, Tensor):
             return Tensor(data, _parents=tuple(map(as_tensor, parents)))
@@ -168,7 +170,7 @@ def _binary(a, b, fwd, da, db):
         data = fwd(av, bv)
     except ValueError as exc:
         raise ValidationError(f"shape mismatch: {av.shape} vs {bv.shape}") from exc
-    out = _node(data, a, b)
+    out = _node(data, a if isinstance(a, Tensor) else av, b if isinstance(b, Tensor) else bv)
     if isinstance(out, Tensor) and out.requires_grad:
         a, b = out._parents
         def _bwd(g):
@@ -362,17 +364,24 @@ def conv1d_output_length(length: int, kernel: int, stride: int, dilation: int) -
     return (length - dilation * (kernel - 1) - 1) // stride + 1
 
 
+def _sigmoid_(v: np.ndarray) -> np.ndarray:
+    """1/(1+exp(-v)) in place, within 4 ulp of scipy's expit; exp's overflow gives the limit 0."""
+    with np.errstate(over="ignore"):
+        np.exp(np.negative(v, out=v), out=v)
+    return np.divide(1.0, np.add(v, 1.0, out=v), out=v)
+
+
 def lstm(x, wx, wh, b):
     """Final hidden state (B, H) of a single-layer LSTM run from zero state
     over x: (B, N, F), with wx: (F, 4H), wh: (H, 4H) and b: (4H,), the gate
     columns ordered input, forget, cell, output.
 
-    One node for the whole sequence: the closure keeps each tick's gates
-    and cell state and runs backpropagation through time. Every value is
-    formed in the order a per-tick graph of `add`, `matmul`, `mul` and
-    elementwise sigmoid and tanh nodes would form it, so output and
-    gradients equal that graph's bit for bit. x takes no gradient: an x
-    that requires one is refused rather than silently dropped.
+    One node, one GEMM per tick each way: tick t's gates are z_t @ [b; wx; wh]
+    for z_t = [1 | x_t | h_t], a slab of one store that also holds the hidden
+    states, and the weight gradient sums z_t.T @ dgates_t. The output equals
+    that per-tick product under `_sigmoid_` bit for bit; output and gradients
+    match `(x_t@wx + h@wh) + b` under scipy's expit to about 1e-15 relative.
+    x takes no gradient: an x that requires one is refused, not dropped.
     """
     xd, wxd, whd, bd = _value(x), _value(wx), _value(wh), _value(b)
     hdim = whd.shape[0] if whd.ndim == 2 else 0
@@ -383,42 +392,48 @@ def lstm(x, wx, wh, b):
                               f"(want (H, 4H)), b {bd.shape} (want (4H,))")
     if isinstance(x, Tensor) and x.requires_grad:
         raise ValidationError("lstm takes no gradient for its input x")
-    i_s, f_s, g_s, o_s = (slice(k * hdim, (k + 1) * hdim) for k in range(4))
-    h = np.zeros((xd.shape[0], hdim))
-    c = np.zeros((xd.shape[0], hdim))
-    hs, cs, ticks = [h], [c], []
-    for t in range(xd.shape[1]):
-        gates = (xd[:, t, :] @ wxd + h @ whd) + bd
-        i, f = expit(gates[:, i_s]), expit(gates[:, f_s])
-        g, o = np.tanh(gates[:, g_s]), expit(gates[:, o_s])
-        c = f * c + i * g
-        tc = np.tanh(c)
-        h = o * tc
-        hs.append(h)
-        cs.append(c)
-        ticks.append((i, f, g, o, tc))
-    out = _node(h, x, wx, wh, b)
+    nb, nt, k = xd.shape[0], xd.shape[1], 1 + xd.shape[2]
+    z = np.empty((nt + 1, nb, k + hdim))      # z[t] = [1 | x_t | h_t]
+    z[0], z[:, :, 0] = 0.0, 1.0               # h_0 = 0; the bias column
+    z[:nt, :, 1:k] = xd.transpose(1, 0, 2)
+    w = np.concatenate((bd[None], wxd, whd))
+    gates = np.empty((nt, 4, nb, hdim))       # i, f, g, o, gate-major
+    cs, tcs = np.zeros((nt + 1, nb, hdim)), np.empty((nt, nb, hdim))
+    v = np.empty((nb, 4 * hdim))              # one tick's gates, then dgates
+    vq = v.reshape(nb, 4, hdim).transpose(1, 0, 2)
+    for t in range(nt):
+        i, f, g, o = gates[t]
+        np.matmul(z[t], w, out=v)
+        np.tanh(vq[2], out=g)
+        _sigmoid_(v)
+        gates[t, :2], o[...] = vq[:2], vq[3]
+        np.add(f * cs[t], i * g, out=cs[t + 1])
+        np.multiply(o, np.tanh(cs[t + 1], out=tcs[t]), out=z[t + 1, :, k:])
+    out = _node(z[nt, :, k:].copy(), x, wx, wh, b)
     if isinstance(out, Tensor) and out.requires_grad:
         x, wx, wh, b = out._parents
         def _bwd(dh):
-            gwx, gwh, gb = np.zeros_like(wxd), np.zeros_like(whd), np.zeros_like(bd)
-            dgates = np.empty((xd.shape[0], 4 * hdim))
-            dc_next = None
-            for t in range(xd.shape[1] - 1, -1, -1):
-                i, f, g, o, tc = ticks[t]
-                dc = (dh * o) * (1.0 - tc * tc)
-                if dc_next is not None:
-                    dc += dc_next
-                dgates[:, i_s] = (dc * g) * i * (1.0 - i)
-                dgates[:, f_s] = (dc * cs[t]) * f * (1.0 - f)
-                dgates[:, g_s] = (dc * i) * (1.0 - g * g)
-                dgates[:, o_s] = (dh * tc) * o * (1.0 - o)
-                gb += dgates.sum(axis=0)
-                gwx += xd[:, t, :].T @ dgates
-                gwh += hs[t].T @ dgates
-                dh = dgates @ whd.T
-                dc_next = dc * f
-            for p, gp in ((wx, gwx), (wh, gwh), (b, gb)):
+            gwt, wht = np.zeros((k + hdim, 4 * hdim)).T, whd.T.copy()   # gwt = gw.T
+            m, d = np.empty((2, 4, nb, hdim))
+            dc, tmp, dh_next = np.zeros((3, nb, hdim))
+            for t in range(nt - 1, -1, -1):
+                (i, f, g, o), tc = gates[t], tcs[t]
+                np.subtract(1.0, np.multiply(tc, tc, out=tmp), out=tmp)
+                dc += np.multiply(np.multiply(tmp, o, out=tmp), dh, out=tmp)
+                # dgates = [dc g, dc c_{t-1}, dc i, dh tanh(c_t)] times the
+                # activations' derivatives [i(1-i), f(1-f), 1-g^2, o(1-o)]
+                np.multiply(dc, g, out=m[0])
+                np.multiply(dc, cs[t], out=m[1])
+                np.multiply(dc, i, out=m[2])
+                np.multiply(dh, tc, out=m[3])
+                np.multiply(gates[t], np.subtract(1.0, gates[t], out=d), out=d)
+                np.subtract(1.0, np.multiply(g, g, out=d[2]), out=d[2])
+                np.multiply(m, d, out=vq)
+                gwt = dgemm(1.0, v.T, z[t].T, 1.0, gwt, trans_b=1, overwrite_c=1)  # += in place
+                if t:
+                    dh = np.matmul(v, wht, out=dh_next)
+                dc *= f
+            for p, gp in ((b, gwt[:, 0]), (wx, gwt[:, 1:k].T), (wh, gwt[:, k:].T)):
                 if p.requires_grad:
                     p._acc(gp)
         out._backward = _bwd

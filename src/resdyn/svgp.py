@@ -217,9 +217,9 @@ class VariationalGP:
         y = self._targets(targets)
         sub = latents if len(latents) <= 2048 else \
             latents[rng.choice(len(latents), 2048, replace=False)]
-        if len(sub) < self.inducing:
-            raise ValidationError(
-                f"{len(sub)} latents cannot seed {self.inducing} inducing points")
+        if (distinct := len(np.unique(sub, axis=0))) < self.inducing:
+            raise ValidationError(f"{distinct} distinct latents (of {len(sub)}) cannot "
+                                  f"seed {self.inducing} distinct inducing points")
         centers, _ = kmeans2(sub, _kmeans_pp_seeds(sub, self.inducing, rng), minit="matrix")
         self.z.data = centers.astype(float)
         self.c.data = y.mean(axis=1)

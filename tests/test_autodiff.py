@@ -1,6 +1,7 @@
 import gc
 import json
 import tempfile
+import warnings
 from pathlib import Path
 
 import mpmath
@@ -220,19 +221,48 @@ class TestConv1d:
 
 
 def lstm_reference(x, wx, wh, b):
-    """Per-tick plain-numpy LSTM from zero state, gates ordered i, f, g, o."""
+    """Per-tick plain-numpy LSTM from zero state, gates ordered i, f, g, o:
+    each tick's [1 | x_t | h_t] times [b; wx; wh], then tanh of the g block
+    and the sigmoid 1/(1+exp(-v)) over the whole gate block."""
     hdim = wh.shape[0]
+    w = np.concatenate((b[None], wx, wh))
     h = np.zeros((x.shape[0], hdim))
     c = np.zeros((x.shape[0], hdim))
     for t in range(x.shape[1]):
-        gates = (x[:, t, :] @ wx + h @ wh) + b
-        i = expit(gates[:, :hdim])
-        f = expit(gates[:, hdim:2 * hdim])
+        gates = np.concatenate((np.ones((x.shape[0], 1)), x[:, t, :], h), axis=1) @ w
         g = np.tanh(gates[:, 2 * hdim:3 * hdim])
-        o = expit(gates[:, 3 * hdim:])
+        s = 1.0 / (1.0 + np.exp(-gates))
+        i, f, o = s[:, :hdim], s[:, hdim:2 * hdim], s[:, 3 * hdim:]
         c = f * c + i * g
         h = o * np.tanh(c)
     return h
+
+
+def lstm_expit_bptt(x, wx, wh, b, dout):
+    """The per-tick formulation `(x_t@wx + h@wh) + b` with scipy's expit and
+    its backpropagation through time from the output gradient dout, in plain
+    numpy: (h_N, d/dwx, d/dwh, d/db)."""
+    hdim = wh.shape[0]
+    hs, cs, ticks = [np.zeros((x.shape[0], hdim))], [np.zeros((x.shape[0], hdim))], []
+    for t in range(x.shape[1]):
+        gates = (x[:, t, :] @ wx + hs[-1] @ wh) + b
+        i, f, o = (expit(gates[:, k * hdim:(k + 1) * hdim]) for k in (0, 1, 3))
+        g = np.tanh(gates[:, 2 * hdim:3 * hdim])
+        cs.append(f * cs[-1] + i * g)
+        ticks.append((i, f, g, o, np.tanh(cs[-1])))
+        hs.append(o * ticks[-1][4])
+    gwx, gwh, gb = np.zeros_like(wx), np.zeros_like(wh), np.zeros_like(b)
+    dh, dc = dout, np.zeros_like(dout)
+    for t in range(x.shape[1] - 1, -1, -1):
+        i, f, g, o, tc = ticks[t]
+        dc = dc + dh * o * (1.0 - tc * tc)
+        dgates = np.concatenate((dc * g * i * (1.0 - i), dc * cs[t] * f * (1.0 - f),
+                                 dc * i * (1.0 - g * g), dh * tc * o * (1.0 - o)), axis=1)
+        gwx += x[:, t, :].T @ dgates
+        gwh += hs[t].T @ dgates
+        gb += dgates.sum(axis=0)
+        dh, dc = dgates @ wh.T, dc * f
+    return hs[-1], gwx, gwh, gb
 
 
 def lstm_setup(seed, n, b=3, f=2, hdim=4, scale=1.0):
@@ -250,6 +280,34 @@ class TestLstm:
         x, wx, wh, bias, _ = lstm_setup(20, 30, b=5, f=6, hdim=16)
         out = ad.lstm(x, wx, wh, bias)
         assert np.array_equal(out.data, lstm_reference(x.data, wx.data, wh.data, bias.data))
+
+    def test_matches_expit_formulation_at_encoder_size(self):
+        # folding b into the GEMM reorders sums, and numpy's exp is not libm's:
+        # not bit for bit, but within 1e-12 relative of each array's largest
+        x, wx, wh, bias, mix = lstm_setup(26, 100, b=64, f=6, hdim=128, scale=0.1)
+        out = ad.lstm(x, wx, wh, bias)
+        backward(ad.tsum(ad.mul(out, mix)))
+        want = lstm_expit_bptt(x.data, wx.data, wh.data, bias.data, mix.data)
+        for got, ref in zip((out.data, wx.grad, wh.grad, bias.grad), want):
+            np.testing.assert_allclose(got, ref, rtol=1e-12, atol=1e-12 * np.abs(ref).max())
+
+    def test_sigmoid_within_4_ulp_of_expit_at_float_boundaries(self):
+        tiny = np.nextafter(0.0, 1.0)
+        v = np.array([0.0, -0.0, tiny, -tiny, 1e-310, -1e-310, np.finfo(float).tiny,
+                      -np.finfo(float).tiny, 40.0, -40.0, 745.0, -745.0, 800.0, -800.0])
+        got, want = ad._sigmoid_(v.copy()), expit(v)
+        # both lie in [0, 1], where the int64 view counts ulps
+        assert np.all(np.abs(got.view(np.int64) - want.view(np.int64)) <= 4)
+
+    def test_gates_at_800_raise_no_warning(self):
+        # exp(800) overflows to inf inside the sigmoid, whose limit 0 is exact
+        x, wx, wh, bias, mix = lstm_setup(27, 5, scale=0.1)
+        bias.data = np.where(np.arange(bias.data.size) % 2, 800.0, -800.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            out = ad.lstm(x, wx, wh, bias)
+            backward(ad.tsum(ad.mul(out, mix)))
+        assert all(np.all(np.isfinite(a)) for a in (out.data, wx.grad, wh.grad, bias.grad))
 
     @pytest.mark.parametrize("n", [1, 7])
     def test_fd_weights(self, n):
@@ -472,6 +530,22 @@ class TestPlainOperands:
         assert isinstance(plain, (np.ndarray, np.floating)) and isinstance(node, Tensor)
         assert np.shape(plain) == node.data.shape
         assert np.asarray(plain).tobytes() == node.data.tobytes()
+
+    @pytest.mark.parametrize("float_first", [False, True], ids=["tensor-float", "float-tensor"])
+    @pytest.mark.parametrize("op", [ad.add, ad.sub, ad.mul, ad.div],
+                             ids=["add", "sub", "mul", "div"])
+    def test_float_operand_same_as_constant_tensor(self, op, float_first):
+        # a Python float, converted once, gives the values and gradients of
+        # the same number as a constant Tensor, bit for bit
+        rng = seeded_rng(5, "float-operand")
+        data, mix = rng.standard_normal((3, 4)) + 3.0, Tensor(rng.standard_normal((3, 4)))
+        results = []
+        for const in (2.5, Tensor(np.array(2.5))):
+            x = parameter(data.copy())
+            out = op(*((const, x) if float_first else (x, const)))
+            backward(ad.tsum(ad.mul(out, mix)))
+            results.append((out.data.tobytes(), x.grad.tobytes()))
+        assert results[0] == results[1]
 
     def test_one_tensor_operand_gives_a_node(self):
         w = parameter(np.ones((2, 2)))

@@ -1,6 +1,7 @@
 import gc
 import math
 import re
+import warnings
 import weakref
 
 import numpy as np
@@ -268,6 +269,34 @@ class TestKmeansSeeds:
         want = kmeans2(data, k, minit="++", seed=theirs)
         assert all(a.tobytes() == b.tobytes() for a, b in zip(got, want))
         assert ours.random() == theirs.random()
+
+
+class TestInitFromLatents:
+    """k-means++ needs as many distinct latents as inducing points: with
+    fewer, its distances are all 0 and the seeds repeat."""
+
+    @staticmethod
+    def _latents(distinct):
+        rng = seeded_rng(73, "init-latents", distinct)
+        return np.repeat(rng.standard_normal((distinct, 3)), 3, axis=0)
+
+    def test_fewer_distinct_latents_than_inducing_rejected(self):
+        latents = self._latents(10)
+        with pytest.raises(ValidationError,
+                           match=r"10 distinct latents \(of 30\) cannot seed 12 distinct"):
+            VariationalGP(3, 12).init_from_latents(latents, np.zeros((30, 2)),
+                                                   seeded_rng(74, "init"))
+
+    def test_as_many_distinct_latents_seed_distinct_centers(self):
+        latents, centers = self._latents(12), []
+        for _ in range(2):
+            gp = VariationalGP(3, 12)
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                gp.init_from_latents(latents, np.zeros((36, 2)), seeded_rng(74, "init"))
+            centers.append(gp.z.data)
+        assert len(np.unique(centers[0], axis=0)) == 12
+        assert centers[0].tobytes() == centers[1].tobytes()
 
 
 class TestConstructorArguments:
