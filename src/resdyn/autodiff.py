@@ -9,15 +9,14 @@ is rebuilt each minibatch and freed by reference counting as soon as it
 is dropped. float64 everywhere: the models trained here are tiny and
 Cholesky robustness matters more than speed.
 
-`conv1d` and `lstm` are fused nodes: one node for the whole operation,
-whose closure holds the intermediates it needs (the im2col columns; each
-tick's operand [1 | x_t | h_t], gates and cell state) instead of a graph
-of elementwise nodes. `lstm` runs one GEMM per tick each way and matches
-such a graph to about 1e-15 relative, not bit for bit. The SVGP's ELBO
-(`svgp.VariationalGP.elbo`) is built the same way, outside this module,
-from a `Tensor` over its parameters and a closure that calls each
-parent's `_acc`; its kernel, Cholesky and triangular-solve algebra live
-in `svgp` with it.
+`lstm` is a fused node: one node for the whole sequence, whose closure
+holds the intermediates it needs (each tick's operand [1 | x_t | h_t],
+gates and cell state) instead of a graph of elementwise nodes; it runs one
+GEMM per tick each way and matches such a graph to about 1e-15 relative.
+The conv encoders (`encoders._encode_conv`) and the SVGP's ELBO
+(`svgp.VariationalGP.elbo`) are fused nodes built the same way outside
+this module, from `_node` or a `Tensor` over their parameters and a
+closure that calls each parent's `_acc`.
 
 An op none of whose operands is a Tensor returns its plain numpy value,
 after the same shape checks, and builds no node (`_node`): a pure
@@ -37,7 +36,6 @@ import math
 import sys
 
 import numpy as np
-from numpy.lib.stride_tricks import as_strided
 from scipy.linalg.blas import dgemm
 
 from .core import ValidationError
@@ -301,68 +299,6 @@ def softmax(x):
 
 
 # -- network ops -------------------------------------------------------
-
-def conv1d(x, w, bias, stride: int = 1, dilation: int = 1):
-    """1-D convolution plus bias. x: (B, C_in, L); w: (C_out, C_in, K);
-    bias: (C_out,).
-
-    Output length floor((L - dilation*(K-1) - 1)/stride) + 1. A stride or
-    dilation below 1 raises a ValidationError.
-
-    The forward is one matmul: the weights as (C_out, C_in*K) against the
-    contiguous im2col block (C_in*K, B*L_out). Those are the operands of
-    numpy's einsum "bclk,ock->bol", so the values match it bit for bit
-    without its per-call path search; so do the backward's two matmuls.
-    """
-    if stride < 1 or dilation < 1:
-        raise ValidationError(
-            f"conv1d stride {stride} and dilation {dilation} must each be at least 1")
-    xd, wd, bd = _value(x), _value(w), _value(bias)
-    if xd.ndim != 3 or wd.ndim != 3 or xd.shape[1] != wd.shape[1] or bd.shape != wd.shape[:1]:
-        raise ValidationError(f"conv1d shape mismatch: input {xd.shape}, "
-                              f"kernel {wd.shape}, bias {bd.shape}")
-    b, c_in, length = xd.shape
-    c_out, _, k = wd.shape
-    l_out = conv1d_output_length(length, k, stride, dilation)
-    if l_out < 1:
-        raise ValidationError(
-            f"conv1d input length {length} too short for kernel {k}, "
-            f"stride {stride}, dilation {dilation} "
-            f"(needs length >= {dilation * (k - 1) + 1})")
-    sb, sc, sl = xd.strides
-    # taps[c, j, b, l] = x[b, c, l*stride + j*dilation]
-    taps = as_strided(xd, (c_in, k, b, l_out), (sc, dilation * sl, sb, stride * sl),
-                      writeable=False)
-    cols = taps.copy().reshape(c_in * k, b * l_out)
-    w2 = wd.reshape(c_out, c_in * k)
-    data = (w2 @ cols).reshape(c_out, b, l_out).transpose(1, 0, 2)
-    data = data + bd[:, None]
-    out = _node(data, x, w, bias)
-    if isinstance(out, Tensor) and out.requires_grad:
-        x, w, bias = out._parents
-        def _bwd(g):
-            g2 = g.transpose(1, 0, 2).reshape(c_out, b * l_out)
-            if w.requires_grad:
-                w._acc((g2 @ np.ascontiguousarray(cols.T)).reshape(wd.shape))
-            if x.requires_grad:
-                gcols = (w2.T @ g2).reshape(c_in, k, b, l_out)
-                gx = np.zeros_like(xd)
-                # col2im; taps from last to first add each input position's
-                # terms in rising output index, the order np.add.at uses
-                span = stride * (l_out - 1) + 1
-                for j in range(k - 1, -1, -1):
-                    gx[:, :, j * dilation:j * dilation + span:stride] += \
-                        gcols[:, j].transpose(1, 0, 2)
-                x._acc(gx)
-            if bias.requires_grad:
-                bias._acc(g.sum(axis=(0, 2)))
-        out._backward = _bwd
-    return out
-
-
-def conv1d_output_length(length: int, kernel: int, stride: int, dilation: int) -> int:
-    return (length - dilation * (kernel - 1) - 1) // stride + 1
-
 
 def _sigmoid_(v: np.ndarray) -> np.ndarray:
     """1/(1+exp(-v)) in place, within 4 ulp of scipy's expit; exp's overflow gives the limit 0."""

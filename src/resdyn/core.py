@@ -181,9 +181,16 @@ def write_log_csv(path, records: list[LogRecord]) -> None:
 
 
 def parse_log_row(row: list[str]) -> LogRecord:
-    """Parse one CSV row; raises ValidationError on any invariant violation."""
+    """Parse one CSV row; raises ValidationError on any invariant violation,
+    naming the field when a cell is not a finite number."""
     if len(row) != len(LOG_CSV_FIELDS):
         raise ValidationError(f"expected {len(LOG_CSV_FIELDS)} fields, got {len(row)}")
+    for name, cell in zip(LOG_CSV_FIELDS, row):
+        try:
+            if not math.isfinite(float(cell)):
+                raise ValueError
+        except ValueError:
+            raise ValidationError(f"log field {name!r}: {cell!r} is not a finite number") from None
     t, thr, brk, st, v, a, hd, x, y = (float(c) for c in row)
     return LogRecord(t, ControlCommand(thr, brk, st),
                      VehicleState(v, a, hd), Pose(x, y, hd))

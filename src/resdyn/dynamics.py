@@ -133,10 +133,10 @@ def tick_training_pairs(records: list[LogRecord], dt: float) -> tuple[np.ndarray
 @dataclass
 class DmTrainReport:
     epochs_run: int
-    train_mse: list[float] = field(default_factory=list)
-    val_mse: list[float] = field(default_factory=list)
-    best_epoch: int = 0
-    best_val_mse: float = math.inf
+    train_mse: list[float] = field(default_factory=list, init=False)
+    val_mse: list[float] = field(default_factory=list, init=False)
+    best_epoch: int = field(default=0, init=False)
+    best_val_mse: float = field(default=math.inf, init=False)
 
 
 def train_dm_lb(features: np.ndarray, labels: np.ndarray, seed: int = 0,

@@ -2,7 +2,8 @@
 
 Each of the five kinds has one fixed structure, held in module constants.
 `cnn` and `dilated_cnn` are two ReLU conv layers with kernel 6 and stride
-4, dilated (1, 1) and (5, 1); `lstm` is one LSTM layer; `attention` is
+4, dilated (1, 1) and (5, 1), built as one fused autodiff node with the
+dense layer (`_encode_conv`); `lstm` is one LSTM layer; `attention` is
 two blocks of self-attention within segments of 5 ticks, mean-pooled per
 segment, so its window is a multiple of 25. Each ends in a dense layer.
 `transformer` is one encoder layer with sinusoidal positions, mean-pooled
@@ -18,9 +19,10 @@ import math
 from dataclasses import dataclass, fields
 
 import numpy as np
+from numpy.lib.stride_tricks import as_strided
 
 from . import autodiff as ad
-from .autodiff import Tensor, conv1d_output_length, parameter
+from .autodiff import Tensor, _node, _value, parameter
 from .core import ValidationError, check_positive_int
 
 # the shipped latent size of each kind
@@ -30,6 +32,7 @@ KINDS = tuple(_LATENT_DIMS)
 _KERNEL, _STRIDE = 6, 4                               # both conv layers
 _DILATIONS = {"cnn": (1, 1), "dilated_cnn": (5, 1)}   # per conv layer
 _SEGMENT, _BLOCKS = 5, 2                              # attention
+_CONV_PARAMS = ("conv1_w", "conv1_b", "conv2_w", "conv2_b", "fc_w", "fc_b")
 
 
 @dataclass(frozen=True)
@@ -88,6 +91,10 @@ def min_window_length(spec: EncoderSpec) -> int:
     for d in reversed(_DILATIONS[spec.kind]):
         length = (length - 1) * _STRIDE + d * (_KERNEL - 1) + 1
     return length
+
+
+def conv1d_output_length(length: int, kernel: int, stride: int, dilation: int) -> int:
+    return (length - dilation * (kernel - 1) - 1) // stride + 1
 
 
 def conv_chain_lengths(spec: EncoderSpec) -> list[int]:
@@ -177,7 +184,7 @@ def encode(params: dict[str, Tensor], spec: EncoderSpec, windows: np.ndarray | T
         raise ValidationError(
             f"window length {x.data.shape[1]} differs from configured {spec.window}")
     if spec.kind in ("cnn", "dilated_cnn"):
-        return _encode_conv(params, spec, x)
+        return _encode_conv(params, x, _DILATIONS[spec.kind], _STRIDE)
     if spec.kind == "lstm":
         return _encode_lstm(params, x)
     if spec.kind == "attention":
@@ -185,14 +192,78 @@ def encode(params: dict[str, Tensor], spec: EncoderSpec, windows: np.ndarray | T
     return _encode_transformer(params, spec, x, train, rng)
 
 
-def _encode_conv(p, spec, x):
-    d1, d2 = _DILATIONS[spec.kind]
-    h = ad.transpose(x, (0, 2, 1))  # (B, F, N), channels first
-    h = ad.relu(ad.conv1d(h, p["conv1_w"], p["conv1_b"], stride=_STRIDE, dilation=d1))
-    h = ad.relu(ad.conv1d(h, p["conv2_w"], p["conv2_b"], stride=_STRIDE, dilation=d2))
-    b = h.data.shape[0]
-    flat = ad.reshape(h, (b, -1))
-    return ad.affine(flat, p["fc_w"], p["fc_b"])
+def _encode_conv(p, x, dilations, stride):
+    """relu(conv2(relu(conv1(x)))) flattened through the dense layer, as one
+    node over x (B, N, F) and p's `_CONV_PARAMS`: conv{i}_w (C_out, C_in, K),
+    conv{i}_b (C_out,), fc_w (C*L, D) and fc_b (D,). Each layer is one GEMM
+    of its weights as (C_out, C_in*K) against the im2col block
+    (C_in*K, B*L_out), activations kept as (C, B*L); the second layer's
+    input gradient is col2im, taps from last to first as np.add.at adds.
+    Latent and gradients equal, bit for bit, those of the same layers as a
+    graph of conv, relu, reshape and affine nodes. x takes no gradient: an
+    x that requires one is refused, not dropped."""
+    if stride < 1 or min(dilations) < 1:
+        raise ValidationError(
+            f"conv stride {stride} and dilations {dilations} must each be at least 1")
+    xd, ws = _value(x), [_value(p[n]) for n in _CONV_PARAMS]
+    if xd.ndim != 3 or not xd.shape[0]:
+        raise ValidationError(f"conv encoder input must be (B>=1, N, F), got {xd.shape}")
+    if isinstance(x, Tensor) and x.requires_grad:
+        raise ValidationError("the conv encoder takes no gradient for its input x")
+    nb, h, cols_t, acts = xd.shape[0], xd.transpose(0, 2, 1), [], []   # h: (B, C, L)
+    for i, d in enumerate(dilations):
+        (w, bias), (_, c, length) = ws[2 * i:2 * i + 2], h.shape
+        if w.ndim != 3 or w.shape[1] != c:
+            raise ValidationError(f"conv{i + 1}_w has shape {w.shape}, want (C, {c}, K)")
+        if bias.shape != w.shape[:1]:
+            raise ValidationError(f"conv{i + 1}_b has shape {bias.shape}, want ({len(w)},)")
+        k, l_out = w.shape[2], conv1d_output_length(length, w.shape[2], stride, d)
+        if l_out < 1:
+            raise ValidationError(
+                f"conv{i + 1} input length {length} too short for kernel {k}, stride "
+                f"{stride}, dilation {d} (needs length >= {d * (k - 1) + 1})")
+        sb, sc, sl = h.strides          # cols[c*K + j, b*L_out + l] = h[b, c, l*stride + j*d]
+        cols = as_strided(h, (c, k, nb, l_out), (sc, d * sl, sb, stride * sl),
+                          writeable=False).copy().reshape(c * k, -1)
+        a = w.reshape(len(w), -1) @ cols
+        cols_t.append(np.ascontiguousarray(cols.T))     # the weight gradient's operand
+        a += bias[:, None]
+        acts.append(np.maximum(a, 0.0, out=a))          # (C_out, B*L_out)
+        h = a.reshape(len(w), nb, l_out).transpose(1, 0, 2)
+    fw, fb = ws[4:]
+    if fw.ndim != 2 or fw.shape[0] != h.shape[1] * h.shape[2]:
+        raise ValidationError(f"fc_w has shape {fw.shape}, want ({h.shape[1] * h.shape[2]}, D)")
+    if fb.shape != fw.shape[1:]:
+        raise ValidationError(f"fc_b has shape {fb.shape}, want ({fw.shape[1]},)")
+    flat = h.reshape(nb, -1)                            # (B, C*L), a copy
+    data = flat @ fw
+    data += fb
+    out = _node(data, x, *(p[n] for n in _CONV_PARAMS))
+    if isinstance(out, Tensor) and out.requires_grad:
+        params = out._parents[1:]
+        def _bwd(g):
+            grads = [None] * 4 + [flat.T @ g, g.sum(axis=0)]
+            gh = (g @ fw.T).reshape(h.shape).transpose(1, 0, 2)  # at the top activations
+            for i in (1, 0):
+                w, a, d = ws[2 * i], acts[i], dilations[i]
+                g2 = np.multiply(gh, a.reshape(gh.shape) > 0.0, out=np.empty(gh.shape))
+                g2 = np.add(g2, 0.0, out=g2).reshape(a.shape)   # -0.0 as +0.0, as _acc does
+                del gh                                  # before the next buffers: peak memory
+                grads[2 * i] = (g2 @ cols_t[i]).reshape(w.shape)
+                grads[2 * i + 1] = g2.sum(axis=1)
+                if i:       # col2im of the columns' gradient, built as (C, L, B)
+                    (c_in, k), l_out = w.shape[1:], a.shape[1] // nb
+                    g2 = (w.reshape(len(w), -1).T @ g2).reshape(c_in, k, nb, l_out)
+                    gh = np.zeros((c_in, acts[0].shape[1] // nb, nb))
+                    span = stride * (l_out - 1) + 1
+                    for j in range(k - 1, -1, -1):
+                        gh[:, j * d:j * d + span:stride] += g2[:, j].transpose(0, 2, 1)
+                    gh = gh.transpose(0, 2, 1)
+            for t, gp in zip(params, grads):
+                if t.requires_grad:
+                    t._acc(gp)
+        out._backward = _bwd
+    return out
 
 
 def _encode_lstm(p, x):

@@ -18,13 +18,13 @@ passes `pre_normalized=True`. A Tensor's values are used; when it requires
 a gradient, the ELBO node passes one back to it, so an encoder's output
 keeps its gradient path into the GP.
 
-The ELBO is one fused autodiff node over the latents and the 7 parameters,
-as `autodiff.lstm` is one node over a sequence. Its value is computed on
-plain arrays, and its closure keeps the intermediates and runs a
-hand-derived adjoint: through the likelihood and the KL, the whitened
-factors, W = L^-1 K_ZX, the Cholesky factor L of K_ZZ (Murray,
-Differentiation of the Cholesky decomposition, 2016) and the Matern-5/2
-cross-covariances, into the latents, z and both log-scales.
+The ELBO is one fused autodiff node over the latents and the 7 parameters.
+Its value is computed on plain arrays; its closure keeps the intermediates
+and runs a hand-derived adjoint of 2-D GEMMs, with L^-1 formed once by
+LAPACK dtrtri: through the likelihood and the KL, the whitened factors,
+W = L^-1 K_ZX, the Cholesky factor L of K_ZZ (Murray, Differentiation of
+the Cholesky decomposition, 2016) and the Matern-5/2 cross-covariances,
+into the latents, z and both log-scales.
 
 `elbo` and `predict` run the one formula, `_moments`, on plain arrays:
 `elbo` on terms `_inducing` builds from the parameters at the call,
@@ -44,7 +44,8 @@ import math
 
 import numpy as np
 from scipy.cluster.vq import kmeans2
-from scipy.linalg.lapack import dtrtrs
+from scipy.linalg.blas import dgemm
+from scipy.linalg.lapack import dtrtri, dtrtrs
 from scipy.spatial.distance import cdist
 
 from .autodiff import Tensor, parameter
@@ -117,22 +118,30 @@ def _solve_lower(l: np.ndarray, b: np.ndarray, trans: int) -> np.ndarray:
     return x
 
 
-def _trisolve_adjoint(l: np.ndarray, x: np.ndarray, g: np.ndarray):
+def _inv_lower(l: np.ndarray) -> np.ndarray:
+    """L^-1 of a lower-triangular L (M, M) with a zero strict upper triangle,
+    by LAPACK dtrtri on L^T, which is Fortran-ordered for `_chol_kzz`'s L."""
+    inv_t, info = dtrtri(l.T, lower=0)
+    if info != 0:
+        raise np.linalg.LinAlgError(f"singular triangular factor (dtrtri info {info})")
+    return inv_t.T
+
+
+def _trisolve_adjoint(l_inv: np.ndarray, x: np.ndarray, g: np.ndarray):
     """Gradients of sum(g * x), for x = L^-1 b, with respect to L (lower
-    triangle) and b."""
-    gb = _solve_lower(l, g, 1)
+    triangle) and b, given L^-1; b's comes back Fortran-ordered."""
+    gb = (g.T @ l_inv).T
     return -np.tril(gb @ x.T), gb
 
 
-def _cholesky_adjoint(l: np.ndarray, g: np.ndarray) -> np.ndarray:
+def _cholesky_adjoint(l: np.ndarray, l_inv: np.ndarray, g: np.ndarray) -> np.ndarray:
     """Gradient of sum(g * L), for L the lower Cholesky factor of a
     symmetric A and g lower triangular, with respect to A, symmetrized:
     sym(L^-T Phi(L^T g) L^-1), Phi keeping the lower triangle and halving
-    the diagonal (Murray 2016)."""
+    the diagonal (Murray 2016); L^-1 is given."""
     p = np.tril(l.T @ g)
     p[np.diag_indices_from(p)] *= 0.5
-    tmp = _solve_lower(l, p, 1)
-    s = _solve_lower(l, tmp.T, 1).T
+    s = l_inv.T @ (p @ l_inv)
     return 0.5 * (s + s.T)
 
 
@@ -161,14 +170,16 @@ def _matern_adjoint(gk: np.ndarray, a: np.ndarray, b: np.ndarray, parts, scale):
     squared distance (0 after rounding) passes no gradient. When b is a,
     gk must be symmetric, and the two equal gradients are formed once."""
     sq, unit, slope = parts
-    g_scale = (gk * unit).sum()
+    g_scale = np.vdot(gk, unit)
     gs = gk * slope
     gs *= scale
     gs *= sq > 0.0
-    ga = (a * gs.sum(axis=1, keepdims=True) - gs @ b) * 2.0
+    # 2 (a rowsum(gs) - gs b) as one dgemm, on the C-ordered arrays' transposes
+    ga = dgemm(-2.0, b.T, gs.T, 2.0, (a * gs.sum(axis=1, keepdims=True)).T, overwrite_c=1).T
     if b is a:
         return ga, ga, g_scale
-    return ga, (b * gs.sum(axis=0)[:, None] - gs.T @ a) * 2.0, g_scale
+    gb = (b * gs.sum(axis=0)[:, None]).T
+    return ga, dgemm(-2.0, a.T, gs.T, 2.0, gb, trans_b=1, overwrite_c=1).T, g_scale
 
 
 class VariationalGP:
@@ -362,13 +373,17 @@ class VariationalGP:
             g_mu = (-2.0 * q)[:, None] * err        # (T, B)
             g_var = np.where(var > 0.0, q[:, None], 0.0)
             g_u = u * (2.0 * g_var)[:, None, :]     # (T, M, B)
-            g_w = m.T @ g_mu + (lw @ g_u).sum(axis=0) - w * (2.0 * g_var.sum(axis=0))
-            g_lw = (g_u @ w.T).transpose(0, 2, 1) - s * lw
+            g_u2 = g_u.reshape(-1, bsz)            # (T*M, B): 2-D GEMMs over the tasks
+            g_w = (m.T @ g_mu + lw.transpose(1, 0, 2).reshape(len(w), -1) @ g_u2
+                   - w * (2.0 * g_var.sum(axis=0)))
+            g_lw = (g_u2 @ w.T).reshape(lw.shape).transpose(0, 2, 1) - s * lw
             # lw's diagonal is exp(l_raw's), and the KL's log-det term adds s
             g_l_raw = np.tril(g_lw, -1)
             g_l_raw[:, diag, diag] = g_lw[:, diag, diag] * lw[:, diag, diag] + s
-            g_chol, g_kzx = _trisolve_adjoint(chol, w, g_w)
-            g_kzz = _cholesky_adjoint(chol, g_chol)
+            chol_inv = _inv_lower(chol)
+            g_chol, g_kzx = _trisolve_adjoint(chol_inv, w, g_w)
+            g_kzz = _cholesky_adjoint(chol, chol_inv, g_chol)
+            del chol_inv, g_chol, g_w               # before the Matern adjoints: peak memory
             g_xs, g_zs, g_scale_x = _matern_adjoint(g_kzx.T, xs, zs, kxz_parts, scale)
             g_zz, _, g_scale_z = _matern_adjoint(g_kzz, zs, zs, kzz_parts, scale)
             g_zs += 2.0 * g_zz                     # K_ZZ takes z as both operands

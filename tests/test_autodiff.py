@@ -15,6 +15,7 @@ from scipy.special import expit
 import resdyn.autodiff as ad
 from resdyn.autodiff import Adam, Tensor, backward, parameter
 from resdyn.core import ValidationError
+from resdyn.encoders import _CONV_PARAMS, _encode_conv, conv1d_output_length
 from resdyn.rng import seeded_rng
 from resdyn import svgp
 from resdyn.svgp import MAX_JITTER, VariationalGP
@@ -22,6 +23,13 @@ from resdyn.svgp import MAX_JITTER, VariationalGP
 
 def randt(rng, *shape, shift=0.0):
     return parameter(rng.standard_normal(shape) + shift)
+
+
+def conv_params(rng, shapes, plain=False):
+    """The conv encoder's six parameters, standard normal, of the given
+    shapes in `_CONV_PARAMS` order; arrays when plain, else parameters."""
+    return {n: rng.standard_normal(sh) if plain else parameter(rng.standard_normal(sh), n)
+            for n, sh in zip(_CONV_PARAMS, shapes)}
 
 
 class TestBasics:
@@ -68,13 +76,14 @@ class TestBasics:
                 a = randt(rng, 4, 4)
                 x = randt(rng, 2, 3, 8)
                 solved = ad.matmul(ad.transpose(a), ad.softmax(a))
-                conv = ad.conv1d(x, randt(rng, 2, 3, 3), randt(rng, 2))
+                conv = _encode_conv(conv_params(rng, [(2, 8, 2), (2,), (2, 2, 2), (2,), (2, 3),
+                                                      (3,)]), Tensor(x.data), (1, 1), 1)
                 seq = ad.lstm(Tensor(x.data), randt(rng, 8, 8), randt(rng, 2, 8), randt(rng, 8))
                 gp = VariationalGP(dim=4, inducing=3)
                 gp.z.data = rng.standard_normal((3, 4))
                 parts = [ad.softmax(solved), seq,
                          ad.sqrt(ad.add(ad.relu(solved), 1.0)), ad.mul(solved, solved),
-                         ad.div(ad.sub(solved, 1.0), 2.0), ad.tmean(conv, axis=2),
+                         ad.div(ad.sub(solved, 1.0), 2.0), ad.tmean(conv, axis=1),
                          gp.loss(solved, np.zeros((4, 2)), total_n=8)]
                 loss = ad.tsum(ad.reshape(parts[0], (-1,)))
                 for q in parts[1:]:
@@ -139,44 +148,60 @@ class TestBasics:
 
 
 class TestConv1d:
+    """The conv layers inside the conv encoder's fused node
+    (`encoders._encode_conv`), which replaced the `conv1d` op: x (B, N, F)
+    through conv1, relu, conv2, relu and the dense layer."""
+
     def test_identity_kernel(self):
-        x = Tensor(np.arange(1.0, 6.0).reshape(1, 1, 5))
-        w = Tensor(np.array([[[1.0]]]))
-        y = ad.conv1d(x, w, Tensor(np.zeros(1)))
-        assert np.allclose(y.data, x.data)
+        x = np.arange(1.0, 6.0).reshape(1, 5, 1)
+        p = {n: Tensor(v) for n, v in zip(_CONV_PARAMS, (np.ones((1, 1, 1)), np.zeros(1),
+                                                         np.ones((1, 1, 1)), np.zeros(1),
+                                                         np.eye(5), np.zeros(5)))}
+        y = _encode_conv(p, Tensor(x), (1, 1), 1)
+        assert np.array_equal(y.data, x.reshape(1, 5))
 
     def test_length_formula_cases(self):
-        # independent arithmetic for floor((L - d*(k-1) - 1)/s) + 1
+        # independent arithmetic for floor((L - d*(k-1) - 1)/s) + 1; the
+        # second layer, refusing a kernel one longer than its input, names
+        # the first layer's output length, and takes a kernel of exactly
+        # that length to one position
         for length, k, s, d, expect in [(100, 6, 4, 1, 24), (100, 6, 4, 5, 19)]:
             assert (length - d * (k - 1) - 1) // s + 1 == expect
-            assert ad.conv1d_output_length(length, k, s, d) == expect
-            x = Tensor(np.zeros((2, 3, length)))
-            w = Tensor(np.zeros((4, 3, k)))
-            b = Tensor(np.zeros(4))
-            assert ad.conv1d(x, w, b, stride=s, dilation=d).data.shape == (2, 4, expect)
+            assert conv1d_output_length(length, k, s, d) == expect
+            p = {n: Tensor(np.zeros(sh)) for n, sh in zip(
+                _CONV_PARAMS, [(4, 3, k), (4,), (4, 4, expect + 1), (4,), (4, 5), (5,)])}
+            x = Tensor(np.zeros((2, length, 3)))
+            with pytest.raises(ValidationError, match=f"conv2 input length {expect} too short"):
+                _encode_conv(p, x, (d, 1), s)
+            p["conv2_w"] = Tensor(np.zeros((4, 4, expect)))
+            assert _encode_conv(p, x, (d, 1), s).data.shape == (2, 5)
 
     @pytest.mark.parametrize("batch", [1, 7, 256])
     @pytest.mark.parametrize("dilations", [(1, 1), (5, 1)], ids=["cnn", "dilated_cnn"])
     def test_forward_matches_loop(self, batch, dilations):
         # both layers of a conv encoder (6 features, 16 channels, kernel 6,
-        # stride 4, window 100) against a sum written out per (b, o, l)
+        # stride 4, window 100) and its dense layer against sums written out
+        # per (b, o, l)
         rng = seeded_rng(batch, "conv-forward", *dilations)
-        c_in, length = 6, 100
-        for dilation in dilations:
-            x = rng.standard_normal((batch, c_in, length))
-            w = rng.standard_normal((16, c_in, 6))
-            bias = rng.standard_normal(16)
-            y = ad.conv1d(Tensor(x), Tensor(w), Tensor(bias), stride=4, dilation=dilation).data
-            l_out = ad.conv1d_output_length(length, 6, 4, dilation)
+        x = rng.standard_normal((batch, 100, 6))
+        l1 = conv1d_output_length(100, 6, 4, dilations[0])
+        l2 = conv1d_output_length(l1, 6, 4, dilations[1])
+        p = conv_params(rng, [(16, 6, 6), (16,), (16, 16, 6), (16,), (16 * l2, 8), (8,)])
+        y = _encode_conv(p, Tensor(x), dilations, 4).data
+        h = x.transpose(0, 2, 1)
+        for i, dilation in enumerate(dilations):
+            w, bias = p[f"conv{i + 1}_w"].data, p[f"conv{i + 1}_b"].data
+            l_out = conv1d_output_length(h.shape[2], 6, 4, dilation)
             taps = np.arange(6) * dilation
             ref = np.empty((batch, 16, l_out))
             for b in range(batch):
                 for o in range(16):
                     for pos in range(l_out):
-                        ref[b, o, pos] = bias[o] + np.sum(x[b][:, 4 * pos + taps] * w[o])
-            assert y.shape == ref.shape
-            assert np.allclose(y, ref, rtol=0.0, atol=1e-12)
-            c_in, length = 16, l_out
+                        ref[b, o, pos] = bias[o] + np.sum(h[b][:, 4 * pos + taps] * w[o])
+            h = np.maximum(ref, 0.0)
+        ref = h.reshape(batch, -1) @ p["fc_w"].data + p["fc_b"].data
+        assert y.shape == ref.shape
+        assert np.allclose(y, ref, rtol=0.0, atol=1e-12)
 
     @pytest.mark.parametrize("k, stride, dilation, length", [
         (7, 1, 2, 40),   # up to 7 taps on one input position
@@ -184,40 +209,57 @@ class TestConv1d:
         (9, 4, 5, 70),   # 3 taps on one position at stride 4
     ])
     def test_input_gradient_matches_add_at_bit_for_bit(self, k, stride, dilation, length):
+        # the second layer's input gradient, scattered back from its im2col
+        # columns, reaches the first layer's weights and biases; a 1-tap
+        # first layer gives the second an input of `length` positions
         rng = seeded_rng(2, "col2im")
-        x = randt(rng, 3, 2, length)
-        w = Tensor(rng.standard_normal((4, 2, k)) * 10.0 ** rng.uniform(-6, 6, (4, 2, k)))
-        y = ad.conv1d(x, w, Tensor(rng.standard_normal(4)), stride=stride, dilation=dilation)
-        g = rng.standard_normal(y.data.shape)
-        backward(ad.tsum(ad.mul(y, Tensor(g))))
-        l_out = y.data.shape[2]
-        idx = (np.arange(l_out) * stride)[:, None] + np.arange(k)[None, :] * dilation
-        gcols = np.einsum("bol,ock->bclk", g, w.data, optimize=True)
-        ref = np.zeros_like(x.data)
+        x = rng.standard_normal((3, stride * (length - 1) + 1, 2))
+        p = conv_params(rng, [(2, 2, 1), (2,), (4, 2, k), (4,), (4 * conv1d_output_length(
+            length, k, stride, dilation), 3), (3,)])
+        p["conv2_w"].data *= 10.0 ** rng.uniform(-6, 6, (4, 2, k))
+        g = rng.standard_normal((3, 3))
+        backward(ad.tsum(ad.mul(_encode_conv(p, Tensor(x), (1, dilation), stride), Tensor(g))))
+        h = np.maximum(np.einsum("bnf,cf->bcn", x[:, ::stride], p["conv1_w"].data[:, :, 0])
+                       + p["conv1_b"].data[:, None], 0.0)
+        pre = np.einsum("bclk,ock->bol", h[:, :, (np.arange(
+            conv1d_output_length(length, k, stride, dilation)) * stride)[:, None]
+            + np.arange(k) * dilation], p["conv2_w"].data) + p["conv2_b"].data[:, None]
+        g_pre = np.where(pre > 0.0, (g @ p["fc_w"].data.T).reshape(pre.shape), 0.0)
+        idx = (np.arange(pre.shape[2]) * stride)[:, None] + np.arange(k)[None, :] * dilation
+        gcols = np.einsum("bol,ock->bclk", g_pre, p["conv2_w"].data, optimize=True)
+        ref = np.zeros_like(h)
         np.add.at(ref, (slice(None), slice(None), idx), gcols)
-        assert np.array_equal(x.grad, ref)
+        g_h = np.ascontiguousarray(np.where(h > 0.0, ref, 0.0).transpose(1, 0, 2))
+        cols = x[:, ::stride].transpose(2, 0, 1).reshape(2, -1)
+        assert np.array_equal(p["conv1_w"].grad[:, :, 0],
+                              g_h.reshape(2, -1) @ np.ascontiguousarray(cols.T))
+        assert np.array_equal(p["conv1_b"].grad, g_h.transpose(1, 0, 2).sum(axis=(0, 2)))
 
     @pytest.mark.parametrize("stride, dilation", [(0, 1), (-1, 1), (1, 0), (1, -2), (0, 0)])
     def test_stride_and_dilation_below_one_rejected(self, stride, dilation):
-        x = Tensor(np.zeros((1, 1, 8)))
-        w = Tensor(np.zeros((1, 1, 3)))
+        p = conv_params(seeded_rng(0, "conv-bad"), [(1, 1, 3), (1,), (1, 1, 1), (1,), (6, 1),
+                                                    (1,)])
         with pytest.raises(ValidationError, match="must each be at least 1"):
-            ad.conv1d(x, w, Tensor(np.zeros(1)), stride=stride, dilation=dilation)
+            _encode_conv(p, Tensor(np.zeros((1, 8, 1))), (dilation, 1), stride)
 
     def test_too_short_rejected(self):
-        x = Tensor(np.zeros((1, 1, 5)))
-        w = Tensor(np.zeros((1, 1, 6)))
-        with pytest.raises(ValidationError, match="too short"):
-            ad.conv1d(x, w, Tensor(np.zeros(1)))
+        p = conv_params(seeded_rng(0, "conv-short"), [(1, 1, 6), (1,), (1, 1, 1), (1,),
+                                                      (1, 1), (1,)])
+        with pytest.raises(ValidationError, match="conv1 input length 5 too short"):
+            _encode_conv(p, Tensor(np.zeros((1, 5, 1))), (1, 1), 1)
 
-    @pytest.mark.parametrize("x_shape, b_shape", [((3, 9), (4,)), ((2, 2, 9), (4,)),
-                                                  ((2, 3, 9), (1,)), ((2, 3, 9), (4, 1))],
-                             ids=["2-d-input", "channels", "bias-length", "2-d-bias"])
-    def test_shape_mismatch_rejected(self, x_shape, b_shape):
-        # input (B, C_in=3, L), kernel (C_out=4, C_in=3, K), bias (C_out,)
-        with pytest.raises(ValidationError, match="conv1d shape mismatch"):
-            ad.conv1d(Tensor(np.zeros(x_shape)), Tensor(np.zeros((4, 3, 3))),
-                      Tensor(np.zeros(b_shape)))
+    @pytest.mark.parametrize("x_shape, b_shape, message", [
+        ((9, 3), (4,), r"input must be \(B>=1, N, F\), got \(9, 3\)"),
+        ((2, 9, 2), (4,), r"conv1_w has shape \(4, 3, 3\), want \(C, 2, K\)"),
+        ((2, 9, 3), (1,), r"conv1_b has shape \(1,\), want \(4,\)"),
+        ((2, 9, 3), (4, 1), r"conv1_b has shape \(4, 1\)"),
+    ], ids=["2-d-input", "channels", "bias-length", "2-d-bias"])
+    def test_shape_mismatch_rejected(self, x_shape, b_shape, message):
+        # input (B, N, F=3), kernel (C_out=4, C_in=3, K), bias (C_out,)
+        p = {n: Tensor(np.zeros(sh)) for n, sh in zip(
+            _CONV_PARAMS, [(4, 3, 3), b_shape, (4, 4, 1), (4,), (28, 2), (2,)])}
+        with pytest.raises(ValidationError, match=message):
+            _encode_conv(p, Tensor(np.zeros(x_shape)), (1, 1), 1)
 
 
 def lstm_reference(x, wx, wh, b):
@@ -411,13 +453,12 @@ class TestFiniteDifference:
                                            Tensor(np.arange(12.0).reshape(4, 3)))), [x])
 
     def test_conv1d(self):
+        # the conv encoder node, stride 2 and dilations (2, 1): lengths 15, 6, 3
         rng = seeded_rng(1, "fd-conv")
-        x = randt(rng, 2, 3, 9)
-        w = randt(rng, 4, 3, 3)
-        b = randt(rng, 4)
-        wt = Tensor(rng.standard_normal((2, 4, 3)))
-        check_grads(lambda: ad.tsum(ad.mul(
-            ad.conv1d(x, w, b, stride=2, dilation=2), wt)), [x, w, b])
+        x = Tensor(rng.standard_normal((2, 15, 3)))
+        p = conv_params(rng, [(4, 3, 3), (4,), (3, 4, 2), (3,), (9, 2), (2,)])
+        wt = Tensor(rng.standard_normal((2, 2)))
+        check_grads(lambda: ad.tsum(ad.mul(_encode_conv(p, x, (2, 1), 2), wt)), list(p.values()))
 
     def test_dropout_train_fixed_mask(self):
         rng = seeded_rng(1, "fd-drop")
@@ -450,7 +491,7 @@ class TestFiniteDifference:
         def f():
             return Tensor(np.sum(w * np.linalg.cholesky(b.data.T @ b.data + 2.0 * np.eye(4))))
         l = np.linalg.cholesky(b.data.T @ b.data + 2.0 * np.eye(4))
-        ga = svgp._cholesky_adjoint(l, np.tril(w))
+        ga = svgp._cholesky_adjoint(l, svgp._inv_lower(l), np.tril(w))
         (num,) = fd_grad(f, [b], h=1e-6)
         assert_matches(b.data @ (ga + ga.T), num, "b", rtol=3e-4)
 
@@ -462,7 +503,8 @@ class TestFiniteDifference:
 
         def f():
             return Tensor(np.sum(w * svgp._solve_lower(l.data, b.data, 0)))
-        gl, gb = svgp._trisolve_adjoint(l.data, svgp._solve_lower(l.data, b.data, 0), w)
+        gl, gb = svgp._trisolve_adjoint(svgp._inv_lower(l.data),
+                                        svgp._solve_lower(l.data, b.data, 0), w)
         num_l, num_b = fd_grad(f, [l, b])
         assert_matches(gl, num_l, "l")
         assert_matches(gb, num_b, "b")
@@ -507,8 +549,9 @@ def _plain_cases():
         ("transpose", lambda v: ad.transpose(v, (2, 0, 1)), (x3,)),
         ("matmul", ad.matmul, (x3, rng.standard_normal((3, 2)))),
         ("softmax", ad.softmax, (a,)),
-        ("conv1d", lambda v, w, c: ad.conv1d(v, w, c, stride=2, dilation=2),
-         (rng.standard_normal((2, 3, 12)), rng.standard_normal((4, 3, 2)), rng.standard_normal(4))),
+        ("conv encoder", lambda v, *ws: _encode_conv(dict(zip(_CONV_PARAMS, ws)), v, (2, 1), 2),
+         (rng.standard_normal((2, 12, 3)), *conv_params(
+             rng, [(4, 3, 2), (4,), (3, 4, 2), (3,), (6, 2), (2,)], plain=True).values())),
         ("lstm", ad.lstm, (x3, rng.standard_normal((3, 8)), rng.standard_normal((2, 8)),
                            rng.standard_normal(8))),
         ("dropout eval", lambda v: ad.dropout(v, 0.5), (a,)),
@@ -558,7 +601,8 @@ class TestPlainOperands:
         (ad.matmul, (np.ones((2, 3)), np.ones((2, 3))), "matmul shape mismatch"),
         (svgp._solve_lower, (np.eye(3), np.ones((4, 1)), 0), "triangular solve needs"),
         (svgp._solve_lower, (np.eye(3), np.ones(3), 0), "triangular solve needs"),
-        (ad.conv1d, (np.ones((1, 2, 9)), np.ones((3, 4, 2)), np.ones(3)), "conv1d shape mismatch"),
+        (_encode_conv, (dict(zip(_CONV_PARAMS, [np.ones((3, 4, 2)), *[np.ones(3)] * 5])),
+                        np.ones((1, 9, 2)), (1, 1), 1), "conv1_w has shape"),
         (ad.lstm, (np.ones((1, 3, 2)), np.ones((2, 8)), np.ones((2, 8)), np.ones(7)),
          "lstm shape mismatch"),
     ])
@@ -568,9 +612,10 @@ class TestPlainOperands:
 
 
 class TestTriangularSolve:
-    """The SVGP's triangular solves (`svgp._solve_lower`), in its forward
-    W = L^-1 K_ZX and in its Cholesky adjoint, call LAPACK dtrtrs directly;
-    they must equal scipy's `solve_triangular` bit for bit."""
+    """The SVGP's triangular solve (`svgp._solve_lower`), in its forward
+    W = L^-1 K_ZX, calls LAPACK dtrtrs directly and must equal scipy's
+    `solve_triangular` bit for bit; its adjoint multiplies by L^-1
+    (`svgp._inv_lower`, LAPACK dtrtri) instead of solving."""
 
     @staticmethod
     def factor(m=128, seed=0):
@@ -587,17 +632,35 @@ class TestTriangularSolve:
         got = svgp._solve_lower(l, b, "NT".index(trans))
         assert got.shape == want.shape and got.tobytes() == want.tobytes()
 
-    def test_cholesky_adjoint_equals_solve_triangular_form(self):
+    def test_cholesky_adjoint_matches_solve_triangular_form(self):
+        # products with L^-1 round otherwise than solves with L: not bit for
+        # bit, but within 1e-14 of the largest entry on a factor of
+        # condition number about 20
         rng = seeded_rng(2, "tri-adjoint")
         a = rng.standard_normal((16, 16))
         g = rng.standard_normal((16, 16))
         l = np.linalg.cholesky(a @ a.T + np.eye(16))
-        grad = svgp._cholesky_adjoint(l, g)
+        grad = svgp._cholesky_adjoint(l, svgp._inv_lower(l), g)
         p = np.tril(l.T @ g)
         p[np.diag_indices_from(p)] *= 0.5
         tmp = solve_triangular(l, p, lower=True, trans="T")
         s = solve_triangular(l, tmp.T, lower=True, trans="T").T
-        assert grad.tobytes() == (0.5 * (s + s.T)).tobytes()
+        want = 0.5 * (s + s.T)
+        np.testing.assert_allclose(grad, want, rtol=0, atol=1e-14 * np.abs(want).max())
+
+    @pytest.mark.parametrize("order", ["C", "F"])
+    def test_inverse_matches_solve_with_identity(self, order):
+        l = np.asarray(self.factor(), order=order)
+        got = svgp._inv_lower(l)
+        want = solve_triangular(l, np.eye(128), lower=True)
+        assert np.array_equal(np.triu(got, 1), np.zeros((128, 128)))
+        np.testing.assert_allclose(got, want, rtol=0, atol=1e-13 * np.abs(want).max())
+
+    def test_singular_factor_refused(self):
+        l = self.factor(8)
+        l[3, 3] = 0.0
+        with pytest.raises(np.linalg.LinAlgError, match="singular triangular factor"):
+            svgp._inv_lower(l)
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     @pytest.mark.parametrize("where", ["l lower", "l upper", "b"])
@@ -652,7 +715,8 @@ class TestCholeskyAdjoint:
         da = rng.standard_normal(a.shape)
         da = da + da.T
         g = np.tril(rng.standard_normal(a.shape))    # L's cotangent lives on its lower triangle
-        grad = svgp._cholesky_adjoint(np.linalg.cholesky(a), g)
+        l = np.linalg.cholesky(a)
+        grad = svgp._cholesky_adjoint(l, svgp._inv_lower(l), g)
         assert np.isfinite(grad).all()
         lhs = float((grad * da).sum())
         dl = self.reference_dl(a, da)

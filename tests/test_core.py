@@ -8,8 +8,8 @@ import numpy as np
 import pytest
 from hypothesis import example, given, strategies as st
 
-from resdyn.core import (TRAJ_CSV_FIELDS, ControlCommand, Pose, Trajectory,
-                         ValidationError, VehicleState, read_trajectory_csv,
+from resdyn.core import (LOG_CSV_FIELDS, TRAJ_CSV_FIELDS, ControlCommand, Pose, Trajectory,
+                         ValidationError, VehicleState, parse_log_row, read_trajectory_csv,
                          wrap_angle, wrap_angle_array, write_trajectory_csv)
 from resdyn.dynamics import rollout_states
 
@@ -218,6 +218,28 @@ class TestTypes:
     def test_trajectory_nonfinite_speed_rejected(self, bad):
         with pytest.raises(ValidationError, match="non-finite"):
             Trajectory(np.array([0.0, 0.01]), np.zeros((2, 3)), np.array([1.0, bad]))
+
+
+class TestParseLogRow:
+    GOOD = ["0.5", "0.2", "0.0", "-0.1", "3.0", "0.1", "0.25", "1.0", "-2.0"]
+
+    def test_good_row(self):
+        r = parse_log_row(self.GOOD)
+        assert (r.timestamp, r.command.steering, r.state.heading, r.pose.y) == \
+            (0.5, -0.1, 0.25, -2.0)
+
+    @pytest.mark.parametrize("cell", ["a", "", "nan", "-inf", "1e999"])
+    @pytest.mark.parametrize("column", range(9))
+    def test_cell_that_is_not_a_finite_number_named(self, column, cell):
+        row = list(self.GOOD)
+        row[column] = cell
+        with pytest.raises(ValidationError, match=f"log field '{LOG_CSV_FIELDS[column]}': "
+                                                  f"'{cell}' is not a finite number"):
+            parse_log_row(row)
+
+    def test_all_cells_not_numbers_names_the_first(self):
+        with pytest.raises(ValidationError, match="log field 't': 'a' is not a finite number"):
+            parse_log_row(["a"] * 9)
 
 
 class TestTrajectoryCsv:

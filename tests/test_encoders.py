@@ -2,13 +2,14 @@ from dataclasses import fields
 
 import numpy as np
 import pytest
-from fdcheck import check_grads
+from fdcheck import check_directional, check_grads
 
 import resdyn.autodiff as ad
-from resdyn.autodiff import Tensor, backward
+from resdyn.autodiff import Tensor, backward, parameter
 from resdyn.core import ValidationError
-from resdyn.encoders import (KINDS, EncoderSpec, conv_chain_lengths, encode, init_encoder,
-                             make_spec, min_window_length, trainable)
+from resdyn.encoders import (_CONV_PARAMS, _DILATIONS, _STRIDE, KINDS, EncoderSpec,
+                             conv_chain_lengths, encode, init_encoder, make_spec,
+                             min_window_length, trainable)
 from resdyn.rng import seeded_rng
 
 # reduced specs keep the finite-difference sweep fast; kinds are unchanged
@@ -113,6 +114,121 @@ def graph_nodes(out: Tensor) -> int:
             seen.add(id(node))
             stack.extend(node._parents)
     return len(seen)
+
+
+def conv_reference(x, p, dilations, stride, g):
+    """The conv encoder as the graph of ops it was built from before it was
+    one node (transpose, conv1d, relu, conv1d, relu, reshape, matmul, add),
+    in plain numpy: each conv one GEMM of its weights against im2col columns
+    taken by fancy indexing, its gradient held as (C, B, L) in memory, and
+    its input gradient scattered back with np.add.at. p maps the six
+    parameter names to arrays and g is the latent's gradient. Returns the
+    latent and a dict of the six gradients."""
+    acts, cols, taps = [x.transpose(0, 2, 1)], [], []
+    for i, d in enumerate(dilations):
+        w, bias, h = p[f"conv{i + 1}_w"], p[f"conv{i + 1}_b"], acts[-1]
+        (nb, c_in, length), (c_out, _, k) = h.shape, w.shape
+        l_out = (length - d * (k - 1) - 1) // stride + 1
+        taps.append((np.arange(l_out) * stride)[:, None] + np.arange(k) * d)   # (L_out, K)
+        cols.append(h[:, :, taps[-1]].transpose(1, 3, 0, 2).reshape(c_in * k, nb * l_out))
+        pre = (w.reshape(c_out, -1) @ cols[-1]).reshape(c_out, nb, l_out).transpose(1, 0, 2)
+        acts.append(np.maximum(pre + bias[:, None], 0.0))
+    flat = acts[-1].reshape(len(x), -1)
+    grads = {"fc_w": flat.T @ g, "fc_b": g.sum(axis=0)}
+    g_act = (g @ p["fc_w"].T).reshape(acts[-1].shape)
+    for i in (1, 0):
+        w = p[f"conv{i + 1}_w"]
+        g_pre = np.ascontiguousarray(np.where(acts[i + 1] > 0.0, g_act, 0.0).transpose(1, 0, 2))
+        g2 = g_pre.reshape(len(w), -1)
+        grads[f"conv{i + 1}_w"] = (g2 @ np.ascontiguousarray(cols[i].T)).reshape(w.shape)
+        grads[f"conv{i + 1}_b"] = g_pre.transpose(1, 0, 2).sum(axis=(0, 2))
+        if i:
+            c_in, k = w.shape[1:]
+            gcols = (w.reshape(len(w), -1).T @ g2).reshape(c_in, k, len(x), -1)
+            g_act = np.zeros(acts[1].shape)
+            np.add.at(g_act, (slice(None), slice(None), taps[1]), gcols.transpose(2, 0, 3, 1))
+    return flat @ p["fc_w"] + p["fc_b"], grads
+
+
+def conv_case(kind, batch, seed):
+    """A shipped-size conv encoder with nonzero biases, a batch of windows
+    and a latent gradient."""
+    spec = make_spec(kind)
+    params = init_encoder(spec, seeded_rng(seed, "conv-node", kind))
+    rng = seeded_rng(seed, "conv-node-data", kind, batch)
+    for name in ("conv1_b", "conv2_b", "fc_b"):
+        params[name].data = 0.1 * rng.standard_normal(params[name].data.shape)
+    return (spec, params, rng.standard_normal((batch, spec.window, spec.features)),
+            rng.standard_normal((batch, spec.latent_dim)))
+
+
+class TestConvNode:
+    """The conv encoders' one fused node, `_encode_conv`."""
+
+    @pytest.mark.parametrize("batch", [1, 8, 256])
+    @pytest.mark.parametrize("kind", ["cnn", "dilated_cnn"])
+    def test_equals_op_graph_bit_for_bit(self, kind, batch):
+        spec, params, x, g = conv_case(kind, batch, 30)
+        x[0, :40] = 0.0        # with zero biases below, pre-activations exactly 0
+        params["conv1_b"].data[:4] = 0.0
+        out = encode(params, spec, x)
+        backward(ad.tsum(ad.mul(out, Tensor(g))))
+        want, grads = conv_reference(x, {n: t.data for n, t in params.items()},
+                                     _DILATIONS[kind], _STRIDE, g)
+        assert out.data.tobytes() == want.tobytes()
+        for name in _CONV_PARAMS:
+            assert params[name].grad.tobytes() == grads[name].tobytes(), name
+
+    def test_fd_at_exactly_zero_pre_activations(self):
+        # window 0 is all zeros and the conv biases are 0, so every one of
+        # its pre-activations is exactly 0 whatever the weights; the weights'
+        # gradients must match central differences there
+        spec, params = tiny_setup("cnn", seed=31)
+        rng = seeded_rng(32, "conv-zero")
+        x = rng.standard_normal((2, spec.window, 6))
+        x[0] = 0.0
+        mix = Tensor(rng.standard_normal((2, spec.latent_dim)))
+        fn = lambda: ad.tsum(ad.mul(encode(params, spec, x), mix))  # noqa: E731
+        weights = [params[n] for n in ("conv1_w", "conv2_w", "fc_w", "fc_b")]
+        check_grads(fn, weights)
+        assert np.all(params["conv1_b"].data == 0.0) and np.all(params["conv2_b"].data == 0.0)
+
+    @pytest.mark.parametrize("kind", ["cnn", "dilated_cnn"])
+    def test_directional_at_benchmark_batch(self, kind):
+        # a step small enough that no pre-activation changes sign between
+        # the two evaluations: at h = 1e-4 one of dilated_cnn's 77824 first-
+        # layer pre-activations crosses 0, and the difference then straddles
+        # a ReLU kink
+        spec, params, x, g = conv_case(kind, 256, 33)
+        mix = Tensor(g)
+        check_directional(lambda: ad.tsum(ad.mul(encode(params, spec, x), mix)),
+                          trainable(params), seeded_rng(34, "conv-direction", kind), h=1e-6)
+
+    def test_encode_is_one_node(self):
+        # the node, its input windows and the six parameters
+        spec, params, x, _ = conv_case("cnn", 4, 35)
+        out = encode(params, spec, x)
+        assert graph_nodes(out) == 8
+        assert {id(t) for t in out._parents[1:]} == {id(params[n]) for n in _CONV_PARAMS}
+
+    def test_empty_batch_refused(self):
+        spec, params, _, _ = conv_case("cnn", 2, 36)
+        with pytest.raises(ValidationError, match=r"must be \(B>=1, N, F\), got \(0, 100, 6\)"):
+            encode(params, spec, np.zeros((0, 100, 6)))
+
+    def test_input_gradient_refused(self):
+        spec, params, x, _ = conv_case("cnn", 2, 36)
+        with pytest.raises(ValidationError, match="no gradient for its input x"):
+            encode(params, spec, parameter(x))
+
+    @pytest.mark.parametrize("name, shape", [("conv1_w", (16, 5, 6)), ("conv1_b", (15,)),
+                                             ("conv2_w", (16, 16)), ("conv2_b", (16, 1)),
+                                             ("fc_w", (81, 250)), ("fc_b", (249,))])
+    def test_wrong_parameter_shape_named(self, name, shape):
+        spec, params, x, _ = conv_case("cnn", 2, 37)
+        params[name].data = np.zeros(shape)
+        with pytest.raises(ValidationError, match=f"{name} has shape"):
+            encode(params, spec, x)
 
 
 class TestLstmGraph:

@@ -77,11 +77,24 @@ def test_every_public_symbol_has_a_caller():
     assert not orphans, f"public symbols nothing refers to: {orphans}"
 
 
+def is_dataclass(node: ast.ClassDef) -> bool:
+    return any(isinstance(d, ast.Name) and d.id == "dataclass"
+               or isinstance(d, ast.Call) and isinstance(d.func, ast.Name)
+               and d.func.id == "dataclass" for d in node.decorator_list)
+
+
+def is_init_false(value: ast.expr) -> bool:
+    """A `field(..., init=False)`: a field that is not a constructor parameter."""
+    return isinstance(value, ast.Call) and any(
+        kw.arg == "init" and isinstance(kw.value, ast.Constant) and kw.value.value is False
+        for kw in value.keywords)
+
+
 def optional_parameters(tree: ast.Module) -> list[tuple[str, str, int | None]]:
     """(call name, parameter, position) for each defaulted, non-underscore
-    parameter of a public function or of a method of a public class. A
-    constructor is called by its class name; a keyword-only parameter has
-    no position."""
+    parameter of a public function, of a method of a public class, or of a
+    public dataclass's constructor (a field with a default). A constructor
+    is called by its class name; a keyword-only parameter has no position."""
     found = []
 
     def add(call_name: str, fn: ast.FunctionDef, skip_first: bool) -> None:
@@ -99,6 +112,11 @@ def optional_parameters(tree: ast.Module) -> list[tuple[str, str, int | None]]:
         if isinstance(node, ast.FunctionDef) and not node.name.startswith("_"):
             add(node.name, node, skip_first=False)
         elif isinstance(node, ast.ClassDef) and not node.name.startswith("_"):
+            if is_dataclass(node):
+                fields = [f for f in node.body if isinstance(f, ast.AnnAssign)
+                          and isinstance(f.target, ast.Name)]
+                found += [(node.name, f.target.id, i) for i, f in enumerate(fields)
+                          if f.value is not None and not is_init_false(f.value)]
             for fn in node.body:
                 if not isinstance(fn, ast.FunctionDef):
                     continue
@@ -111,7 +129,8 @@ def optional_parameters(tree: ast.Module) -> list[tuple[str, str, int | None]]:
 
 def parameters_passed(tree: ast.AST) -> set[tuple[str, str | int]]:
     """(called name, keyword) and (called name, position) for every call;
-    a `*args` sets every position and a `**kwargs` every keyword."""
+    a `*args` sets every position, a `**{...}` whose keys are all string
+    literals sets those keywords, and any other `**` every keyword."""
     passed = set()
     for node in ast.walk(tree):
         if not isinstance(node, ast.Call):
@@ -125,7 +144,14 @@ def parameters_passed(tree: ast.AST) -> set[tuple[str, str | int]]:
             passed.add((name, "*"))
         passed.update((name, i) for i in range(len(node.args)))
         for kw in node.keywords:
-            passed.add((name, "**" if kw.arg is None else kw.arg))
+            if kw.arg is not None:
+                passed.add((name, kw.arg))
+            elif isinstance(kw.value, ast.Dict) and all(
+                    isinstance(k, ast.Constant) and isinstance(k.value, str)
+                    for k in kw.value.keys):
+                passed.update((name, k.value) for k in kw.value.keys)
+            else:
+                passed.add((name, "**"))
     return passed
 
 
@@ -145,3 +171,17 @@ def test_every_optional_parameter_is_set():
             if not ways & passed:
                 unset.append(f"{path.stem}.{name}({param})")
     assert not unset, f"optional parameters no caller sets: {unset}"
+
+
+def test_optional_parameter_guard_sees_dataclass_fields_and_literal_keys():
+    tree = ast.parse(
+        "@dataclass(frozen=True)\n"
+        "class Spec:\n"
+        "    a: int\n"
+        "    b: int = 1\n"
+        "    c: list = field(default_factory=list)\n"
+        "    d: int = field(default=0, init=False)\n")
+    assert optional_parameters(tree) == [("Spec", "b", 1), ("Spec", "c", 2)]
+    assert parameters_passed(ast.parse("Spec(**{'b': 2})")) == {("Spec", "b")}
+    assert parameters_passed(ast.parse("Spec(**{key: 2})")) == {("Spec", "**")}
+    assert parameters_passed(ast.parse("Spec(**kw)")) == {("Spec", "**")}
