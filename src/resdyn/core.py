@@ -71,7 +71,7 @@ def wrap_angle_array(theta: np.ndarray) -> np.ndarray:
     return np.where((-np.pi < theta) & (theta <= np.pi), theta, w)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ControlCommand:
     throttle: float
     brake: float
@@ -89,7 +89,7 @@ class ControlCommand:
             raise ValidationError(f"steering {self.steering} outside [-1, 1]")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class VehicleState:
     speed: float          # m/s, >= 0
     acceleration: float   # m/s^2
@@ -105,7 +105,7 @@ class VehicleState:
             raise ValidationError(f"heading {self.heading} outside (-pi, pi]")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Pose:
     x: float
     y: float
@@ -117,7 +117,7 @@ class Pose:
             raise ValidationError("non-finite pose field")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class LogRecord:
     timestamp: float
     command: ControlCommand

@@ -43,8 +43,11 @@ class RuleBasedModel:
     def tick(self, throttle: float, brake: float, steering: float,
              speed: float, acceleration: float) -> tuple[float, float]:
         """(accel, heading rate) for speed >= 0; acceleration is unused."""
-        accel = (_THROTTLE_GAIN * max(0.0, throttle - _THROTTLE_DEADZONE)
-                 - _BRAKE_GAIN * max(0.0, brake - _BRAKE_DEADZONE)
+        # a comparison stands for max(0.0, d), the same for every d (-0.0
+        # and NaN too) and cheaper than the builtin call
+        d_thr, d_brk = throttle - _THROTTLE_DEADZONE, brake - _BRAKE_DEADZONE
+        accel = (_THROTTLE_GAIN * (d_thr if d_thr > 0.0 else 0.0)
+                 - _BRAKE_GAIN * (d_brk if d_brk > 0.0 else 0.0)
                  - _DRAG_COEFF * speed * speed)
         heading_rate = speed * math.tan(steering * _MAX_FRONT_WHEEL_ANGLE) / _WHEELBASE
         return accel, heading_rate

@@ -4,12 +4,20 @@ The oracle is a dynamic bicycle with linear tires, first-order actuator
 lags and rolling/aero resistance, sub-stepped at dt/10 with midpoint
 integration. It is deliberately richer than the open-loop models so their
 rollouts accumulate a structured, learnable residual.
+
+One kernel, `_drive`, steps a whole command list on plain floats, with
+both midpoint stages written out in its substep loop; `oracle_step` runs
+it for one command and `oracle_log` for a log, then builds the records.
+A script's commands are evaluated for every tick in one numpy pass, with
+the same IEEE operations a per-tick evaluation would make.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, fields
+
+import numpy as np
 
 from .core import (DEFAULT_DT, ControlCommand, LogRecord, Pose,
                    ValidationError, VehicleState, check_dt, wrap_angle)
@@ -95,173 +103,200 @@ class OracleState:
             raise ValidationError(f"vx must be >= 0, got {self.vx!r}")
 
 
-def _stepper(p: OracleParams, dt: float):
-    """`step(s, cmd) -> (s', ax)`: one control tick of vehicle `p` by the
-    midpoint rule at dt/10 substeps. `s` is the 8-float state (x, y,
-    heading, vx, vy, yaw_rate, accel_lag, wheel_angle); the heading of `s'`
-    is wrapped, and `ax` is the realized longitudinal accel of the last
-    substep. The parameters are read once here, not on every substep."""
+def _drive(p: OracleParams, dt: float, s: tuple, commands) -> tuple[list, tuple]:
+    """Step vehicle `p` from the 8-float state `s` (x, y, heading, vx, vy,
+    yaw_rate, accel_lag, wheel_angle) through `commands`, one control tick
+    each, by the midpoint rule at dt/10 substeps. Returns the flat list of
+    (x, y, heading, vx, ax) after every tick, and the final state as the 9
+    `OracleState` fields; `ax` is the realized longitudinal accel of a
+    tick's last substep (0.0 with no commands), and every tick ends with
+    the heading wrapped. Both midpoint stages are written out on float
+    locals, and the parameters are read once here, not on every substep."""
     check_dt(dt)
     mass, inertia, lf, lr = p.mass, p.yaw_inertia, p.lf, p.lr
-    cf, cr, wheelbase = p.cornering_front, p.cornering_rear, p.wheelbase
+    neg_cf, neg_cr, wheelbase = -p.cornering_front, -p.cornering_rear, p.wheelbase
     throttle_tau, steering_tau, blend = p.throttle_tau, p.steering_tau, p.low_speed_blend
     rolling, drag_coeff = p.rolling_resistance, p.drag_coeff
     throttle_gain, throttle_deadzone = p.throttle_gain, p.throttle_deadzone
     brake_gain, brake_deadzone = p.brake_gain, p.brake_deadzone
-    max_wheel = p.max_front_wheel_angle
+    max_wheel, pi = p.max_front_wheel_angle, math.pi
     cos, sin, tan, atan2 = math.cos, math.sin, math.tan, math.atan2
     h = dt / SUBSTEPS
     half = 0.5 * h
-
-    def derivatives(vx, vy, yaw_rate, accel_lag, wheel_angle, accel_target, wheel_target):
-        """Time derivatives of (vx, vy, yaw_rate, accel_lag, wheel_angle),
-        and the realized longitudinal accel. The caller forms the
-        position and heading rates, which the first midpoint stage skips."""
-        dx_acc = (accel_target - accel_lag) / throttle_tau
-        dx_whl = (wheel_target - wheel_angle) / steering_tau
-
-        # rolling resistance tapers in over the first 0.1 m/s so launch
-        # dynamics stay continuous (no chattering at standstill). Here and
-        # for v_safe, a comparison stands for min/max: the builtin calls
-        # cost 15% of a tick.
-        taper = vx / 0.1 if vx > 0.0 else 0.0
-        if taper > 1.0:
-            taper = 1.0
-        drag = (rolling + drag_coeff * vx * vx) * taper
-        ax = accel_lag - drag
-
-        v_safe = blend if vx < blend else vx
-        alpha_f = atan2(vy + lf * yaw_rate, v_safe) - wheel_angle
-        alpha_r = atan2(vy - lr * yaw_rate, v_safe)
-        f_front = -cf * alpha_f
-        f_rear = -cr * alpha_r
-
-        cos_wheel = cos(wheel_angle)
-        dvy = (f_front * cos_wheel + f_rear) / mass - yaw_rate * vx
-        dr = (lf * f_front * cos_wheel - lr * f_rear) / inertia
-        # cornering drag: longitudinal component of the front lateral force
-        ax -= f_front * sin(wheel_angle) / mass
-
-        # below the blend speed the dynamic tire equations lose validity; pull
-        # lateral states toward the kinematic bicycle solution instead
-        if vx < blend:
-            r_kin = vx * tan(wheel_angle) / wheelbase
-            vy_kin = r_kin * lr
-            w = vx / blend
-            dvy = w * dvy + (1.0 - w) * (vy_kin - vy) / 0.2
-            dr = w * dr + (1.0 - w) * (r_kin - yaw_rate) / 0.2
-
-        return ax + yaw_rate * vy, dvy, dr, dx_acc, dx_whl, ax
-
-    def step(s, cmd: ControlCommand):
-        accel_target = (throttle_gain * max(0.0, cmd.throttle - throttle_deadzone)
-                        - brake_gain * max(0.0, cmd.brake - brake_deadzone))
+    substeps = range(SUBSTEPS)
+    x, y, heading, vx, vy, yaw_rate, accel_lag, wheel_angle = s
+    ax = 0.0
+    rows = []
+    for cmd in commands:
+        # a comparison stands for max(0.0, d), here and below for min/max:
+        # the builtin calls cost 15% of a tick
+        d_thr = cmd.throttle - throttle_deadzone
+        d_brk = cmd.brake - brake_deadzone
+        accel_target = (throttle_gain * (d_thr if d_thr > 0.0 else 0.0)
+                        - brake_gain * (d_brk if d_brk > 0.0 else 0.0))
         wheel_target = cmd.steering * max_wheel
-        x, y, heading, vx, vy, yaw_rate, accel_lag, wheel_angle = s
-        for _ in range(SUBSTEPS):
-            dvx, dvy, dr, dx_acc, dx_whl, _ = derivatives(
-                vx, vy, yaw_rate, accel_lag, wheel_angle, accel_target, wheel_target)
-            # forward driving only; a stopped vehicle has no lateral motion either
-            m_vx = vx + half * dvx
+        for _ in substeps:
+            # stage 1, the rates at the substep's start. Rolling resistance
+            # tapers in over the first 0.1 m/s so launch dynamics stay
+            # continuous (no chattering at standstill); from 0.1 m/s on,
+            # vx / 0.1 rounds to >= 1.0, so the taper is exactly 1.0
+            drag = rolling + drag_coeff * vx * vx
+            if vx < 0.1:
+                drag *= vx / 0.1 if vx > 0.0 else 0.0
+            v_safe = blend if vx < blend else vx
+            f_front = neg_cf * (atan2(vy + lf * yaw_rate, v_safe) - wheel_angle)
+            f_rear = neg_cr * atan2(vy - lr * yaw_rate, v_safe)
+            cos_wheel = cos(wheel_angle)
+            dvy = (f_front * cos_wheel + f_rear) / mass - yaw_rate * vx
+            dr = (lf * f_front * cos_wheel - lr * f_rear) / inertia
+            # cornering drag: longitudinal component of the front lateral force
+            ax = accel_lag - drag - f_front * sin(wheel_angle) / mass
+            # below the blend speed the dynamic tire equations lose validity;
+            # pull lateral states toward the kinematic bicycle solution instead
+            if vx < blend:
+                r_kin = vx * tan(wheel_angle) / wheelbase
+                w = vx / blend
+                dvy = w * dvy + (1.0 - w) * (r_kin * lr - vy) / 0.2
+                dr = w * dr + (1.0 - w) * (r_kin - yaw_rate) / 0.2
+
+            # the midpoint; forward driving only, and a stopped vehicle has
+            # no lateral motion either
+            m_vx = vx + half * (ax + yaw_rate * vy)
             if m_vx <= 0.0:
                 m_vx = m_vy = m_yaw_rate = 0.0
             else:
                 m_vy = vy + half * dvy
                 m_yaw_rate = yaw_rate + half * dr
             m_heading = heading + half * yaw_rate
-            m_accel_lag = accel_lag + half * dx_acc
-            m_wheel_angle = wheel_angle + half * dx_whl
-            dvx, dvy, dr, dx_acc, dx_whl, ax = derivatives(
-                m_vx, m_vy, m_yaw_rate, m_accel_lag, m_wheel_angle, accel_target, wheel_target)
+            m_accel_lag = accel_lag + half * ((accel_target - accel_lag) / throttle_tau)
+            m_wheel_angle = wheel_angle + half * ((wheel_target - wheel_angle) / steering_tau)
+
+            # stage 2, the same rates at the midpoint
+            drag = rolling + drag_coeff * m_vx * m_vx
+            if m_vx < 0.1:
+                drag *= m_vx / 0.1 if m_vx > 0.0 else 0.0
+            v_safe = blend if m_vx < blend else m_vx
+            f_front = neg_cf * (atan2(m_vy + lf * m_yaw_rate, v_safe) - m_wheel_angle)
+            f_rear = neg_cr * atan2(m_vy - lr * m_yaw_rate, v_safe)
+            cos_wheel = cos(m_wheel_angle)
+            dvy = (f_front * cos_wheel + f_rear) / mass - m_yaw_rate * m_vx
+            dr = (lf * f_front * cos_wheel - lr * f_rear) / inertia
+            ax = m_accel_lag - drag - f_front * sin(m_wheel_angle) / mass
+            if m_vx < blend:
+                r_kin = m_vx * tan(m_wheel_angle) / wheelbase
+                w = m_vx / blend
+                dvy = w * dvy + (1.0 - w) * (r_kin * lr - m_vy) / 0.2
+                dr = w * dr + (1.0 - w) * (r_kin - m_yaw_rate) / 0.2
+
             cos_h, sin_h = cos(m_heading), sin(m_heading)
             x = x + h * (m_vx * cos_h - m_vy * sin_h)
             y = y + h * (m_vx * sin_h + m_vy * cos_h)
             heading = heading + h * m_yaw_rate
-            accel_lag = accel_lag + h * dx_acc
-            wheel_angle = wheel_angle + h * dx_whl
-            vx = vx + h * dvx
+            accel_lag = accel_lag + h * ((accel_target - m_accel_lag) / throttle_tau)
+            wheel_angle = wheel_angle + h * ((wheel_target - m_wheel_angle) / steering_tau)
+            vx = vx + h * (ax + m_yaw_rate * m_vy)
             if vx <= 0.0:
                 vx = vy = yaw_rate = 0.0
             else:
                 vy = vy + h * dvy
                 yaw_rate = yaw_rate + h * dr
-        return (x, y, wrap_angle(heading), vx, vy, yaw_rate, accel_lag, wheel_angle), ax
-
-    return step
+        if not -pi < heading <= pi:   # wrap_angle returns in-range values as they are
+            heading = wrap_angle(heading)
+        rows += (x, y, heading, vx, ax)
+    return rows, (x, y, heading, vx, vy, yaw_rate, accel_lag, wheel_angle, ax)
 
 
 def oracle_step(state: OracleState, cmd: ControlCommand, dt: float,
                 params: OracleParams | None = None) -> OracleState:
     """Advance the oracle by one control tick (midpoint rule, dt/10 substeps).
     A dt that is not finite and positive raises a ValidationError."""
-    step = _stepper(params or OracleParams(), dt)
-    s, ax = step((state.x, state.y, state.heading, state.vx, state.vy,
-                  state.yaw_rate, state.accel_lag, state.wheel_angle), cmd)
-    return OracleState(*s, ax)
+    _, s = _drive(params or OracleParams(), dt,
+                  (state.x, state.y, state.heading, state.vx, state.vy,
+                   state.yaw_rate, state.accel_lag, state.wheel_angle), (cmd,))
+    return OracleState(*s)
 
 
 def oracle_log(commands: list[ControlCommand], dt: float = DEFAULT_DT,
                params: OracleParams | None = None) -> list[LogRecord]:
     """Drive the oracle from rest at the origin through a command sequence;
-    one record per tick, |commands|+1 records. A dt that is not finite and
-    positive raises a ValidationError, also for no commands."""
-    step = _stepper(params or OracleParams(), dt)
-    s, ax = (0.0,) * 8, 0.0
-    cmd0 = commands[0] if commands else ControlCommand(0, 0, 0)
-    records = [_record(0.0, cmd0, s, ax)]
-    for i, cmd in enumerate(commands):
-        s, ax = step(s, cmd)
-        nxt = commands[i + 1] if i + 1 < len(commands) else cmd
-        records.append(_record((i + 1) * dt, nxt, s, ax))
+    one record per tick, |commands|+1 records, each holding the command of
+    the tick that starts there (the last command repeats in the last one).
+    A dt that is not finite and positive raises a ValidationError, also
+    for no commands."""
+    rows, _ = _drive(params or OracleParams(), dt, (0.0,) * 8, commands)
+    cmd0 = commands[0] if commands else ControlCommand(0.0, 0.0, 0.0)
+    records = [LogRecord(0.0, cmd0, VehicleState(0.0, 0.0, 0.0), Pose(0.0, 0.0, 0.0))]
+    it = iter(rows)
+    # the kernel leaves vx >= 0 and the heading wrapped
+    for i, (cmd, x, y, heading, vx, ax) in enumerate(
+            zip(commands[1:] + commands[-1:], it, it, it, it, it), 1):
+        records.append(LogRecord(i * dt, cmd, VehicleState(vx, ax, heading), Pose(x, y, heading)))
     return records
-
-
-def _record(t: float, cmd: ControlCommand, s: tuple, ax: float) -> LogRecord:
-    # the stepper leaves vx >= 0 and the heading wrapped
-    x, y, heading, vx = s[:4]
-    return LogRecord(t, cmd, VehicleState(vx, ax, heading), Pose(x, y, heading))
 
 
 # -- scenario scripts ---------------------------------------------------
 
 @dataclass(frozen=True)
 class Segment:
-    """Linear command ramp over [t0, t1)."""
+    """Linear command ramp over [t0, t1); the bounds are finite, t0 <= t1."""
     t0: float
     t1: float
     throttle: tuple[float, float]
     brake: tuple[float, float]
     steering: tuple[float, float]
 
-    def at(self, t: float) -> ControlCommand:
-        span = self.t1 - self.t0
-        a = 0.0 if span <= 0 else min(max((t - self.t0) / span, 0.0), 1.0)
-        lerp = lambda pair: pair[0] + a * (pair[1] - pair[0])
-        return ControlCommand(lerp(self.throttle), lerp(self.brake), lerp(self.steering))
+    def __post_init__(self):
+        if not (math.isfinite(self.t0) and math.isfinite(self.t1) and self.t0 <= self.t1):
+            raise ValidationError(f"segment bounds must be finite with t0 <= t1, "
+                                  f"got t0={self.t0!r}, t1={self.t1!r}")
 
 
 @dataclass(frozen=True)
 class ScenarioScript:
+    """Commands over [0, duration): at time t the first segment with
+    t0 <= t < t1 ramps them, else the last segment does. The duration is
+    finite and >= 0, the first segment starts at or before 0 and the last
+    ends at or after the duration; a ValidationError names the script and,
+    where one segment is at fault, its index."""
     name: str
     duration: float
     segments: tuple[Segment, ...]
 
     def __post_init__(self):
-        if not self.segments or self.segments[0].t0 > 0.0 \
-                or self.segments[-1].t1 < self.duration:
-            raise ValidationError(f"{self.name}: segments must cover [0, duration]")
-
-    def command(self, t: float) -> ControlCommand:
-        for seg in self.segments:
-            if seg.t0 <= t < seg.t1:
-                return seg.at(t)
-        return self.segments[-1].at(t)
+        if not (math.isfinite(self.duration) and self.duration >= 0.0):
+            raise ValidationError(f"script {self.name!r}: duration must be finite "
+                                  f"and >= 0, got {self.duration!r}")
+        if not self.segments:
+            raise ValidationError(f"script {self.name!r}: no segments")
+        if self.segments[0].t0 > 0.0:
+            raise ValidationError(f"script {self.name!r}: segment 0 starts at "
+                                  f"{self.segments[0].t0!r}, after 0")
+        if self.segments[-1].t1 < self.duration:
+            raise ValidationError(f"script {self.name!r}: segment {len(self.segments) - 1} "
+                                  f"ends at {self.segments[-1].t1!r}, before the "
+                                  f"duration {self.duration!r}")
 
     def commands(self, dt: float = DEFAULT_DT) -> list[ControlCommand]:
-        """The command at every tick of the script; dt must be finite and > 0."""
+        """The command at every tick t = i * dt of the script, in one numpy
+        pass over the ticks; dt must be finite and > 0."""
         check_dt(dt)
-        n = int(round(self.duration / dt))
-        return [self.command(i * dt) for i in range(n)]
+        t = np.arange(int(round(self.duration / dt))) * dt
+        t0, t1 = np.array([[seg.t0, seg.t1] for seg in self.segments]).T
+        # t is sorted, so the ticks inside [t0, t1) are one index range per
+        # segment; filled last to first, the first segment holding a tick wins
+        lo, hi = np.searchsorted(t, t0), np.searchsorted(t, t1)
+        seg = np.full(len(t), len(self.segments) - 1)
+        for k in range(len(self.segments) - 1, -1, -1):
+            seg[lo[k]:hi[k]] = k
+        span = (t1 - t0)[seg]
+        # the ramp fraction, clamped to [0, 1] as min(max(a, 0.0), 1.0) does
+        a = np.divide(t - t0[seg], span, out=np.zeros_like(t), where=span > 0)
+        a = np.where(a < 0.0, 0.0, a)
+        a = np.where(a > 1.0, 1.0, a)
+        p0, p1 = (np.array([[s.throttle, s.brake, s.steering] for s in self.segments])
+                  .transpose(2, 0, 1))
+        throttle, brake, steering = (p0[seg] + a[:, None] * (p1 - p0)[seg]).T.tolist()
+        return list(map(ControlCommand, throttle, brake, steering))
 
 
 def _hold(t0, t1, throttle=0.0, brake=0.0, steering=0.0) -> Segment:

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import re
 import tempfile
@@ -8,9 +9,10 @@ import numpy as np
 import pytest
 from hypothesis import example, given, strategies as st
 
-from resdyn.core import (LOG_CSV_FIELDS, TRAJ_CSV_FIELDS, ControlCommand, Pose, Trajectory,
-                         ValidationError, VehicleState, parse_log_row, read_trajectory_csv,
-                         wrap_angle, wrap_angle_array, write_trajectory_csv)
+from resdyn.core import (LOG_CSV_FIELDS, TRAJ_CSV_FIELDS, ControlCommand, LogRecord, Pose,
+                         Trajectory, ValidationError, VehicleState, parse_log_row,
+                         read_trajectory_csv, wrap_angle, wrap_angle_array,
+                         write_trajectory_csv)
 from resdyn.dynamics import rollout_states
 
 # the float boundaries of the (-pi, pi] wrap
@@ -195,6 +197,29 @@ class TestTypes:
         with pytest.raises(ValidationError):
             VehicleState(1, 0, -math.pi)  # open at -pi
         VehicleState(1, 0, math.pi)  # closed at +pi
+
+    @pytest.mark.parametrize("make", [
+        lambda: ControlCommand(0.5, 0.0, -0.25),
+        lambda: VehicleState(3.0, -0.5, 1.0),
+        lambda: Pose(1.0, -2.0, 1.0),
+        lambda: LogRecord(0.01, ControlCommand(0.5, 0.0, -0.25),
+                          VehicleState(3.0, -0.5, 1.0), Pose(1.0, -2.0, 1.0)),
+    ], ids=["ControlCommand", "VehicleState", "Pose", "LogRecord"])
+    def test_per_tick_types_are_frozen_slotted_values(self, make):
+        a, b = make(), make()
+        # equal by value, hashable, and with no per-instance __dict__
+        assert a == b and a is not b and hash(a) == hash(b)
+        assert len({a, b}) == 1
+        assert not hasattr(a, "__dict__")
+        name = dataclasses.fields(a)[0].name
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(a, name, 0.0)
+        # a new attribute is refused too; CPython's frozen-and-slotted
+        # __setattr__ raises a TypeError for one on some versions
+        with pytest.raises((AttributeError, TypeError)):
+            a.extra = 0.0
+        assert a == b and not hasattr(a, "extra")
+        assert a != dataclasses.replace(a, **{name: getattr(a, name) + 0.125})
 
     def test_trajectory_fixed_step(self):
         ts = np.array([0.0, 0.01, 0.02001])

@@ -9,9 +9,24 @@ from scipy.integrate import solve_ivp
 
 from resdyn.core import ControlCommand, ValidationError, parse_log_row, write_log_csv
 from resdyn.dynamics import RuleBasedModel, rollout
-from resdyn.scenarios import (GOLDEN_NAMES, OracleParams, OracleState,
-                              generate_golden_set, golden_scripts, oracle_log,
-                              oracle_step)
+from resdyn.scenarios import (GOLDEN_NAMES, OracleParams, OracleState, ScenarioScript,
+                              Segment, _loop_script, generate_golden_set, golden_scripts,
+                              oracle_log, oracle_step)
+
+
+def records_digest(logs) -> str:
+    """SHA-256 over the repr of every record field of every log, by name:
+    a change to the oracle's arithmetic, by one ulp anywhere, changes it.
+    libm's cos/sin/atan2/tan results enter it, so a platform with another
+    libm may need its own pinned values."""
+    h = hashlib.sha256()
+    for name in sorted(logs):
+        h.update(name.encode())
+        for r in logs[name]:
+            h.update(repr((r.timestamp, r.command.throttle, r.command.brake,
+                           r.command.steering, r.state.speed, r.state.acceleration,
+                           r.state.heading, r.pose.x, r.pose.y, r.pose.heading)).encode())
+    return h.hexdigest()
 
 
 def heading_change(recs):
@@ -86,6 +101,13 @@ class TestOracleStep:
                     lambda: oracle_step(OracleState(vx=5.0), cmds[0], dt)):
             with pytest.raises(ValidationError, match=r"^dt must be finite and positive"):
                 run()
+
+    def test_no_commands_give_one_record_at_rest(self):
+        # every field a float, as in any other log: the command too
+        (rec,) = oracle_log([], 0.01)
+        fields = (rec.timestamp, rec.command.throttle, rec.command.brake, rec.command.steering,
+                  rec.state.speed, rec.state.acceleration, rec.state.heading, rec.pose.x, rec.pose.y)
+        assert [type(v) for v in fields] == [float] * 9 and not any(fields)
 
     def test_understeer_invariant(self):
         with pytest.raises(Exception):
@@ -185,22 +207,24 @@ class TestGoldenSet:
             assert pa.read_bytes() == pb.read_bytes()
 
     def test_records_equal_pinned_digest(self):
-        # SHA-256 over the repr of every record field, pinned: a change to
-        # the oracle's arithmetic, by one ulp anywhere, changes it. 20 s
-        # maneuvers reach the full stop of the *_stop ones, so the
-        # forward-only clamp runs. libm's cos/sin/atan2/tan results enter
-        # the digest, so a platform with another libm may need its own.
+        # 20 s maneuvers reach the full stop of the *_stop ones, so the
+        # forward-only clamp runs
         logs = generate_golden_set(0, loop_duration=10.0, scenario_duration=20.0)
-        h = hashlib.sha256()
-        for name in sorted(logs):
-            h.update(name.encode())
-            for r in logs[name]:
-                h.update(repr((r.timestamp, r.command.throttle, r.command.brake,
-                               r.command.steering, r.state.speed, r.state.acceleration,
-                               r.state.heading, r.pose.x, r.pose.y, r.pose.heading)).encode())
         assert min(r.state.speed for r in logs["left_turn_stop"]) == 0.0
-        assert h.hexdigest() == \
+        assert records_digest(logs) == \
             "17ccbefe5deb46dd595b29a36a1fe915b4cce3eefa3caf3df39c9dd93c787ace"
+
+    def test_60s_records_equal_pinned_digest(self, logs):
+        # the class fixture's 60 s maneuvers and 60 s loop: the u-turns wrap
+        # the heading past pi, the *_stop maneuvers and the loop stand still
+        # for hundreds of ticks, and every script ends in a long hold
+        for name in ("left_u_turn", "right_u_turn"):
+            hd = np.array([r.state.heading for r in logs[name]])
+            assert np.sum(np.abs(np.diff(hd)) > math.pi) == 1
+        for name in ("left_turn_stop", "right_turn_stop", "loop"):
+            assert sum(r.state.speed == 0.0 for r in logs[name]) > 300
+        assert records_digest(logs) == \
+            "9f05f9fa2c83f3d8966af123da121472eb6541e13bf290afebb05332e60d358b"
 
     def test_log_csv_round_trip(self, logs, tmp_path):
         # every cell is a plain float literal that parses back bit for bit
@@ -242,3 +266,80 @@ class TestGoldenSet:
         assert np.max(np.abs(steps - 0.01)) < 1e-9
         assert all(r.state.speed >= 0 for r in recs)
         assert all(-math.pi < r.state.heading <= math.pi for r in recs)
+
+
+def reference_commands(script: ScenarioScript, dt: float) -> list[tuple[str, str, str]]:
+    """The script's command rule one tick at a time, as float.hex triples:
+    at t = i * dt the first segment with t0 <= t < t1 wins, else the last;
+    its ramp fraction (t - t0) / span is clamped to [0, 1] (0 for a span
+    <= 0) and each field is p0 + a * (p1 - p0)."""
+    out = []
+    for i in range(int(round(script.duration / dt))):
+        t = i * dt
+        seg = next((s for s in script.segments if s.t0 <= t < s.t1), script.segments[-1])
+        span = seg.t1 - seg.t0
+        a = 0.0 if span <= 0 else min(max((t - seg.t0) / span, 0.0), 1.0)
+        out.append(tuple(float.hex(p0 + a * (p1 - p0))
+                         for p0, p1 in (seg.throttle, seg.brake, seg.steering)))
+    return out
+
+
+def hexed(commands) -> list[tuple[str, str, str]]:
+    return [(c.throttle.hex(), c.brake.hex(), c.steering.hex()) for c in commands]
+
+
+def hand_built_scripts() -> list[ScenarioScript]:
+    return [
+        # segment 1 has zero length; 2 overlaps 0 on [0.6, 1), where 0 wins;
+        # [1.7, 2) is a gap that falls back to the last segment, before its
+        # t0; 3 overlaps the last on [2.5, 2.9), where 3 wins
+        ScenarioScript("hand_built", 3.0, (
+            Segment(0.0, 1.0, (0.2, 0.6), (0.0, 0.0), (-0.3, 0.7)),
+            Segment(0.5, 0.5, (1.0, 1.0), (1.0, 1.0), (1.0, 1.0)),
+            Segment(0.6, 1.7, (0.9, 0.1), (0.3, 0.0), (0.5, -0.5)),
+            Segment(2.0, 2.9, (0.0, 0.35), (0.05, 0.05), (-1.0, 1.0)),
+            Segment(2.5, 3.0, (0.1, 0.4), (0.2, 0.7), (0.9, -0.8)))),
+        # the gap [2, 2.5) falls back to a last segment of zero length
+        ScenarioScript("zero_length_last", 2.5, (
+            Segment(0.0, 2.0, (0.0, 1.0), (0.4, 0.1), (0.25, -0.75)),
+            Segment(2.5, 2.5, (0.3, 0.9), (0.6, 0.0), (-0.2, 0.2)))),
+    ]
+
+
+class TestScriptCommands:
+    @pytest.mark.parametrize("duration", [20.0, 60.0])
+    def test_golden_commands_equal_scalar_reference(self, duration):
+        for script in golden_scripts(duration):
+            assert hexed(script.commands(0.01)) == reference_commands(script, 0.01), script.name
+
+    @pytest.mark.parametrize("duration", [24.0, 600.0])
+    def test_loop_commands_equal_scalar_reference(self, duration):
+        script = _loop_script(duration)
+        assert hexed(script.commands(0.01)) == reference_commands(script, 0.01)
+
+    @pytest.mark.parametrize("dt", [0.01, 0.007])
+    @pytest.mark.parametrize("script", hand_built_scripts(), ids=lambda s: s.name)
+    def test_hand_built_commands_equal_scalar_reference(self, script, dt):
+        assert hexed(script.commands(dt)) == reference_commands(script, dt)
+
+    @pytest.mark.parametrize("duration", [math.nan, math.inf, -math.inf, -0.5])
+    def test_bad_duration_rejected(self, duration):
+        segs = (Segment(0.0, 1.0, (0.5, 0.5), (0.0, 0.0), (0.0, 0.0)),)
+        with pytest.raises(ValidationError, match=r"^script 'x': duration must be finite"):
+            ScenarioScript("x", duration, segs)
+
+    @pytest.mark.parametrize("t0, t1", [(0.0, math.nan), (math.nan, 1.0), (0.0, math.inf),
+                                        (-math.inf, 1.0), (1.0, 0.5)])
+    def test_bad_segment_bounds_rejected(self, t0, t1):
+        with pytest.raises(ValidationError, match=r"^segment bounds must be finite"):
+            Segment(t0, t1, (0.5, 0.5), (0.0, 0.0), (0.0, 0.0))
+
+    def test_uncovered_duration_names_script_and_segment(self):
+        first = Segment(0.0, 1.0, (0.5, 0.5), (0.0, 0.0), (0.0, 0.0))
+        late = Segment(0.25, 1.0, (0.5, 0.5), (0.0, 0.0), (0.0, 0.0))
+        with pytest.raises(ValidationError, match=r"^script 'x': segment 0 starts at 0.25"):
+            ScenarioScript("x", 1.0, (late, first))
+        with pytest.raises(ValidationError, match=r"^script 'x': segment 1 ends at 1.0"):
+            ScenarioScript("x", 2.0, (first, first))
+        with pytest.raises(ValidationError, match=r"^script 'x': no segments"):
+            ScenarioScript("x", 2.0, ())
