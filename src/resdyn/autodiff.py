@@ -13,14 +13,10 @@ Cholesky robustness matters more than speed.
 holds the intermediates it needs (each tick's operand [1 | x_t | h_t],
 gates and cell state) instead of a graph of elementwise nodes; it runs one
 GEMM per tick each way and matches such a graph to about 1e-15 relative.
-The conv encoders (`encoders._encode_conv`) and the SVGP's ELBO
-(`svgp.VariationalGP.elbo`) are fused nodes built the same way outside
+The conv encoders (`encoders._encode_conv`) and the SVGP's loss
+(`svgp.VariationalGP.loss`) are fused nodes built the same way outside
 this module, from `_node` or a `Tensor` over their parameters and a
 closure that calls each parent's `_acc`.
-
-An op none of whose operands is a Tensor returns its plain numpy value,
-after the same shape checks, and builds no node (`_node`): a pure
-evaluation runs the graph's ops at numpy's cost.
 
 `backward` frees each interior node's gradient as soon as that node's
 closure has passed it on, so after `backward` only leaves (parameters and
@@ -112,12 +108,9 @@ def _value(x) -> np.ndarray:
 
 
 def _node(data, *parents):
-    """A Tensor holding `data` over `parents` (a plain one as its `_value`, so
-    it is converted once), or `data` itself when none is a Tensor."""
-    for p in parents:
-        if isinstance(p, Tensor):
-            return Tensor(data, _parents=tuple(map(as_tensor, parents)))
-    return data
+    """A Tensor holding `data` over `parents`, a plain one given as its
+    `_value` so it is converted once."""
+    return Tensor(data, _parents=tuple(map(as_tensor, parents)))
 
 
 def parameter(data, name: str | None = None) -> Tensor:
@@ -169,7 +162,7 @@ def _binary(a, b, fwd, da, db):
     except ValueError as exc:
         raise ValidationError(f"shape mismatch: {av.shape} vs {bv.shape}") from exc
     out = _node(data, a if isinstance(a, Tensor) else av, b if isinstance(b, Tensor) else bv)
-    if isinstance(out, Tensor) and out.requires_grad:
+    if out.requires_grad:
         a, b = out._parents
         def _bwd(g):
             if a.requires_grad:
@@ -202,7 +195,7 @@ def div(a, b):
 def _unary(x, fwd, dfn):
     data = fwd(_value(x))
     out = _node(data, x)
-    if isinstance(out, Tensor) and out.requires_grad:
+    if out.requires_grad:
         y = out.data
         def _bwd(g):
             x._acc(dfn(g, x.data, y))
@@ -223,7 +216,7 @@ def relu(x):
 def tsum(x, axis=None, keepdims=False):
     data = _value(x).sum(axis=axis, keepdims=keepdims)
     out = _node(data, x)
-    if isinstance(out, Tensor) and out.requires_grad:
+    if out.requires_grad:
         def _bwd(g):
             if axis is not None and not keepdims:
                 g = np.expand_dims(g, axis)
@@ -245,7 +238,7 @@ def tmean(x, axis=None, keepdims=False):
 def reshape(x, shape):
     data = _value(x).reshape(shape)
     out = _node(data, x)
-    if isinstance(out, Tensor) and out.requires_grad:
+    if out.requires_grad:
         def _bwd(g):
             x._acc(g.reshape(x.data.shape))
         out._backward = _bwd
@@ -255,7 +248,7 @@ def reshape(x, shape):
 def transpose(x, axes=None):
     data = _value(x).transpose(axes)
     out = _node(data, x)
-    if isinstance(out, Tensor) and out.requires_grad:
+    if out.requires_grad:
         inv = None if axes is None else np.argsort(axes)
         def _bwd(g):
             x._acc(g.transpose(inv))
@@ -274,7 +267,7 @@ def matmul(a, b):
     except ValueError as exc:
         raise ValidationError(f"matmul shape mismatch: {av.shape} @ {bv.shape}") from exc
     out = _node(data, a, b)
-    if isinstance(out, Tensor) and out.requires_grad:
+    if out.requires_grad:
         a, b = out._parents
         def _bwd(g):
             if a.requires_grad:
@@ -291,7 +284,7 @@ def softmax(x):
     e = np.exp(xv - xv.max(axis=-1, keepdims=True))
     y = e / e.sum(axis=-1, keepdims=True)
     out = _node(y, x)
-    if isinstance(out, Tensor) and out.requires_grad:
+    if out.requires_grad:
         def _bwd(g):
             x._acc((g - (g * y).sum(axis=-1, keepdims=True)) * y)
         out._backward = _bwd
@@ -346,7 +339,7 @@ def lstm(x, wx, wh, b):
         np.add(f * cs[t], i * g, out=cs[t + 1])
         np.multiply(o, np.tanh(cs[t + 1], out=tcs[t]), out=z[t + 1, :, k:])
     out = _node(z[nt, :, k:].copy(), x, wx, wh, b)
-    if isinstance(out, Tensor) and out.requires_grad:
+    if out.requires_grad:
         x, wx, wh, b = out._parents
         def _bwd(dh):
             gwt, wht = np.zeros((k + hdim, 4 * hdim)).T, whd.T.copy()   # gwt = gw.T
@@ -382,7 +375,7 @@ def dropout(x, rate: float, rng: np.random.Generator | None = None,
     if not 0.0 <= rate < 1.0:
         raise ValidationError(f"dropout rate {rate} outside [0, 1)")
     if not train or rate == 0.0:
-        return x if isinstance(x, Tensor) else _value(x)
+        return as_tensor(x)
     if rng is None:
         raise ValidationError("dropout in train mode needs an rng")
     mask = (rng.random(_value(x).shape) >= rate) / (1.0 - rate)
@@ -418,6 +411,8 @@ class Adam:
         for p in self.params:
             if not p.requires_grad:
                 raise ValidationError("Adam got a non-trainable tensor")
+        if not (math.isfinite(lr) and lr > 0.0):
+            raise ValidationError(f"Adam lr must be finite and > 0, got {lr!r}")
         self.lr = lr
         self.m = [np.zeros_like(p.data) for p in self.params]
         self.v = [np.zeros_like(p.data) for p in self.params]

@@ -119,9 +119,12 @@ class MlpDynamicModel:
 def tick_training_pairs(records: list[LogRecord], dt: float) -> tuple[np.ndarray, np.ndarray]:
     """(features, labels) per tick; labels are the effective accel and heading
     rate realized over the next tick, finite-differenced from the log. A dt
-    that is not finite and positive raises a ValidationError."""
+    that is not finite and positive, or fewer than 2 records, raises a
+    ValidationError."""
     check_dt(dt)
     n = len(records) - 1
+    if n < 1:
+        raise ValidationError(f"tick training pairs need at least 2 records, got {n + 1}")
     x = np.empty((n, 5))
     y = np.empty((n, 2))
     for i in range(n):

@@ -239,7 +239,7 @@ def _encode_conv(p, x, dilations, stride):
     data = flat @ fw
     data += fb
     out = _node(data, x, *(p[n] for n in _CONV_PARAMS))
-    if isinstance(out, Tensor) and out.requires_grad:
+    if out.requires_grad:
         params = out._parents[1:]
         def _bwd(g):
             grads = [None] * 4 + [flat.T @ g, g.sum(axis=0)]

@@ -11,28 +11,29 @@ tasks: `m` (T, M), `l_raw` (T, M, M), `c` (T,) and `log_noise` (T,).
 `to_arrays`/`from_arrays` keep one key per task: `m{t}`, `l_raw{t}`, `c{t}`
 and `log_noise{t}`, next to `num_tasks`.
 
-Latents enter `elbo`, `predict` and `init_from_latents` one way
+Latents enter `loss`, `predict` and `init_from_latents` one way
 (`_latents`): checked to be a finite (B, dim) array, then z-scored by the
-stored input mean and std, which `elbo` and `predict` skip when the caller
+stored input mean and std, which `loss` and `predict` skip when the caller
 passes `pre_normalized=True`. A Tensor's values are used; when it requires
-a gradient, the ELBO node passes one back to it, so an encoder's output
+a gradient, the loss node passes one back to it, so an encoder's output
 keeps its gradient path into the GP.
 
-The ELBO is one fused autodiff node over the latents and the 7 parameters.
-Its value is computed on plain arrays; its closure keeps the intermediates
-and runs a hand-derived adjoint of 2-D GEMMs, with L^-1 formed once by
-LAPACK dtrtri: through the likelihood and the KL, the whitened factors,
-W = L^-1 K_ZX, the Cholesky factor L of K_ZZ (Murray, Differentiation of
-the Cholesky decomposition, 2016) and the Matern-5/2 cross-covariances,
-into the latents, z and both log-scales.
+K_ZZ's Cholesky factor L and A = L^-1 (LAPACK dtrtri) are formed once per
+parameter state, and W = L^-1 K_ZX is one GEMM, A K_ZX. The loss, the
+negated ELBO, is one fused autodiff node over the latents and the 7
+parameters, computed on plain arrays; its closure keeps the intermediates,
+A among them, for a hand-derived adjoint of 2-D GEMMs: through the
+likelihood and the KL, the whitened factors, W, L (Murray, Differentiation
+of the Cholesky decomposition, 2016) and the Matern-5/2 cross-covariances.
 
-`elbo` and `predict` run the one formula, `_moments`, on plain arrays:
-`elbo` on terms `_inducing` builds from the parameters at the call,
+`loss` and `predict` run the one formula, `_moments`, on plain arrays:
+`loss` on terms `_inducing` builds from the parameters at the call,
 `predict` on a cache of them, rebuilt by any change to the shape, dtype or
 bytes of `z`, the kernel scales or `l_raw`, down to one ulp or a zero's
-sign; `m`, `c` and `log_noise` are read afresh.
+sign; `m`, `c` and `log_noise` are read afresh. A call that raises leaves
+the cache as it was.
 
-`elbo` and `predict` put the same jitter on K_ZZ: `_JITTER`, raised x10
+`loss` and `predict` put the same jitter on K_ZZ: `_JITTER`, raised x10
 while the Cholesky fails, up to `MAX_JITTER`. Jitter is equivalent to
 observing the inducing values through N(0, jitter) noise, so the ELBO
 remains a true lower bound on the exact log marginal likelihood.
@@ -45,23 +46,18 @@ import math
 import numpy as np
 from scipy.cluster.vq import kmeans2
 from scipy.linalg.blas import dgemm
-from scipy.linalg.lapack import dtrtri, dtrtrs
+from scipy.linalg.lapack import dtrtri
 from scipy.spatial.distance import cdist
 
-from .autodiff import Tensor, parameter
+from .autodiff import Tensor, _value, parameter
 from .core import ValidationError, check_finite, check_positive_int
 
 LOG_2PI = math.log(2.0 * math.pi)
 MAX_JITTER = 1e-4
-_JITTER = 1e-8        # first jitter tried on K_ZZ, by `elbo` and `predict` alike
+_JITTER = 1e-8        # first jitter tried on K_ZZ, by `loss` and `predict` alike
 _INIT_NOISE = 0.01    # sigma_n^2 of every task at construction, m^2
 _TASK_PARAMS = ("m", "l_raw", "c", "log_noise")   # leading task axis
 _SQRT5 = math.sqrt(5.0)
-
-
-def _values(x) -> np.ndarray:
-    """A Tensor's data, or x as a float array."""
-    return x.data if isinstance(x, Tensor) else np.asarray(x, dtype=float)
 
 
 def _same_bits(a: np.ndarray, b: np.ndarray) -> bool:
@@ -95,27 +91,6 @@ def _kmeans_pp_seeds(data: np.ndarray, k: int, rng: np.random.Generator) -> np.n
         cumprobs = (d2 / d2.sum()).cumsum()
         seeds[i] = data[int(np.searchsorted(cumprobs, rng.uniform()))]
     return seeds
-
-
-def _solve_lower(l: np.ndarray, b: np.ndarray, trans: int) -> np.ndarray:
-    """x with L x = b (trans 0) or L^T x = b (trans 1), L (M, M) lower
-    triangular, b (M, B). A C-ordered L goes to LAPACK as its Fortran-ordered
-    transpose with `lower` and `trans` flipped, as in scipy's
-    `solve_triangular`, so the values match it bit for bit. A non-finite b
-    raises a ValidationError, a singular L a LinAlgError; L itself is not
-    checked, as every factor here comes from a K_ZZ `_chol_kzz` checked."""
-    if l.ndim != 2 or b.ndim != 2 or l.shape[0] != l.shape[1] or b.shape[0] != l.shape[0]:
-        raise ValidationError(f"triangular solve needs L (M, M) and b (M, B), "
-                              f"got {l.shape}, {b.shape}")
-    if not np.isfinite(b).all():
-        raise ValidationError("triangular solve right-hand side holds non-finite values")
-    if l.flags.f_contiguous:
-        x, info = dtrtrs(l, b, lower=1, trans=trans)
-    else:
-        x, info = dtrtrs(l.T, b, lower=0, trans=1 - trans)
-    if info != 0:
-        raise np.linalg.LinAlgError(f"singular triangular factor (dtrtrs info {info})")
-    return x
 
 
 def _inv_lower(l: np.ndarray) -> np.ndarray:
@@ -238,7 +213,7 @@ class VariationalGP:
     def _latents(self, latents, pre_normalized: bool) -> np.ndarray:
         """The values of (B, dim) latents, checked finite and z-scored
         unless `pre_normalized`."""
-        x = _values(latents)
+        x = _value(latents)
         if x.ndim != 2 or x.shape[1] != self.dim:
             raise ValidationError(f"latents must be (B, {self.dim}), got {x.shape}")
         check_finite(x, "latents")
@@ -281,38 +256,42 @@ class VariationalGP:
 
     def _inducing(self):
         """The inducing-side arguments of `_moments` from the parameters'
-        values: the K_ZZ Cholesky factor, `_l_var()`, the lengthscales, z
-        scaled by them, its squared row norms (1, M) and the outputscale;
-        and K_ZZ's kernel parts, for the adjoint."""
+        values: A = L^-1 for L the K_ZZ Cholesky factor, `_l_var()`, the
+        lengthscales, z scaled by them, its squared row norms (1, M) and
+        the outputscale; and, for the adjoint, L and K_ZZ's kernel parts."""
         ls = np.exp(self.log_lengthscales.data)
         scale = np.exp(self.log_outputscale.data)
         zs = self.z.data / ls
         zs2 = (zs * zs).sum(axis=1, keepdims=True).T
         kzz, kzz_parts = _matern(zs, zs, zs2, scale)
-        return (self._chol_kzz(kzz), self._l_var(), ls, zs, zs2, scale), kzz_parts
+        chol = self._chol_kzz(kzz)
+        return (_inv_lower(chol), self._l_var(), ls, zs, zs2, scale), (chol, kzz_parts)
 
-    def _factors(self) -> tuple[np.ndarray, ...]:
-        """`_inducing()`'s `_moments` arguments, rebuilt only when the
-        shape, dtype or bytes of z, the kernel scales or l_raw change."""
+    def _factors(self) -> tuple[tuple, tuple]:
+        """The cache key and `_inducing()`'s `_moments` arguments, rebuilt
+        only when the shape, dtype or bytes of z, the kernel scales or
+        l_raw change; `predict` stores them once they have served."""
         live = (self.z.data, self.log_lengthscales.data, self.log_outputscale.data,
                 self.l_raw.data)
-        if self._factor_cache is None or not all(map(_same_bits, self._factor_cache[0], live)):
-            factors = self._inducing()[0]
-            self._factor_cache = (tuple(a.copy() for a in live), factors)
-        return self._factor_cache[1]
+        if self._factor_cache is not None and all(map(_same_bits, self._factor_cache[0], live)):
+            return self._factor_cache
+        return tuple(a.copy() for a in live), self._inducing()[0]
 
     # -- core quantities ---------------------------------------------------
 
-    def _moments(self, x, m, c, chol, lw, ls, zs, zs2, scale):
+    def _moments(self, x, m, c, a, lw, ls, zs, zs2, scale):
         """Marginal posterior means and latent variances, both (T, B), of
         the z-scored latents x, from the means m, c and `_inducing()`'s
         terms; the prior variance k(x, x) is the outputscale, as the unit
         kernel is 1 at distance 0. Also returns what the ELBO's adjoint
-        reads: x scaled, the K_XZ kernel parts, W = L^-1 K_ZX and the
-        whitened factors' products U = lw^T W."""
+        reads: x scaled, the K_XZ kernel parts, W = A K_ZX and the
+        whitened factors' products U = lw^T W. A non-finite K_XZ raises."""
         xs = x / ls
         kxz, kxz_parts = _matern(xs, zs, zs2, scale)
-        w = _solve_lower(chol, kxz.T, 0)                        # (M, B)
+        if not np.isfinite(kxz).all():
+            raise ValidationError(
+                f"K_XZ is not finite at log_lengthscales {self.log_lengthscales.data}")
+        w = a @ kxz.T                                           # (M, B)
         tasks = self.num_tasks
         # (T, 1, M) @ (M, B): one matrix-vector product per task
         mu = (m.reshape(tasks, 1, -1) @ w).reshape(tasks, -1) + c.reshape(tasks, 1)
@@ -327,39 +306,31 @@ class VariationalGP:
         return (((m * m).sum(axis=1) + (lw * lw).sum(axis=(1, 2)))
                 - (log_det * 2.0 + float(self.inducing))) * 0.5
 
-    def elbo(self, latents: Tensor | np.ndarray, targets: np.ndarray, total_n: int,
+    def loss(self, latents: Tensor | np.ndarray, targets: np.ndarray, total_n: int,
              pre_normalized: bool = False) -> Tensor:
-        """Scalar ELBO node (sum over tasks). Batch likelihood is rescaled
-        by total_n / B; the KL appears once per task. There must be one
-        row of targets per latent."""
-        return self._elbo_node(latents, targets, total_n, pre_normalized, 1.0)
-
-    def loss(self, latents, targets, total_n, pre_normalized=False) -> Tensor:
-        """The negated ELBO, as one node."""
-        return self._elbo_node(latents, targets, total_n, pre_normalized, -1.0)
-
-    def _elbo_node(self, latents, targets, total_n, pre_normalized: bool,
-                   sign: float) -> Tensor:
-        """sign * ELBO as one node over the latents, when they are a Tensor,
-        and the 7 parameters."""
+        """The negated ELBO (sum over tasks), one node over the latents, when
+        they are a Tensor, and the 7 parameters. The batch likelihood is
+        rescaled by total_n / B, for an int total_n >= B; the KL appears
+        once per task. There must be one row of targets per latent."""
         x = self._latents(latents, pre_normalized)
         y = self._targets(targets)                              # (T, B)
         bsz = y.shape[1]
         if len(x) != bsz:
             raise ValidationError(
                 f"{len(x)} latents but {bsz} target rows: one target row per latent")
+        check_positive_int(total_n, "loss argument 'total_n'")
         if bsz < 1 or total_n < bsz:
             raise ValidationError(f"bad batch/total sizes: {bsz}, {total_n}")
-        (chol, lw, ls, zs, zs2, scale), kzz_parts = self._inducing()
+        (a, lw, ls, zs, zs2, scale), (chol, kzz_parts) = self._inducing()
         m, log_noise = self.m.data, self.log_noise.data
-        mu, var, (xs, kxz_parts, w, u) = self._moments(x, m, self.c.data, chol, lw,
+        mu, var, (xs, kxz_parts, w, u) = self._moments(x, m, self.c.data, a, lw,
                                                        ls, zs, zs2, scale)
         err = y - mu
         quad = (err * err + var).sum(axis=1)
         noise2 = np.exp(log_noise) * 2.0
         loglik = log_noise * (-0.5 * bsz) - (quad / noise2 + 0.5 * bsz * LOG_2PI)
         rescale = total_n / bsz
-        value = ((loglik * rescale) - self._kl(lw)).sum() * sign
+        value = -((loglik * rescale) - self._kl(lw)).sum()
         params = self.parameters()
         lat = latents if isinstance(latents, Tensor) and latents.requires_grad else None
         out = Tensor(value, _parents=tuple(params) + ((lat,) if lat is not None else ()))
@@ -367,7 +338,7 @@ class VariationalGP:
         diag = self._diag
 
         def _bwd(g):
-            s = float(g) * sign                     # d out / d ELBO
+            s = -float(g)                           # d out / d ELBO
             sn = s * rescale                        # d out / d loglik, every task
             q = -sn / noise2                        # d out / d quad, (T,)
             g_mu = (-2.0 * q)[:, None] * err        # (T, B)
@@ -380,10 +351,9 @@ class VariationalGP:
             # lw's diagonal is exp(l_raw's), and the KL's log-det term adds s
             g_l_raw = np.tril(g_lw, -1)
             g_l_raw[:, diag, diag] = g_lw[:, diag, diag] * lw[:, diag, diag] + s
-            chol_inv = _inv_lower(chol)
-            g_chol, g_kzx = _trisolve_adjoint(chol_inv, w, g_w)
-            g_kzz = _cholesky_adjoint(chol, chol_inv, g_chol)
-            del chol_inv, g_chol, g_w               # before the Matern adjoints: peak memory
+            g_chol, g_kzx = _trisolve_adjoint(a, w, g_w)
+            g_kzz = _cholesky_adjoint(chol, a, g_chol)
+            del g_chol, g_w                         # before the Matern adjoints: peak memory
             g_xs, g_zs, g_scale_x = _matern_adjoint(g_kzx.T, xs, zs, kxz_parts, scale)
             g_zz, _, g_scale_z = _matern_adjoint(g_kzz, zs, zs, kzz_parts, scale)
             g_zs += 2.0 * g_zz                     # K_ZZ takes z as both operands
@@ -408,7 +378,9 @@ class VariationalGP:
                 pre_normalized: bool = False) -> tuple[np.ndarray, np.ndarray]:
         """Predictive means and stds, both (B, num_tasks); std includes noise."""
         x = self._latents(latents, pre_normalized)
-        mu, var, _ = self._moments(x, self.m.data, self.c.data, *self._factors())
+        key, factors = self._factors()
+        mu, var, _ = self._moments(x, self.m.data, self.c.data, *factors)
+        self._factor_cache = key, factors
         std = np.sqrt(var + np.exp(self.log_noise.data)[:, None])
         return mu.T, std.T
 

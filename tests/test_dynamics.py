@@ -156,6 +156,12 @@ class TestTickTrainingPairs:
         with pytest.raises(ValidationError, match="dt must be finite and positive"):
             tick_training_pairs(records, dt)
 
+    @pytest.mark.parametrize("count", [0, 1])
+    def test_fewer_than_two_records_rejected(self, count):
+        records = generate_golden_set(0, loop_duration=0.1, scenario_duration=0.1)["loop"]
+        with pytest.raises(ValidationError, match=f"at least 2 records, got {count}$"):
+            tick_training_pairs(records[:count], 0.01)
+
 
 class TestTrainDmLb:
     def test_empty_dataset_rejected(self):

@@ -54,14 +54,16 @@ def make_toy_gp(x, lengthscale=0.8, outputscale=1.3, noise=0.05, cmean=0.3):
     return gp
 
 
-def fit(x, y, inducing, batch_size, lr, epochs, seed):
+def fit(x, y, inducing, batch_size, lr, epochs, seed, z_scale=1.0):
     """A GP trained alone on fixed inputs x (n, d) and targets y (n, T) by
-    minibatch Adam: inputs z-scored by the GP, one permutation per epoch,
-    full batches only. Returns the GP and the loss of every step."""
+    minibatch Adam: inputs z-scored by the GP, inducing points seeded from
+    them and then scaled by z_scale, one permutation per epoch, full
+    batches only. Returns the GP and the loss of every step."""
     rng = seeded_rng(seed, "svgp-fit")
     gp = VariationalGP(x.shape[1], inducing, num_tasks=y.shape[1], input_mean=x.mean(axis=0),
                        input_std=np.maximum(x.std(axis=0), 1e-8))
     gp.init_from_latents(x, y, rng)
+    gp.z.data *= z_scale
     opt = Adam(gp.parameters(), lr=lr)
     losses = []
     for _ in range(epochs):
@@ -134,7 +136,7 @@ class TestElboAgainstDenseOracle:
         raw = np.tril(l_w, -1) + np.diag(np.log(np.diag(l_w)))
         gp.m.data[0] = m_w
         gp.l_raw.data[0] = raw
-        elbo = float(gp.elbo(x[:, None], y[:, None], total_n=n).data)
+        elbo = -float(gp.loss(x[:, None], y[:, None], total_n=n).data)
         lml = dense_lml(y, k, noise, cmean)
         assert elbo == pytest.approx(lml, abs=1e-6)
 
@@ -148,7 +150,7 @@ class TestElboAgainstDenseOracle:
             gp.m.data[0] = rng.standard_normal(len(x))
             gp.l_raw.data[0] = np.tril(rng.standard_normal((len(x), len(x))) * 0.3,
                                        -1) + np.diag(rng.uniform(-1, 0.3, len(x)))
-            elbo = float(gp.elbo(x[:, None], y[:, None], total_n=len(x)).data)
+            elbo = -float(gp.loss(x[:, None], y[:, None], total_n=len(x)).data)
             assert elbo <= lml + 1e-9
 
     def test_elbo_lower_bound_with_few_inducing(self):
@@ -162,7 +164,7 @@ class TestElboAgainstDenseOracle:
         gp.log_noise.data[0] = np.array(math.log(0.05))
         gp.c.data[0] = np.array(0.3)
         gp.m.data[0] = rng.standard_normal(6) * 0.5
-        elbo = float(gp.elbo(x[:, None], y[:, None], total_n=len(x)).data)
+        elbo = -float(gp.loss(x[:, None], y[:, None], total_n=len(x)).data)
         assert elbo <= lml + 1e-9
 
     def test_jitter_insensitivity_when_well_conditioned(self, monkeypatch):
@@ -171,7 +173,7 @@ class TestElboAgainstDenseOracle:
         elbos = []
         for jitter in (1e-8, 1e-6):
             monkeypatch.setattr(svgp, "_JITTER", jitter)
-            elbos.append(float(gp.elbo(x[:, None], y[:, None], total_n=len(x)).data))
+            elbos.append(-float(gp.loss(x[:, None], y[:, None], total_n=len(x)).data))
         assert abs(elbos[0] - elbos[1]) < 1e-3
 
 
@@ -205,12 +207,12 @@ class TestPredict:
             with pytest.raises(ValidationError, match="latents"):
                 gp.predict(z)
             with pytest.raises(ValidationError, match="latents"):
-                gp.elbo(z, targets, total_n=10)
+                gp.loss(z, targets, total_n=10)
         with pytest.raises(ValidationError, match="latents"):
             gp.predict(latents[2:3])
         targets[0, 0] = bad
         with pytest.raises(ValidationError, match="targets"):
-            gp.elbo(np.zeros((4, 2)), targets, total_n=10)
+            gp.loss(np.zeros((4, 2)), targets, total_n=10)
 
     @pytest.mark.parametrize("shape", [(2,), (4, 3), (2, 4, 2)])
     def test_latents_of_wrong_shape_rejected(self, shape):
@@ -219,7 +221,7 @@ class TestPredict:
             with pytest.raises(ValidationError, match=r"\(B, 2\)"):
                 gp.predict(z)
             with pytest.raises(ValidationError, match=r"\(B, 2\)"):
-                gp.elbo(z, np.zeros((2, 2)), total_n=10)
+                gp.loss(z, np.zeros((2, 2)), total_n=10)
 
     @pytest.mark.parametrize("pre_normalized", [False, True])
     def test_ndarray_and_tensor_latents_agree(self, pre_normalized):
@@ -235,8 +237,8 @@ class TestPredict:
         got = gp.predict(x, pre_normalized=pre_normalized)
         want = gp.predict(Tensor(x), pre_normalized=pre_normalized)
         assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
-        assert np.array_equal(gp.elbo(x, y, 10, pre_normalized=pre_normalized).data,
-                              gp.elbo(Tensor(x), y, 10, pre_normalized=pre_normalized).data)
+        assert np.array_equal(gp.loss(x, y, 10, pre_normalized=pre_normalized).data,
+                              gp.loss(Tensor(x), y, 10, pre_normalized=pre_normalized).data)
         other = gp.predict(x, pre_normalized=not pre_normalized)
         assert not np.array_equal(got[0], other[0])
 
@@ -535,7 +537,7 @@ class TestPredictAfterChanges:
 
     @pytest.mark.filterwarnings("ignore:overflow encountered in exp:RuntimeWarning")
     @pytest.mark.parametrize("log_scale", [800.0, math.nan])
-    @pytest.mark.parametrize("call", ["predict", "elbo"])
+    @pytest.mark.parametrize("call", ["predict", "elbo"])     # "elbo": the loss node
     def test_nonfinite_kernel_raises_and_caches_nothing(self, call, log_scale):
         # e^800 overflows: K_ZZ is inf, as it is nan at a nan outputscale
         gp = self.gp()
@@ -546,10 +548,31 @@ class TestPredictAfterChanges:
             if call == "predict":
                 gp.predict(self.X)
             else:
-                gp.elbo(self.X, np.ones((5, 2)), total_n=20)
+                gp.loss(self.X, np.ones((5, 2)), total_n=20)
         assert gp._factor_cache is cache
         gp.log_outputscale.data[...] = restore
         assert same_bits(gp.predict(self.X), good)
+
+    @pytest.mark.parametrize("call", ["predict", "loss"])
+    def test_nonfinite_cross_covariance_raises_and_caches_nothing(self, call):
+        # at lengthscale e^-345, z = 0, 1, 2 scale to finite points whose
+        # K_ZZ is the outputscale times I, but a latent at 1e5 overflows its
+        # squared norm, and K_XZ holds inf - inf = nan
+        gp = VariationalGP(1, 3, num_tasks=1)
+        gp.z.data = np.array([[0.0], [1.0], [2.0]])
+        x = np.array([[0.5]])
+        good, cache = gp.predict(x), gp._factor_cache
+        gp.log_lengthscales.data[...] = -345.0
+        with pytest.warns(RuntimeWarning):      # the overflow, then nan in the kernel
+            with pytest.raises(ValidationError,
+                               match=r"K_XZ is not finite at log_lengthscales \[-345\.\]"):
+                if call == "predict":
+                    gp.predict(np.array([[1e5]]))
+                else:
+                    gp.loss(np.array([[1e5]]), np.zeros((1, 1)), total_n=1)
+        assert gp._factor_cache is cache
+        gp.log_lengthscales.data[...] = 0.0
+        assert same_bits(gp.predict(x), good)
 
 
 class TestGradients:
@@ -606,7 +629,7 @@ def elbo_reference(gp, latents, targets, total_n, pre_normalized):
     zs = gp.z.data / np.exp(gp.log_lengthscales.data)
     kxz = matern(x / ls, zs, (zs * zs).sum(axis=1, keepdims=True).T,
                  np.exp(gp.log_outputscale.data))
-    w = solve_triangular(chol, kxz.T, lower=True)
+    w = svgp._inv_lower(chol) @ kxz.T          # L^-1 by dtrtri, then one GEMM
     mu = (m.reshape(tasks, 1, -1) @ w).reshape(tasks, -1) + c.reshape(tasks, 1)
     u = lw.transpose(0, 2, 1) @ w
     var = np.maximum((np.exp(gp.log_outputscale.data) - (w * w).sum(axis=0))
@@ -638,8 +661,8 @@ def random_gp(seed, dim, inducing, tasks=2):
 
 
 class TestElboNode:
-    """The ELBO and the loss are one autodiff node over the latents and the
-    7 parameters, with a hand-derived adjoint."""
+    """The loss, the negated ELBO, is one autodiff node over the latents and
+    the 7 parameters, with a hand-derived adjoint."""
 
     @pytest.mark.parametrize("pre_normalized", [False, True])
     def test_value_matches_reference_op_order(self, pre_normalized):
@@ -648,9 +671,7 @@ class TestElboNode:
         x, y = rng.standard_normal((5, 3)), rng.standard_normal((5, 2))
         want = elbo_reference(gp, x, y, 40, pre_normalized)
         for latents in (x, parameter(x)):
-            elbo = gp.elbo(latents, y, 40, pre_normalized=pre_normalized)
             loss = gp.loss(latents, y, 40, pre_normalized=pre_normalized)
-            assert elbo.data.tobytes() == want.tobytes()
             assert loss.data.tobytes() == (-want).tobytes()
 
     def test_one_node_over_latents_and_parameters(self):
@@ -681,10 +702,21 @@ class TestElboNode:
     @pytest.mark.parametrize("n_latents, n_targets", [(8, 1), (1, 8), (8, 5)])
     def test_one_target_row_per_latent(self, n_latents, n_targets):
         gp = VariationalGP(dim=2, inducing=3)
-        for call in (gp.loss, gp.elbo):
-            with pytest.raises(ValidationError,
-                               match=f"{n_latents} latents but {n_targets} target rows"):
-                call(np.zeros((n_latents, 2)), np.ones((n_targets, 2)), 100)
+        with pytest.raises(ValidationError,
+                           match=f"{n_latents} latents but {n_targets} target rows"):
+            gp.loss(np.zeros((n_latents, 2)), np.ones((n_targets, 2)), 100)
+
+    @pytest.mark.parametrize("total_n", [math.nan, math.inf, 7.5, 0])
+    def test_total_n_not_a_positive_int_rejected(self, total_n):
+        gp = VariationalGP(dim=2, inducing=3)
+        with pytest.raises(ValidationError,
+                           match=f"loss argument 'total_n' must be a positive int, got {total_n}"):
+            gp.loss(np.zeros((4, 2)), np.ones((4, 2)), total_n)
+
+    def test_total_n_below_batch_rejected(self):
+        gp = VariationalGP(dim=2, inducing=3)
+        with pytest.raises(ValidationError, match="bad batch/total sizes: 4, 3"):
+            gp.loss(np.zeros((4, 2)), np.ones((4, 2)), 3)
 
     def test_directional_at_benchmark_size(self):
         # train_cnn's sizes: B=256, M=128, dim 250, latents included
@@ -694,6 +726,38 @@ class TestElboNode:
         y = rng.standard_normal((256, 2))
         check_directional(lambda: gp.loss(latents, y, 1024, pre_normalized=True),
                           gp.parameters() + [latents], rng)
+
+
+class TestInverseAgainstSolve:
+    """W = L^-1 K_ZX is one GEMM with the inverse dtrtri forms, not a
+    triangular solve. Against substitution (scipy's `solve_triangular`)
+    on the same L, W, the predictive mean and the latent variance differ,
+    relative to their largest entries, by at most 10x what was measured
+    when the inverse replaced the solve."""
+
+    @pytest.mark.parametrize("duplicated, bounds, min_cond", [
+        (False, (1.1e-13, 1.4e-13, 3.0e-14), 1.0),
+        (True, (8.7e-12, 9.2e-12, 2.1e-12), 1e4),
+    ], ids=["benchmark size", "two pairs of duplicated inducing points"])
+    def test_within_rounding_of_the_solve(self, duplicated, bounds, min_cond):
+        # train_cnn's sizes: B=256, M=128, dim 250
+        gp = random_gp(58, dim=250, inducing=128)
+        if duplicated:
+            gp.z.data[[1, 3]] = gp.z.data[[0, 2]]
+        x = seeded_rng(59, "inverse-x").standard_normal((256, 250))
+        (a, lw, ls, zs, zs2, scale), (chol, _) = gp._inducing()
+        assert np.linalg.cond(chol) >= min_cond
+        mu, var, (_, _, w, _) = gp._moments(x, gp.m.data, gp.c.data, a, lw, ls, zs, zs2, scale)
+        kxz, _ = svgp._matern(x / ls, zs, zs2, scale)
+        w_ref = solve_triangular(chol, kxz.T, lower=True)
+        mu_ref = gp.m.data @ w_ref + gp.c.data[:, None]
+        u_ref = lw.transpose(0, 2, 1) @ w_ref
+        var_ref = np.maximum((scale - (w_ref * w_ref).sum(axis=0)) + (u_ref * u_ref).sum(axis=1),
+                             0.0)
+        for what, got, want, bound in zip(("W", "mean", "variance"), (w, mu, var),
+                                          (w_ref, mu_ref, var_ref), bounds):
+            err = np.abs(got - want).max() / np.abs(want).max()
+            assert err <= bound, (what, err)
 
 
 class TestGradientsAtKinks:
@@ -713,7 +777,7 @@ class TestGradientsAtKinks:
         gp, latents, y = self.setup(61)
         _, _, (_, (sq, _, _), _, _) = moments_of_loss(gp, latents, y, True)
         assert np.all(sq[[0, 1, 2], [1, 3, 4]] == 0.0)
-        assert np.all(np.diagonal(gp._inducing()[1][0]) == 0.0)
+        assert np.all(np.diagonal(gp._inducing()[1][1][0]) == 0.0)
         check_grads(lambda: gp.loss(latents, y, 40, pre_normalized=True),
                     gp.parameters() + [latents], h=1e-6, rtol=3e-4)
 
@@ -795,12 +859,19 @@ class TestFit:
         k = dense_matern(x, 0.5, 1.0)
         f = np.linalg.cholesky(k + 1e-10 * np.eye(400)) @ rng.standard_normal(400)
         y = f + 0.05 * rng.standard_normal(400)
-        gp, _ = fit(x[:, None], y[:, None], inducing=48, batch_size=128, lr=0.05, epochs=150,
-                    seed=25)
         # the model works on z-scored inputs: compare in that space
         expected = math.log(0.5 / x.std())
-        got = float(gp.log_lengthscales.data[0])
-        assert abs(got - expected) < 0.5
+        # 600 Adam steps on 48 inducing points (cond(L) about 4e4) are
+        # chaotic: a last-bit change moves where one run ends by up to about
+        # 0.5. So the fit runs from the seeded start and from starts with z
+        # scaled by 1 +- 1e-15 ... 1e-9, and the bounds hold for the set.
+        errors = []
+        for z_scale in [1.0] + [1.0 + sign * eps for eps in (1e-15, 1e-13, 1e-11, 1e-9)
+                                for sign in (1, -1)]:
+            gp, _ = fit(x[:, None], y[:, None], inducing=48, batch_size=128, lr=0.05,
+                        epochs=150, seed=25, z_scale=z_scale)
+            errors.append(abs(float(gp.log_lengthscales.data[0]) - expected))
+        assert max(errors) < 0.5 and np.median(errors) < 0.25, errors
 
     def test_prior_draw_two_sigma_coverage(self):
         # zero-information posterior: predictive equals the prior; draws from
