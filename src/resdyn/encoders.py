@@ -1,22 +1,21 @@
 """Sequence encoders mapping a command/state window to a latent vector.
 
-Each of the five kinds has one fixed structure, held in module constants.
-`cnn` and `dilated_cnn` are two ReLU conv layers with kernel 6 and stride
-4, dilated (1, 1) and (5, 1), built as one fused autodiff node with the
-dense layer (`_encode_conv`); `lstm` is one LSTM layer; `attention` is
-two blocks of self-attention within segments of 5 ticks, mean-pooled per
-segment, so its window is a multiple of 25. Each ends in a dense layer.
-`transformer` is one encoder layer with sinusoidal positions, mean-pooled
-over the window; its width is `latent_dim`, as the latent is the pooled
-embedding. A spec sets only sizes: `window`, `features`, `latent_dim`
-and the kind's `channels` (per conv layer), `hidden`, `att_dim`, or
-`ff_dim` and `dropout`.
+The paper's corrector variants differ only in the encoder, so each of the
+five kinds is one fixed architecture, held in module constants. `cnn` and
+`dilated_cnn` are two ReLU conv layers of 16 filters, kernel 6, stride 4,
+dilated (1, 1) and (5, 1), fused with the dense layer into one autodiff
+node (`_encode_conv`); `lstm` is one 128-unit LSTM layer; `attention` is
+two 32-wide self-attention blocks within segments of 5 ticks, mean-pooled
+per segment, so its window is a multiple of 25. Each ends in a dense layer.
+`transformer` is one 64-wide encoder layer with sinusoidal positions and a
+1024-wide feed-forward block under dropout 0.1, mean-pooled over the
+window into the latent. A spec sets only kind, window and features.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 
 import numpy as np
 from numpy.lib.stride_tricks import as_strided
@@ -31,7 +30,10 @@ _LATENT_DIMS = {"cnn": 250, "dilated_cnn": 200, "lstm": 128, "attention": 200,
 KINDS = tuple(_LATENT_DIMS)
 _KERNEL, _STRIDE = 6, 4                               # both conv layers
 _DILATIONS = {"cnn": (1, 1), "dilated_cnn": (5, 1)}   # per conv layer
-_SEGMENT, _BLOCKS = 5, 2                              # attention
+_CHANNELS = 16                                        # both conv layers
+_HIDDEN = 128                                         # lstm
+_SEGMENT, _BLOCKS, _ATT_DIM = 5, 2, 32                # attention
+_FF_DIM, _DROPOUT = 1024, 0.1                         # transformer
 _CONV_PARAMS = ("conv1_w", "conv1_b", "conv2_w", "conv2_b", "fc_w", "fc_b")
 
 
@@ -40,21 +42,12 @@ class EncoderSpec:
     kind: str
     window: int = 100
     features: int = 6
-    latent_dim: int = 0
-    channels: int = 16      # conv filters, the same in both layers
-    hidden: int = 128       # lstm
-    att_dim: int = 32       # attention
-    ff_dim: int = 1024      # transformer
-    dropout: float = 0.1
 
     def __post_init__(self):
         if self.kind not in KINDS:
             raise ValidationError(f"unknown encoder kind {self.kind!r}, want one of {KINDS}")
-        for name in ("window", "features", "latent_dim", "channels", "hidden", "att_dim",
-                     "ff_dim"):
+        for name in ("window", "features"):
             check_positive_int(getattr(self, name), f"encoder spec field {name!r}")
-        if not 0.0 <= self.dropout < 1.0:
-            raise ValidationError(f"dropout {self.dropout} outside [0, 1)")
         n_min = min_window_length(self)
         if self.window < n_min:
             raise ValidationError(
@@ -64,19 +57,13 @@ class EncoderSpec:
                 f"attention needs a window that is a multiple of {n_min} ticks, "
                 f"got {self.window}")
 
+    @property
+    def latent_dim(self) -> int:
+        return _LATENT_DIMS[self.kind]
 
-def make_spec(kind: str, /, window: int = 100, features: int = 6, **overrides) -> EncoderSpec:
-    """Spec with the shipped latent size for `kind` unless overridden;
-    unknown fields, and `kind` as an override, are refused."""
-    unknown = sorted(set(overrides) - {f.name for f in fields(EncoderSpec)})
-    if unknown:
-        raise ValidationError(f"unknown encoder spec field(s) {unknown}")
-    if "kind" in overrides:
-        raise ValidationError(
-            f"encoder spec field 'kind' is make_spec's first argument ({kind!r}), "
-            f"not an override (got {overrides['kind']!r})")
-    values = {"latent_dim": _LATENT_DIMS.get(kind, 0), **overrides}
-    return EncoderSpec(kind=kind, window=window, features=features, **values)
+
+def make_spec(kind: str, /, window: int = 100, features: int = 6) -> EncoderSpec:
+    return EncoderSpec(kind, window, features)
 
 
 def min_window_length(spec: EncoderSpec) -> int:
@@ -118,7 +105,7 @@ def init_encoder(spec: EncoderSpec, rng: np.random.Generator) -> dict[str, Tenso
 
     p: dict[str, Tensor] = {}
     if spec.kind in ("cnn", "dilated_cnn"):
-        c, k = spec.channels, _KERNEL
+        c, k = _CHANNELS, _KERNEL
         p["conv1_w"] = normal("conv1_w", c, f, k, scale=math.sqrt(2.0 / (f * k)))
         p["conv1_b"] = zeros("conv1_b", c)
         p["conv2_w"] = normal("conv2_w", c, c, k, scale=math.sqrt(2.0 / (c * k)))
@@ -127,7 +114,7 @@ def init_encoder(spec: EncoderSpec, rng: np.random.Generator) -> dict[str, Tenso
         p["fc_w"] = normal("fc_w", flat, spec.latent_dim, scale=math.sqrt(1.0 / flat))
         p["fc_b"] = zeros("fc_b", spec.latent_dim)
     elif spec.kind == "lstm":
-        h = spec.hidden
+        h = _HIDDEN
         bound = 1.0 / math.sqrt(h)
         p["wx"] = parameter(rng.uniform(-bound, bound, (f, 4 * h)), "wx")
         p["wh"] = parameter(rng.uniform(-bound, bound, (h, 4 * h)), "wh")
@@ -140,10 +127,10 @@ def init_encoder(spec: EncoderSpec, rng: np.random.Generator) -> dict[str, Tenso
         d_in = f
         for i in range(_BLOCKS):
             for nm in ("q", "k", "v"):
-                p[f"blk{i}_{nm}"] = normal(f"blk{i}_{nm}", d_in, spec.att_dim,
+                p[f"blk{i}_{nm}"] = normal(f"blk{i}_{nm}", d_in, _ATT_DIM,
                                            scale=math.sqrt(1.0 / d_in))
-            d_in = spec.att_dim
-        flat = spec.window // _SEGMENT ** _BLOCKS * spec.att_dim
+            d_in = _ATT_DIM
+        flat = spec.window // _SEGMENT ** _BLOCKS * _ATT_DIM
         p["fc_w"] = normal("fc_w", flat, spec.latent_dim, scale=math.sqrt(1.0 / flat))
         p["fc_b"] = zeros("fc_b", spec.latent_dim)
     elif spec.kind == "transformer":
@@ -154,9 +141,9 @@ def init_encoder(spec: EncoderSpec, rng: np.random.Generator) -> dict[str, Tenso
             p[nm] = normal(nm, e, e, scale=math.sqrt(1.0 / e))
         p["ln1_g"] = parameter(np.ones(e), "ln1_g")
         p["ln1_b"] = zeros("ln1_b", e)
-        p["ff1_w"] = normal("ff1_w", e, spec.ff_dim, scale=math.sqrt(2.0 / e))
-        p["ff1_b"] = zeros("ff1_b", spec.ff_dim)
-        p["ff2_w"] = normal("ff2_w", spec.ff_dim, e, scale=math.sqrt(1.0 / spec.ff_dim))
+        p["ff1_w"] = normal("ff1_w", e, _FF_DIM, scale=math.sqrt(2.0 / e))
+        p["ff1_b"] = zeros("ff1_b", _FF_DIM)
+        p["ff2_w"] = normal("ff2_w", _FF_DIM, e, scale=math.sqrt(1.0 / _FF_DIM))
         p["ff2_b"] = zeros("ff2_b", e)
         p["ln2_g"] = parameter(np.ones(e), "ln2_g")
         p["ln2_b"] = zeros("ln2_b", e)
@@ -309,7 +296,7 @@ def _encode_transformer(p, spec, x, train, rng):
     sub1 = ad.layer_norm(ad.add(emb, att), p["ln1_g"], p["ln1_b"])
     # position-wise feed-forward with dropout inside
     ff = ad.relu(ad.affine(ad.reshape(sub1, (b * n, e)), p["ff1_w"], p["ff1_b"]))
-    ff = ad.dropout(ff, spec.dropout, rng=rng, train=train)
+    ff = ad.dropout(ff, _DROPOUT, rng=rng, train=train)
     ff = ad.reshape(ad.affine(ff, p["ff2_w"], p["ff2_b"]), (b, n, e))
     sub2 = ad.layer_norm(ad.add(sub1, ff), p["ln2_g"], p["ln2_b"])
     return ad.tmean(sub2, axis=1)

@@ -133,10 +133,13 @@ def _matern52(sq: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 def _matern(a: np.ndarray, b: np.ndarray, b2: np.ndarray, scale):
     """Matern-5/2 covariance (n, m) of the rows of the scaled inputs a and
     b, given b's squared row norms b2 as (1, m), and the parts its adjoint
-    reads: the squared distances, the unit-scale kernel and its slope."""
-    sq = np.maximum(((a * a).sum(axis=1, keepdims=True) + b2) - (a @ b.T) * 2.0, 0.0)
-    unit, slope = _matern52(sq)
-    return unit * scale, (sq, unit, slope)
+    reads: the squared distances, the unit-scale kernel and its slope. An
+    overflow, or an inf scale, gives a non-finite covariance without a
+    warning; the callers refuse it."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        sq = np.maximum(((a * a).sum(axis=1, keepdims=True) + b2) - (a @ b.T) * 2.0, 0.0)
+        unit, slope = _matern52(sq)
+        return unit * scale, (sq, unit, slope)
 
 
 def _matern_adjoint(gk: np.ndarray, a: np.ndarray, b: np.ndarray, parts, scale):
@@ -200,7 +203,7 @@ class VariationalGP:
         """k-means++ inducing seeding over a subsample; constant means start
         at the per-task target means."""
         latents = self._latents(latents, pre_normalized=False)
-        y = self._targets(targets)
+        y = self._targets(targets, len(latents))
         sub = latents if len(latents) <= 2048 else \
             latents[rng.choice(len(latents), 2048, replace=False)]
         if (distinct := len(np.unique(sub, axis=0))) < self.inducing:
@@ -219,11 +222,15 @@ class VariationalGP:
         check_finite(x, "latents")
         return x if pre_normalized else (x - self.input_mean) / self.input_std
 
-    def _targets(self, targets: np.ndarray) -> np.ndarray:
-        """(B, T) targets as a finite, contiguous (T, B) array."""
+    def _targets(self, targets: np.ndarray, n: int) -> np.ndarray:
+        """(B, T) targets for n latents, one row each, as a finite,
+        contiguous (T, B) array."""
         y = np.asarray(targets, float)
         if y.ndim != 2 or y.shape[1] != self.num_tasks:
             raise ValidationError(f"targets must be (B, {self.num_tasks}), got {y.shape}")
+        if len(y) != n:
+            raise ValidationError(
+                f"{n} latents but {len(y)} target rows: one target row per latent")
         check_finite(y, "targets")
         return np.ascontiguousarray(y.T)
 
@@ -260,8 +267,10 @@ class VariationalGP:
         lengthscales, z scaled by them, its squared row norms (1, M) and
         the outputscale; and, for the adjoint, L and K_ZZ's kernel parts."""
         ls = np.exp(self.log_lengthscales.data)
-        scale = np.exp(self.log_outputscale.data)
-        zs = self.z.data / ls
+        # an inf outputscale or a zero lengthscale gives a K_ZZ that is refused
+        with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+            scale = np.exp(self.log_outputscale.data)
+            zs = self.z.data / ls
         zs2 = (zs * zs).sum(axis=1, keepdims=True).T
         kzz, kzz_parts = _matern(zs, zs, zs2, scale)
         chol = self._chol_kzz(kzz)
@@ -313,11 +322,8 @@ class VariationalGP:
         rescaled by total_n / B, for an int total_n >= B; the KL appears
         once per task. There must be one row of targets per latent."""
         x = self._latents(latents, pre_normalized)
-        y = self._targets(targets)                              # (T, B)
+        y = self._targets(targets, len(x))                      # (T, B)
         bsz = y.shape[1]
-        if len(x) != bsz:
-            raise ValidationError(
-                f"{len(x)} latents but {bsz} target rows: one target row per latent")
         check_positive_int(total_n, "loss argument 'total_n'")
         if bsz < 1 or total_n < bsz:
             raise ValidationError(f"bad batch/total sizes: {bsz}, {total_n}")
@@ -409,14 +415,17 @@ class VariationalGP:
         if num_tasks < 1 or num_tasks != int(num_tasks):
             raise ValidationError(
                 f"GP array 'num_tasks' must be a positive integer, got {num_tasks}")
-        gp = cls(z.shape[1], z.shape[0], num_tasks=int(num_tasks),
+        # the per-task arrays are read before anything is sized by num_tasks,
+        # so a count the keys do not back fails at its first missing key
+        m = z.shape[0]
+        tasks = {name: np.stack([_checkpoint_array(arrays, f"{name}{t}", shape)
+                                 for t in range(int(num_tasks))])
+                 for name, shape in zip(_TASK_PARAMS, ((m,), (m, m), (), ()))}
+        gp = cls(z.shape[1], m, num_tasks=int(num_tasks),
                  input_mean=_checkpoint_array(arrays, "input_mean", z.shape[1:]),
                  input_std=_checkpoint_array(arrays, "input_std", z.shape[1:]))
         for p in gp.parameters():
-            if p.name in _TASK_PARAMS:
-                p.data = np.stack([_checkpoint_array(arrays, f"{p.name}{t}", p.data.shape[1:])
-                                   for t in range(gp.num_tasks)])
-            else:
-                p.data = _checkpoint_array(arrays, p.name, p.data.shape)
+            p.data = (tasks[p.name] if p.name in tasks
+                      else _checkpoint_array(arrays, p.name, p.data.shape))
         return gp
 

@@ -7,19 +7,14 @@ from fdcheck import check_directional, check_grads
 import resdyn.autodiff as ad
 from resdyn.autodiff import Tensor, backward, parameter
 from resdyn.core import ValidationError
-from resdyn.encoders import (_CONV_PARAMS, _DILATIONS, _STRIDE, KINDS, EncoderSpec,
-                             conv_chain_lengths, encode, init_encoder, make_spec,
-                             min_window_length, trainable)
+from resdyn.encoders import (_CONV_PARAMS, _DILATIONS, _DROPOUT, _FF_DIM, _STRIDE, KINDS,
+                             EncoderSpec, conv_chain_lengths, encode, init_encoder,
+                             make_spec, min_window_length, trainable)
 from resdyn.rng import seeded_rng
 
-# reduced specs keep the finite-difference sweep fast; kinds are unchanged
-TINY = {
-    "cnn": dict(window=26, channels=2, latent_dim=3),
-    "dilated_cnn": dict(window=46, channels=2, latent_dim=3),
-    "lstm": dict(window=7, hidden=4, latent_dim=3),
-    "attention": dict(window=25, att_dim=3, latent_dim=3),
-    "transformer": dict(window=6, ff_dim=8, latent_dim=4, dropout=0.0),
-}
+# each kind's shortest window (a few ticks for lstm and transformer, which
+# take any), so that the finite-difference checks run on the shipped widths
+SHORT = {"cnn": 26, "dilated_cnn": 46, "lstm": 7, "attention": 25, "transformer": 6}
 
 # parameter names and shapes of each kind's shipped structure at
 # make_spec(kind): window 100, 6 features
@@ -41,8 +36,8 @@ SHIPPED = {
 }
 
 
-def tiny_setup(kind, seed=0):
-    spec = make_spec(kind, **TINY[kind])
+def short_setup(kind, seed=0):
+    spec = make_spec(kind, window=SHORT[kind])
     params = init_encoder(spec, seeded_rng(seed, "enc", kind))
     return spec, params
 
@@ -69,18 +64,16 @@ class TestShapes:
             assert z.data.shape == (2, 128)
 
     def test_transformer_table_values(self):
-        spec = make_spec("transformer", window=100)
-        assert spec.ff_dim == 1024
-        assert spec.dropout == 0.1
+        assert (_FF_DIM, _DROPOUT) == (1024, 0.1)
 
     def test_transformer_latent_defaults_to_embed_dim(self):
         # the latent is the pooled embedding, so latent_dim is the width
-        assert make_spec("transformer", window=10).latent_dim == 64
-        spec = make_spec("transformer", window=10, latent_dim=16, ff_dim=8)
-        params = init_encoder(spec, seeded_rng(0, "tf16"))
-        assert params["wq"].data.shape == (16, 16)
+        spec = make_spec("transformer", window=10)
+        assert spec.latent_dim == 64
+        params = init_encoder(spec, seeded_rng(0, "tf64"))
+        assert params["wq"].data.shape == (64, 64)
         z = encode(params, spec, np.zeros((2, 10, 6)))
-        assert z.data.shape == (2, 16)
+        assert z.data.shape == (2, 64)
 
     def test_kinds_and_unknown_kind(self):
         assert KINDS == ("cnn", "dilated_cnn", "lstm", "attention", "transformer")
@@ -96,12 +89,12 @@ class TestShapes:
         assert z.data.shape == (2, 200)
 
     def test_wrong_window_length_rejected(self):
-        spec, params = tiny_setup("cnn")
+        spec, params = short_setup("cnn")
         with pytest.raises(ValidationError, match="differs from configured"):
             encode(params, spec, np.zeros((2, 30, 6)))
 
     def test_wrong_feature_count_rejected(self):
-        spec, params = tiny_setup("lstm")
+        spec, params = short_setup("lstm")
         with pytest.raises(ValidationError):
             encode(params, spec, np.zeros((2, 7, 5)))
 
@@ -183,7 +176,7 @@ class TestConvNode:
         # window 0 is all zeros and the conv biases are 0, so every one of
         # its pre-activations is exactly 0 whatever the weights; the weights'
         # gradients must match central differences there
-        spec, params = tiny_setup("cnn", seed=31)
+        spec, params = short_setup("cnn", seed=31)
         rng = seeded_rng(32, "conv-zero")
         x = rng.standard_normal((2, spec.window, 6))
         x[0] = 0.0
@@ -237,7 +230,7 @@ class TestLstmGraph:
         # would grow by a dozen or more nodes for every tick
         counts = []
         for n in (7, 50):
-            spec = make_spec("lstm", window=n, hidden=4, latent_dim=3)
+            spec = make_spec("lstm", window=n)
             params = init_encoder(spec, seeded_rng(0, "graph", n))
             counts.append(graph_nodes(encode(params, spec, np.zeros((2, n, 6)))))
         assert counts[0] == counts[1]
@@ -245,41 +238,41 @@ class TestLstmGraph:
 
 class TestSpecFields:
     def test_unknown_field_named(self):
-        with pytest.raises(ValidationError, match="'foo'"):
+        with pytest.raises(TypeError, match="'foo'"):
             make_spec("cnn", foo=1)
 
     def test_spec_sets_only_sizes(self):
-        assert [f.name for f in fields(EncoderSpec)] == [
-            "kind", "window", "features", "latent_dim", "channels", "hidden", "att_dim",
-            "ff_dim", "dropout"]
+        assert [f.name for f in fields(EncoderSpec)] == ["kind", "window", "features"]
 
     @pytest.mark.parametrize("field, value", [("kernel", 6), ("stride", 4),
                                               ("dilations", (5, 1)), ("segment", 5),
-                                              ("blocks", 2), ("embed_dim", 64)])
+                                              ("blocks", 2), ("embed_dim", 64),
+                                              ("latent_dim", 250), ("channels", 16),
+                                              ("hidden", 128), ("att_dim", 32),
+                                              ("ff_dim", 1024), ("dropout", 0.1)])
     def test_fixed_structure_is_not_a_field(self, field, value):
-        with pytest.raises(ValidationError, match=f"unknown encoder spec field.*'{field}'"):
+        with pytest.raises(TypeError, match=f"'{field}'"):
             make_spec("cnn", **{field: value})
 
     @pytest.mark.parametrize("kind, field, value", [
-        ("attention", "window", 100.0), ("cnn", "channels", 2.5), ("cnn", "hidden", True),
-        ("lstm", "latent_dim", "8"), ("transformer", "ff_dim", np.float64(16.0))])
+        ("attention", "window", 100.0), ("cnn", "features", 2.5), ("cnn", "window", True),
+        ("lstm", "features", "8"), ("transformer", "window", np.float64(16.0))])
     def test_size_that_is_not_an_int_rejected(self, kind, field, value):
         with pytest.raises(ValidationError,
                            match=f"encoder spec field '{field}' must be a positive int"):
             make_spec(kind, **{field: value})
 
-    @pytest.mark.parametrize("field", ["window", "features", "latent_dim", "channels",
-                                       "hidden", "att_dim", "ff_dim"])
+    @pytest.mark.parametrize("field", ["window", "features"])
     def test_size_below_one_rejected(self, field):
         with pytest.raises(ValidationError,
                            match=f"encoder spec field '{field}' must be a positive int"):
             make_spec("cnn", **{field: 0})
 
     def test_numpy_integer_size_accepted(self):
-        assert make_spec("cnn", channels=np.int64(3)).channels == 3
+        assert make_spec("cnn", window=np.int64(30)).window == 30
 
     def test_kind_as_override_rejected(self):
-        with pytest.raises(ValidationError, match="'kind' is make_spec's first argument"):
+        with pytest.raises(TypeError, match="'kind'"):
             make_spec("cnn", kind="lstm")
 
 
@@ -312,9 +305,9 @@ class TestMinWindow:
 
     @pytest.mark.parametrize("n", [50, 100])
     def test_attention_window_multiple_of_25_encodes(self, n):
-        spec = make_spec("attention", window=n, att_dim=3, latent_dim=3)
+        spec = make_spec("attention", window=n)
         z = encode(init_encoder(spec, seeded_rng(0, "att", n)), spec, np.ones((2, n, 6)))
-        assert z.data.shape == (2, 3)
+        assert z.data.shape == (2, 200)
 
     def test_too_small_window_rejected_with_min_in_message(self):
         with pytest.raises(ValidationError, match="at least 26"):
@@ -323,15 +316,15 @@ class TestMinWindow:
     def test_min_window_encodes(self):
         # at exactly N_min every conv length is >= 1 and encode works
         for kind in ("cnn", "dilated_cnn", "attention"):
-            n = TINY[kind]["window"]
-            spec, params = tiny_setup(kind)
+            n = SHORT[kind]
+            spec, params = short_setup(kind)
             z = encode(params, spec, np.zeros((1, n, 6)))
             assert z.data.shape == (1, spec.latent_dim)
 
 
 class TestZeroWeightTransformer:
     def test_zero_weights_zero_positions_give_zero_latent(self):
-        spec, params = tiny_setup("transformer")
+        spec, params = short_setup("transformer")
         for name, t in params.items():
             t.data = np.zeros_like(t.data)
         rng = seeded_rng(1, "zw")
@@ -342,7 +335,7 @@ class TestZeroWeightTransformer:
 class TestOrderSensitivity:
     @pytest.mark.parametrize("kind", ["lstm", "attention", "transformer"])
     def test_row_permutation_changes_latent(self, kind):
-        spec, params = tiny_setup(kind, seed=3)
+        spec, params = short_setup(kind, seed=3)
         rng = seeded_rng(4, "perm", kind)
         w = rng.standard_normal((1, spec.window, 6))
         w2 = w.copy()
@@ -356,7 +349,7 @@ class TestOrderSensitivity:
 
 class TestDeterminismAndDropout:
     def test_eval_is_deterministic(self):
-        spec, params = tiny_setup("transformer")
+        spec, params = short_setup("transformer")
         rng = seeded_rng(5, "det")
         w = rng.standard_normal((2, spec.window, 6))
         z1 = encode(params, spec, w).data
@@ -364,26 +357,42 @@ class TestDeterminismAndDropout:
         assert np.array_equal(z1, z2)
 
     def test_train_dropout_differs_from_eval(self):
-        spec = make_spec("transformer", window=6, ff_dim=16, latent_dim=4, dropout=0.5)
-        params = init_encoder(spec, seeded_rng(6, "drop"))
+        spec, params = short_setup("transformer", seed=6)
         rng = seeded_rng(7, "drop-data")
-        w = rng.standard_normal((2, 6, 6))
+        w = rng.standard_normal((2, spec.window, 6))
         z_eval = encode(params, spec, w).data
         z_train = encode(params, spec, w, train=True, rng=seeded_rng(8, "mask")).data
         assert not np.allclose(z_eval, z_train)
 
 
+def fd_case(kind, train=False):
+    """A shipped-width encoder on its shortest window: a scalar loss of its
+    latent, the trainable tensors and an rng; in train mode each evaluation
+    draws the same dropout mask."""
+    spec, params = short_setup(kind, seed=10)
+    rng = seeded_rng(11, "fd", kind)
+    w = rng.standard_normal((2, spec.window, 6))
+    mix = Tensor(rng.standard_normal((2, spec.latent_dim)))
+
+    def f():
+        mask_rng = seeded_rng(12, "fd-mask", kind) if train else None
+        return ad.tsum(ad.mul(encode(params, spec, w, train, mask_rng), mix))
+    return f, trainable(params), rng
+
+
 class TestEncoderGradients:
-    """Finite-difference pass over every encoder kind (tiny instances)."""
+    """Finite-difference checks of every encoder kind at its shipped widths."""
 
     @pytest.mark.parametrize("kind", KINDS)
     def test_fd_all_weights(self, kind):
-        spec, params = tiny_setup(kind, seed=10)
-        rng = seeded_rng(11, "fd", kind)
-        w = rng.standard_normal((2, spec.window, 6))
-        mix = Tensor(rng.standard_normal((2, spec.latent_dim)))
-        tensors = trainable(params)
+        # three random directions per tensor, two evaluations each: entry by
+        # entry would take two per weight, over 130k for the transformer
+        f, tensors, rng = fd_case(kind, train=True)
+        for t in tensors:
+            for _ in range(3):
+                check_directional(f, [t], rng, h=1e-4, rtol=1e-7)
 
-        def f():
-            return ad.tsum(ad.mul(encode(params, spec, w), mix))
+    @pytest.mark.parametrize("kind", ["cnn", "dilated_cnn"])
+    def test_fd_every_entry(self, kind):
+        f, tensors, _ = fd_case(kind)
         check_grads(f, tensors, h=1e-5, rtol=1e-4)

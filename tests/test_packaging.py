@@ -185,3 +185,26 @@ def test_optional_parameter_guard_sees_dataclass_fields_and_literal_keys():
     assert parameters_passed(ast.parse("Spec(**{'b': 2})")) == {("Spec", "b")}
     assert parameters_passed(ast.parse("Spec(**{key: 2})")) == {("Spec", "**")}
     assert parameters_passed(ast.parse("Spec(**kw)")) == {("Spec", "**")}
+
+
+def public_functions(tree: ast.Module) -> list[ast.FunctionDef]:
+    """Public top-level functions, and the constructor and public methods
+    of public classes."""
+    found = []
+    for node in tree.body:
+        if isinstance(node, ast.FunctionDef) and not node.name.startswith("_"):
+            found.append(node)
+        elif isinstance(node, ast.ClassDef) and not node.name.startswith("_"):
+            found += [fn for fn in node.body if isinstance(fn, ast.FunctionDef)
+                      and (fn.name == "__init__" or not fn.name.startswith("_"))]
+    return found
+
+
+def test_no_public_signature_takes_keyword_catchall():
+    """The guard above sees only named parameters, and every option passed
+    through a `**` parameter would look set to it."""
+    found = [f"{path.stem}.{fn.name}(**{fn.args.kwarg.arg})"
+             for path in sorted((ROOT / "src" / "resdyn").glob("*.py"))
+             for fn in public_functions(ast.parse(path.read_text()))
+             if fn.args.kwarg is not None]
+    assert not found, f"public signatures with a ** parameter: {found}"

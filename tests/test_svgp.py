@@ -300,6 +300,14 @@ class TestInitFromLatents:
         assert len(np.unique(centers[0], axis=0)) == 12
         assert centers[0].tobytes() == centers[1].tobytes()
 
+    def test_one_target_row_per_latent(self):
+        # the constant means start at the target means, which 7 rows for 50
+        # latents would set from rows that belong to no latent
+        gp, latents = VariationalGP(3, 12), seeded_rng(75, "init-rows").standard_normal((50, 3))
+        with pytest.raises(ValidationError, match="50 latents but 7 target rows"):
+            gp.init_from_latents(latents, np.ones((7, 2)), seeded_rng(74, "init"))
+        assert np.array_equal(gp.c.data, np.zeros(2))
+
 
 class TestConstructorArguments:
     @pytest.mark.parametrize("args, name", [
@@ -372,6 +380,16 @@ class TestFromArrays:
         _, arrays = gp_arrays()
         arrays["num_tasks"] = np.array(num_tasks)
         with pytest.raises(ValidationError, match="'num_tasks' must be a positive integer"):
+            VariationalGP.from_arrays(arrays)
+
+    @pytest.mark.parametrize("num_tasks", [3.0, 1e15])
+    def test_num_tasks_beyond_the_task_keys_rejected(self, num_tasks):
+        # the arrays hold two tasks: the first missing key is named before
+        # anything is allocated for the count, which at 1e15 tasks of 3x3
+        # factors would take petabytes
+        _, arrays = gp_arrays()
+        arrays["num_tasks"] = np.array(num_tasks)
+        with pytest.raises(ValidationError, match="GP arrays have no 'm2'"):
             VariationalGP.from_arrays(arrays)
 
 
@@ -535,11 +553,11 @@ class TestPredictAfterChanges:
             gp.log_outputscale.data[...] = log_scale
             assert same_bits(gp.predict(self.X), good)
 
-    @pytest.mark.filterwarnings("ignore:overflow encountered in exp:RuntimeWarning")
     @pytest.mark.parametrize("log_scale", [800.0, math.nan])
-    @pytest.mark.parametrize("call", ["predict", "elbo"])     # "elbo": the loss node
+    @pytest.mark.parametrize("call", ["predict", "loss"])
     def test_nonfinite_kernel_raises_and_caches_nothing(self, call, log_scale):
-        # e^800 overflows: K_ZZ is inf, as it is nan at a nan outputscale
+        # e^800 overflows: K_ZZ is inf, as it is nan at a nan outputscale;
+        # the refusal is the only signal, as a warning would fail the test
         gp = self.gp()
         good, cache = gp.predict(self.X), gp._factor_cache
         restore = gp.log_outputscale.data.copy()
@@ -554,22 +572,38 @@ class TestPredictAfterChanges:
         assert same_bits(gp.predict(self.X), good)
 
     @pytest.mark.parametrize("call", ["predict", "loss"])
+    def test_zero_lengthscale_raises_and_caches_nothing(self, call):
+        # e^-800 underflows to a lengthscale of 0, so z / 0 holds inf and
+        # nan; the refusal is the only signal, with no divide warning first
+        gp = self.gp()
+        good, cache = gp.predict(self.X), gp._factor_cache
+        restore = gp.log_lengthscales.data.copy()
+        gp.log_lengthscales.data[0] = -800.0
+        with pytest.raises(ValidationError, match=r"K_ZZ is not finite at log_lengthscales"):
+            if call == "predict":
+                gp.predict(self.X)
+            else:
+                gp.loss(self.X, np.ones((5, 2)), total_n=20)
+        assert gp._factor_cache is cache
+        gp.log_lengthscales.data[...] = restore
+        assert same_bits(gp.predict(self.X), good)
+
+    @pytest.mark.parametrize("call", ["predict", "loss"])
     def test_nonfinite_cross_covariance_raises_and_caches_nothing(self, call):
         # at lengthscale e^-345, z = 0, 1, 2 scale to finite points whose
         # K_ZZ is the outputscale times I, but a latent at 1e5 overflows its
-        # squared norm, and K_XZ holds inf - inf = nan
+        # squared norm, and K_XZ holds inf - inf = nan; no warning comes first
         gp = VariationalGP(1, 3, num_tasks=1)
         gp.z.data = np.array([[0.0], [1.0], [2.0]])
         x = np.array([[0.5]])
         good, cache = gp.predict(x), gp._factor_cache
         gp.log_lengthscales.data[...] = -345.0
-        with pytest.warns(RuntimeWarning):      # the overflow, then nan in the kernel
-            with pytest.raises(ValidationError,
-                               match=r"K_XZ is not finite at log_lengthscales \[-345\.\]"):
-                if call == "predict":
-                    gp.predict(np.array([[1e5]]))
-                else:
-                    gp.loss(np.array([[1e5]]), np.zeros((1, 1)), total_n=1)
+        with pytest.raises(ValidationError,
+                           match=r"K_XZ is not finite at log_lengthscales \[-345\.\]"):
+            if call == "predict":
+                gp.predict(np.array([[1e5]]))
+            else:
+                gp.loss(np.array([[1e5]]), np.zeros((1, 1)), total_n=1)
         assert gp._factor_cache is cache
         gp.log_lengthscales.data[...] = 0.0
         assert same_bits(gp.predict(x), good)
