@@ -1,25 +1,26 @@
 """Minimal dense-tensor reverse-mode autodiff and Adam optimizer.
 
 Define-by-run: every op is a module-level function (`add`, `matmul`,
-`tsum`, ...) that returns a Tensor holding the forward value and a
-closure that scatters the upstream gradient, passed in as its argument, to
-its parents. Tensors have no operators and no indexing. A closure never
-references its own output node, so a graph holds no reference cycle: it
-is rebuilt each minibatch and freed by reference counting as soon as it
+`tsum`, ...) that returns a Tensor holding the forward value. Tensors have
+no operators and no indexing. Every node, in this module or outside it, is
+built one way: `_node(data, parents, backward)`, where `backward(g,
+*parents)` scatters the upstream gradient g to the parents, calling a
+parent's `_acc` only when that parent requires a gradient. A backward
+never references the node it serves, so a graph holds no reference cycle:
+it is rebuilt each minibatch and freed by reference counting as soon as it
 is dropped. float64 everywhere: the models trained here are tiny and
 Cholesky robustness matters more than speed.
 
-`lstm` is a fused node: one node for the whole sequence, whose closure
+`lstm` is a fused node: one node for the whole sequence, whose backward
 holds the intermediates it needs (each tick's operand [1 | x_t | h_t],
 gates and cell state) instead of a graph of elementwise nodes; it runs one
 GEMM per tick each way and matches such a graph to about 1e-15 relative.
 The conv encoders (`encoders._encode_conv`) and the SVGP's loss
-(`svgp.VariationalGP.loss`) are fused nodes built the same way outside
-this module, from `_node` or a `Tensor` over their parameters and a
-closure that calls each parent's `_acc`.
+(`svgp.VariationalGP.loss`) are fused nodes built by `_node` outside this
+module.
 
 `backward` frees each interior node's gradient as soon as that node's
-closure has passed it on, so after `backward` only leaves (parameters and
+backward has passed it on, so after `backward` only leaves (parameters and
 inputs created with `requires_grad`) hold a `.grad`. A node's first
 gradient is stored as a copy and later ones are added into it in place.
 """
@@ -107,10 +108,15 @@ def _value(x) -> np.ndarray:
     return x.data if isinstance(x, Tensor) else np.asarray(x, dtype=np.float64)
 
 
-def _node(data, *parents):
+def _node(data, parents, backward):
     """A Tensor holding `data` over `parents`, a plain one given as its
-    `_value` so it is converted once."""
-    return Tensor(data, _parents=tuple(map(as_tensor, parents)))
+    `_value` so it is converted once. When the node requires a gradient,
+    `autodiff.backward` calls `backward(g, *parents)` with its gradient g
+    and the parents as Tensors."""
+    out = Tensor(data, _parents=tuple(map(as_tensor, parents)))
+    if out.requires_grad:
+        out._backward = backward
+    return out
 
 
 def parameter(data, name: str | None = None) -> Tensor:
@@ -137,7 +143,7 @@ def backward(loss: Tensor) -> None:
     loss.grad = np.ones_like(loss.data)
     for node in reversed(topo):
         if node._backward is not None:
-            node._backward(node.grad)
+            node._backward(node.grad, *node._parents)
             node.grad = None
 
 
@@ -161,16 +167,13 @@ def _binary(a, b, fwd, da, db):
         data = fwd(av, bv)
     except ValueError as exc:
         raise ValidationError(f"shape mismatch: {av.shape} vs {bv.shape}") from exc
-    out = _node(data, a if isinstance(a, Tensor) else av, b if isinstance(b, Tensor) else bv)
-    if out.requires_grad:
-        a, b = out._parents
-        def _bwd(g):
-            if a.requires_grad:
-                a._acc(_unbroadcast(da(g, a.data, b.data), a.data.shape))
-            if b.requires_grad:
-                b._acc(_unbroadcast(db(g, a.data, b.data), b.data.shape))
-        out._backward = _bwd
-    return out
+    def _bwd(g, a, b):
+        if a.requires_grad:
+            a._acc(_unbroadcast(da(g, a.data, b.data), a.data.shape))
+        if b.requires_grad:
+            b._acc(_unbroadcast(db(g, a.data, b.data), b.data.shape))
+    return _node(data, (a if isinstance(a, Tensor) else av,
+                        b if isinstance(b, Tensor) else bv), _bwd)
 
 
 def add(a, b):
@@ -193,14 +196,10 @@ def div(a, b):
 # -- elementwise unary -------------------------------------------------
 
 def _unary(x, fwd, dfn):
-    data = fwd(_value(x))
-    out = _node(data, x)
-    if out.requires_grad:
-        y = out.data
-        def _bwd(g):
-            x._acc(dfn(g, x.data, y))
-        out._backward = _bwd
-    return out
+    y = fwd(_value(x))
+    def _bwd(g, x):
+        x._acc(dfn(g, x.data, y))
+    return _node(y, (x,), _bwd)
 
 
 def sqrt(x):
@@ -214,15 +213,11 @@ def relu(x):
 # -- reductions and shape ops -----------------------------------------
 
 def tsum(x, axis=None, keepdims=False):
-    data = _value(x).sum(axis=axis, keepdims=keepdims)
-    out = _node(data, x)
-    if out.requires_grad:
-        def _bwd(g):
-            if axis is not None and not keepdims:
-                g = np.expand_dims(g, axis)
-            x._acc(np.broadcast_to(g, x.data.shape))
-        out._backward = _bwd
-    return out
+    def _bwd(g, x):
+        if axis is not None and not keepdims:
+            g = np.expand_dims(g, axis)
+        x._acc(np.broadcast_to(g, x.data.shape))
+    return _node(_value(x).sum(axis=axis, keepdims=keepdims), (x,), _bwd)
 
 
 def tmean(x, axis=None, keepdims=False):
@@ -236,24 +231,15 @@ def tmean(x, axis=None, keepdims=False):
 
 
 def reshape(x, shape):
-    data = _value(x).reshape(shape)
-    out = _node(data, x)
-    if out.requires_grad:
-        def _bwd(g):
-            x._acc(g.reshape(x.data.shape))
-        out._backward = _bwd
-    return out
+    def _bwd(g, x):
+        x._acc(g.reshape(x.data.shape))
+    return _node(_value(x).reshape(shape), (x,), _bwd)
 
 
 def transpose(x, axes=None):
-    data = _value(x).transpose(axes)
-    out = _node(data, x)
-    if out.requires_grad:
-        inv = None if axes is None else np.argsort(axes)
-        def _bwd(g):
-            x._acc(g.transpose(inv))
-        out._backward = _bwd
-    return out
+    def _bwd(g, x):
+        x._acc(g.transpose(None if axes is None else np.argsort(axes)))
+    return _node(_value(x).transpose(axes), (x,), _bwd)
 
 
 # -- linear algebra ----------------------------------------------------
@@ -266,16 +252,12 @@ def matmul(a, b):
         data = av @ bv
     except ValueError as exc:
         raise ValidationError(f"matmul shape mismatch: {av.shape} @ {bv.shape}") from exc
-    out = _node(data, a, b)
-    if out.requires_grad:
-        a, b = out._parents
-        def _bwd(g):
-            if a.requires_grad:
-                a._acc(_unbroadcast(g @ np.swapaxes(b.data, -1, -2), a.data.shape))
-            if b.requires_grad:
-                b._acc(_unbroadcast(np.swapaxes(a.data, -1, -2) @ g, b.data.shape))
-        out._backward = _bwd
-    return out
+    def _bwd(g, a, b):
+        if a.requires_grad:
+            a._acc(_unbroadcast(g @ np.swapaxes(b.data, -1, -2), a.data.shape))
+        if b.requires_grad:
+            b._acc(_unbroadcast(np.swapaxes(a.data, -1, -2) @ g, b.data.shape))
+    return _node(data, (a, b), _bwd)
 
 
 def softmax(x):
@@ -283,12 +265,9 @@ def softmax(x):
     xv = _value(x)
     e = np.exp(xv - xv.max(axis=-1, keepdims=True))
     y = e / e.sum(axis=-1, keepdims=True)
-    out = _node(y, x)
-    if out.requires_grad:
-        def _bwd(g):
-            x._acc((g - (g * y).sum(axis=-1, keepdims=True)) * y)
-        out._backward = _bwd
-    return out
+    def _bwd(g, x):
+        x._acc((g - (g * y).sum(axis=-1, keepdims=True)) * y)
+    return _node(y, (x,), _bwd)
 
 
 # -- network ops -------------------------------------------------------
@@ -338,35 +317,31 @@ def lstm(x, wx, wh, b):
         gates[t, :2], o[...] = vq[:2], vq[3]
         np.add(f * cs[t], i * g, out=cs[t + 1])
         np.multiply(o, np.tanh(cs[t + 1], out=tcs[t]), out=z[t + 1, :, k:])
-    out = _node(z[nt, :, k:].copy(), x, wx, wh, b)
-    if out.requires_grad:
-        x, wx, wh, b = out._parents
-        def _bwd(dh):
-            gwt, wht = np.zeros((k + hdim, 4 * hdim)).T, whd.T.copy()   # gwt = gw.T
-            m, d = np.empty((2, 4, nb, hdim))
-            dc, tmp, dh_next = np.zeros((3, nb, hdim))
-            for t in range(nt - 1, -1, -1):
-                (i, f, g, o), tc = gates[t], tcs[t]
-                np.subtract(1.0, np.multiply(tc, tc, out=tmp), out=tmp)
-                dc += np.multiply(np.multiply(tmp, o, out=tmp), dh, out=tmp)
-                # dgates = [dc g, dc c_{t-1}, dc i, dh tanh(c_t)] times the
-                # activations' derivatives [i(1-i), f(1-f), 1-g^2, o(1-o)]
-                np.multiply(dc, g, out=m[0])
-                np.multiply(dc, cs[t], out=m[1])
-                np.multiply(dc, i, out=m[2])
-                np.multiply(dh, tc, out=m[3])
-                np.multiply(gates[t], np.subtract(1.0, gates[t], out=d), out=d)
-                np.subtract(1.0, np.multiply(g, g, out=d[2]), out=d[2])
-                np.multiply(m, d, out=vq)
-                gwt = dgemm(1.0, v.T, z[t].T, 1.0, gwt, trans_b=1, overwrite_c=1)  # += in place
-                if t:
-                    dh = np.matmul(v, wht, out=dh_next)
-                dc *= f
-            for p, gp in ((b, gwt[:, 0]), (wx, gwt[:, 1:k].T), (wh, gwt[:, k:].T)):
-                if p.requires_grad:
-                    p._acc(gp)
-        out._backward = _bwd
-    return out
+    def _bwd(dh, x, wx, wh, b):
+        gwt, wht = np.zeros((k + hdim, 4 * hdim)).T, whd.T.copy()   # gwt = gw.T
+        m, d = np.empty((2, 4, nb, hdim))
+        dc, tmp, dh_next = np.zeros((3, nb, hdim))
+        for t in range(nt - 1, -1, -1):
+            (i, f, g, o), tc = gates[t], tcs[t]
+            np.subtract(1.0, np.multiply(tc, tc, out=tmp), out=tmp)
+            dc += np.multiply(np.multiply(tmp, o, out=tmp), dh, out=tmp)
+            # dgates = [dc g, dc c_{t-1}, dc i, dh tanh(c_t)] times the
+            # activations' derivatives [i(1-i), f(1-f), 1-g^2, o(1-o)]
+            np.multiply(dc, g, out=m[0])
+            np.multiply(dc, cs[t], out=m[1])
+            np.multiply(dc, i, out=m[2])
+            np.multiply(dh, tc, out=m[3])
+            np.multiply(gates[t], np.subtract(1.0, gates[t], out=d), out=d)
+            np.subtract(1.0, np.multiply(g, g, out=d[2]), out=d[2])
+            np.multiply(m, d, out=vq)
+            gwt = dgemm(1.0, v.T, z[t].T, 1.0, gwt, trans_b=1, overwrite_c=1)  # += in place
+            if t:
+                dh = np.matmul(v, wht, out=dh_next)
+            dc *= f
+        for p, gp in ((b, gwt[:, 0]), (wx, gwt[:, 1:k].T), (wh, gwt[:, k:].T)):
+            if p.requires_grad:
+                p._acc(gp)
+    return _node(z[nt, :, k:].copy(), (x, wx, wh, b), _bwd)
 
 
 def dropout(x, rate: float, rng: np.random.Generator | None = None,

@@ -119,8 +119,8 @@ class MlpDynamicModel:
 def tick_training_pairs(records: list[LogRecord], dt: float) -> tuple[np.ndarray, np.ndarray]:
     """(features, labels) per tick; labels are the effective accel and heading
     rate realized over the next tick, finite-differenced from the log. A dt
-    that is not finite and positive, or fewer than 2 records, raises a
-    ValidationError."""
+    that is not finite and positive, fewer than 2 records, or a record not
+    dt after the one before it (within 1e-9 s) raises a ValidationError."""
     check_dt(dt)
     n = len(records) - 1
     if n < 1:
@@ -129,6 +129,9 @@ def tick_training_pairs(records: list[LogRecord], dt: float) -> tuple[np.ndarray
     y = np.empty((n, 2))
     for i in range(n):
         r, nxt = records[i], records[i + 1]
+        if not abs((nxt.timestamp - r.timestamp) - dt) <= 1e-9:
+            raise ValidationError(f"record {i + 1} is {nxt.timestamp - r.timestamp!r} s after "
+                                  f"record {i}, not dt = {dt!r} s (within 1e-9 s)")
         x[i] = (r.command.throttle, r.command.brake, r.command.steering,
                 r.state.speed, r.state.acceleration)
         dh = wrap_angle(nxt.state.heading - r.state.heading)

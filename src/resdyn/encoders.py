@@ -225,32 +225,28 @@ def _encode_conv(p, x, dilations, stride):
     flat = h.reshape(nb, -1)                            # (B, C*L), a copy
     data = flat @ fw
     data += fb
-    out = _node(data, x, *(p[n] for n in _CONV_PARAMS))
-    if out.requires_grad:
-        params = out._parents[1:]
-        def _bwd(g):
-            grads = [None] * 4 + [flat.T @ g, g.sum(axis=0)]
-            gh = (g @ fw.T).reshape(h.shape).transpose(1, 0, 2)  # at the top activations
-            for i in (1, 0):
-                w, a, d = ws[2 * i], acts[i], dilations[i]
-                g2 = np.multiply(gh, a.reshape(gh.shape) > 0.0, out=np.empty(gh.shape))
-                g2 = np.add(g2, 0.0, out=g2).reshape(a.shape)   # -0.0 as +0.0, as _acc does
-                del gh                                  # before the next buffers: peak memory
-                grads[2 * i] = (g2 @ cols_t[i]).reshape(w.shape)
-                grads[2 * i + 1] = g2.sum(axis=1)
-                if i:       # col2im of the columns' gradient, built as (C, L, B)
-                    (c_in, k), l_out = w.shape[1:], a.shape[1] // nb
-                    g2 = (w.reshape(len(w), -1).T @ g2).reshape(c_in, k, nb, l_out)
-                    gh = np.zeros((c_in, acts[0].shape[1] // nb, nb))
-                    span = stride * (l_out - 1) + 1
-                    for j in range(k - 1, -1, -1):
-                        gh[:, j * d:j * d + span:stride] += g2[:, j].transpose(0, 2, 1)
-                    gh = gh.transpose(0, 2, 1)
-            for t, gp in zip(params, grads):
-                if t.requires_grad:
-                    t._acc(gp)
-        out._backward = _bwd
-    return out
+    def _bwd(g, x, *params):
+        grads = [None] * 4 + [flat.T @ g, g.sum(axis=0)]
+        gh = (g @ fw.T).reshape(h.shape).transpose(1, 0, 2)  # at the top activations
+        for i in (1, 0):
+            w, a, d = ws[2 * i], acts[i], dilations[i]
+            g2 = np.multiply(gh, a.reshape(gh.shape) > 0.0, out=np.empty(gh.shape))
+            g2 = np.add(g2, 0.0, out=g2).reshape(a.shape)   # -0.0 as +0.0, as _acc does
+            del gh                                  # before the next buffers: peak memory
+            grads[2 * i] = (g2 @ cols_t[i]).reshape(w.shape)
+            grads[2 * i + 1] = g2.sum(axis=1)
+            if i:       # col2im of the columns' gradient, built as (C, L, B)
+                (c_in, k), l_out = w.shape[1:], a.shape[1] // nb
+                g2 = (w.reshape(len(w), -1).T @ g2).reshape(c_in, k, nb, l_out)
+                gh = np.zeros((c_in, acts[0].shape[1] // nb, nb))
+                span = stride * (l_out - 1) + 1
+                for j in range(k - 1, -1, -1):
+                    gh[:, j * d:j * d + span:stride] += g2[:, j].transpose(0, 2, 1)
+                gh = gh.transpose(0, 2, 1)
+        for t, gp in zip(params, grads):
+            if t.requires_grad:
+                t._acc(gp)
+    return _node(data, (x, *(p[n] for n in _CONV_PARAMS)), _bwd)
 
 
 def _encode_lstm(p, x):

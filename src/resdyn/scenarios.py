@@ -6,8 +6,8 @@ integration. It is deliberately richer than the open-loop models so their
 rollouts accumulate a structured, learnable residual.
 
 One kernel, `_drive`, steps a whole command list on plain floats, with
-both midpoint stages written out in its substep loop; `oracle_step` runs
-it for one command and `oracle_log` for a log, then builds the records.
+both midpoint stages written out in its substep loop; `oracle_log` runs it
+for a log, then builds the records.
 A script's commands are evaluated for every tick in one numpy pass, with
 the same IEEE operations a per-tick evaluation would make.
 """
@@ -80,36 +80,13 @@ class OracleParams:
                                       + self.understeer_gradient * speed * speed)
 
 
-@dataclass
-class OracleState:
-    """Oracle vehicle state; every field finite and vx >= 0."""
-
-    x: float = 0.0
-    y: float = 0.0
-    heading: float = 0.0
-    vx: float = 0.0        # body longitudinal velocity, >= 0
-    vy: float = 0.0        # body lateral velocity
-    yaw_rate: float = 0.0
-    accel_lag: float = 0.0       # lagged longitudinal actuator output
-    wheel_angle: float = 0.0     # lagged front wheel angle
-    last_ax: float = 0.0         # realized longitudinal accel (for logging)
-
-    def __post_init__(self):
-        for f in fields(self):
-            v = getattr(self, f.name)
-            if not math.isfinite(v):
-                raise ValidationError(f"{f.name} must be finite, got {v!r}")
-        if self.vx < 0.0:
-            raise ValidationError(f"vx must be >= 0, got {self.vx!r}")
-
-
 def _drive(p: OracleParams, dt: float, s: tuple, commands) -> tuple[list, tuple]:
     """Step vehicle `p` from the 8-float state `s` (x, y, heading, vx, vy,
     yaw_rate, accel_lag, wheel_angle) through `commands`, one control tick
     each, by the midpoint rule at dt/10 substeps. Returns the flat list of
-    (x, y, heading, vx, ax) after every tick, and the final state as the 9
-    `OracleState` fields; `ax` is the realized longitudinal accel of a
-    tick's last substep (0.0 with no commands), and every tick ends with
+    (x, y, heading, vx, ax) after every tick, and the final state as the 8
+    floats of `s` followed by `ax`; `ax` is the realized longitudinal accel
+    of a tick's last substep (0.0 with no commands), and every tick ends with
     the heading wrapped. Both midpoint stages are written out on float
     locals, and the parameters are read once here, not on every substep."""
     check_dt(dt)
@@ -206,16 +183,6 @@ def _drive(p: OracleParams, dt: float, s: tuple, commands) -> tuple[list, tuple]
     return rows, (x, y, heading, vx, vy, yaw_rate, accel_lag, wheel_angle, ax)
 
 
-def oracle_step(state: OracleState, cmd: ControlCommand, dt: float,
-                params: OracleParams | None = None) -> OracleState:
-    """Advance the oracle by one control tick (midpoint rule, dt/10 substeps).
-    A dt that is not finite and positive raises a ValidationError."""
-    _, s = _drive(params or OracleParams(), dt,
-                  (state.x, state.y, state.heading, state.vx, state.vy,
-                   state.yaw_rate, state.accel_lag, state.wheel_angle), (cmd,))
-    return OracleState(*s)
-
-
 def oracle_log(commands: list[ControlCommand], dt: float = DEFAULT_DT,
                params: OracleParams | None = None) -> list[LogRecord]:
     """Drive the oracle from rest at the origin through a command sequence;
@@ -251,6 +218,12 @@ class Segment:
                                   f"got t0={self.t0!r}, t1={self.t1!r}")
 
 
+def _check_duration(name: str, duration: float) -> None:
+    if not (math.isfinite(duration) and duration >= 0.0):
+        raise ValidationError(f"script {name!r}: duration must be finite "
+                              f"and >= 0, got {duration!r}")
+
+
 @dataclass(frozen=True)
 class ScenarioScript:
     """Commands over [0, duration): at time t the first segment with
@@ -263,9 +236,7 @@ class ScenarioScript:
     segments: tuple[Segment, ...]
 
     def __post_init__(self):
-        if not (math.isfinite(self.duration) and self.duration >= 0.0):
-            raise ValidationError(f"script {self.name!r}: duration must be finite "
-                                  f"and >= 0, got {self.duration!r}")
+        _check_duration(self.name, self.duration)
         if not self.segments:
             raise ValidationError(f"script {self.name!r}: no segments")
         if self.segments[0].t0 > 0.0:
@@ -441,7 +412,9 @@ def _zigzag_script(name: str, sign: float, duration: float) -> ScenarioScript:
 
 def _loop_script(duration: float) -> ScenarioScript:
     """Mixed urban-style profile: speed changes, stops, turns both ways,
-    lane-change wiggles; cycles a varied block until the duration is met."""
+    lane-change wiggles; cycles a varied block until the duration is met,
+    which must be finite and >= 0."""
+    _check_duration("loop", duration)
     plan = _Plan()
     speeds = (6.0, 9.0, 12.0, 7.0, 10.0, 5.0)
     turns = (0.30, -0.34, 0.22, -0.26, 0.45, -0.20, 0.55, -0.48)
@@ -495,9 +468,9 @@ def generate_golden_set(seed: int = 0, dt: float = DEFAULT_DT,
     is kept for interface stability of callers that thread it through.
     """
     del seed  # scripted catalogue; generation is deterministic by design
+    loop = _loop_script(loop_duration)      # planned first: a bad duration costs no driving
     logs = {}
     for script in golden_scripts(scenario_duration):
         logs[script.name] = oracle_log(script.commands(dt), dt)
-    loop = _loop_script(loop_duration)
     logs[loop.name] = oracle_log(loop.commands(dt), dt)
     return logs

@@ -49,7 +49,7 @@ from scipy.linalg.blas import dgemm
 from scipy.linalg.lapack import dtrtri
 from scipy.spatial.distance import cdist
 
-from .autodiff import Tensor, _value, parameter
+from .autodiff import Tensor, _node, _value, parameter
 from .core import ValidationError, check_finite, check_positive_int
 
 LOG_2PI = math.log(2.0 * math.pi)
@@ -266,9 +266,14 @@ class VariationalGP:
         values: A = L^-1 for L the K_ZZ Cholesky factor, `_l_var()`, the
         lengthscales, z scaled by them, its squared row norms (1, M) and
         the outputscale; and, for the adjoint, L and K_ZZ's kernel parts."""
-        ls = np.exp(self.log_lengthscales.data)
-        # an inf outputscale or a zero lengthscale gives a K_ZZ that is refused
-        with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        with np.errstate(over="ignore"):
+            ls = np.exp(self.log_lengthscales.data)
+        # a lengthscale of 0 or inf would give the prior, not a refusal
+        if not (np.isfinite(ls).all() and (ls > 0.0).all()):
+            raise ValidationError(f"log_lengthscales {self.log_lengthscales.data} give "
+                                  f"lengthscales {ls}, not all finite and > 0")
+        # an inf outputscale, or a z / ls that overflows, gives a K_ZZ that is refused
+        with np.errstate(over="ignore"):
             scale = np.exp(self.log_outputscale.data)
             zs = self.z.data / ls
         zs2 = (zs * zs).sum(axis=1, keepdims=True).T
@@ -337,13 +342,12 @@ class VariationalGP:
         loglik = log_noise * (-0.5 * bsz) - (quad / noise2 + 0.5 * bsz * LOG_2PI)
         rescale = total_n / bsz
         value = -((loglik * rescale) - self._kl(lw)).sum()
-        params = self.parameters()
-        lat = latents if isinstance(latents, Tensor) and latents.requires_grad else None
-        out = Tensor(value, _parents=tuple(params) + ((lat,) if lat is not None else ()))
         input_std = None if pre_normalized else self.input_std
         diag = self._diag
 
-        def _bwd(g):
+        def _bwd(g, *parents):
+            # the 7 `parameters()`, then the latents when they take a gradient
+            params, latents = parents[:7], parents[7:]
             s = -float(g)                           # d out / d ELBO
             sn = s * rescale                        # d out / d loglik, every task
             q = -sn / noise2                        # d out / d quad, (T,)
@@ -374,11 +378,13 @@ class VariationalGP:
                      sn * (quad / noise2 - 0.5 * bsz))
             for p, gp in zip(params, grads):
                 p._acc(gp)
-            if lat is not None:
+            for lat in latents:
                 g_x = g_xs / ls
                 lat._acc(g_x if input_std is None else g_x / input_std)
-        out._backward = _bwd
-        return out
+        parents = self.parameters()
+        if isinstance(latents, Tensor) and latents.requires_grad:
+            parents.append(latents)
+        return _node(value, parents, _bwd)
 
     def predict(self, latents: np.ndarray | Tensor,
                 pre_normalized: bool = False) -> tuple[np.ndarray, np.ndarray]:

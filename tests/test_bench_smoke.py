@@ -2,7 +2,7 @@
 correctness gate, so the `resdyn` API the benchmark calls stays guarded
 here. `openloop` is the one workload that trains DM-LB and reads its
 `DmTrainReport`; `train_cnn` and `train_lstm` run the SVGP loss and its
-backward through `conv1d` and the LSTM; `corrected_rollout`'s zero-mean
+backward through the conv-encoder node and the LSTM; `corrected_rollout`'s zero-mean
 gate takes the trained GP through `to_arrays`/`from_arrays`, which checks
 the GP's array layout end to end. Every workload, traced and untraced, is
 smoke-run by `perfbench/test_smoke.py`."""

@@ -1,10 +1,13 @@
+import csv
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
 from resdyn.autodiff import save_checkpoint
-from resdyn.core import ControlCommand, Pose, ValidationError, VehicleState, wrap_angle
+from resdyn.core import (ControlCommand, Pose, ValidationError, VehicleState, parse_log_row,
+                         wrap_angle, write_log_csv)
 from resdyn.dynamics import (MlpDynamicModel, RuleBasedModel, rollout, rollout_states,
                              tick_training_pairs, train_dm_lb)
 from resdyn.rng import seeded_rng
@@ -155,6 +158,23 @@ class TestTickTrainingPairs:
         records = generate_golden_set(0, loop_duration=0.1, scenario_duration=0.1)["loop"]
         with pytest.raises(ValidationError, match="dt must be finite and positive"):
             tick_training_pairs(records, dt)
+
+    def test_timestamp_step_other_than_dt_rejected(self, tmp_path):
+        # a 50 Hz log read as 100 Hz would give labels twice the true ones
+        records = generate_golden_set(0, dt=0.02, loop_duration=1.0, scenario_duration=0.1)["loop"]
+        with pytest.raises(ValidationError, match=r"^record 1 is 0\.02 s after record 0, "
+                                                  r"not dt = 0\.01 s"):
+            tick_training_pairs(records, 0.01)
+        tick_training_pairs(records, 0.02)
+        # records read back from a log CSV pass; one late record is named
+        path = tmp_path / "loop.csv"
+        write_log_csv(path, records)
+        with open(path, newline="") as fh:
+            records = [parse_log_row(row) for row in list(csv.reader(fh))[1:]]
+        tick_training_pairs(records, 0.02)
+        records[7] = dataclasses.replace(records[7], timestamp=records[7].timestamp + 2e-9)
+        with pytest.raises(ValidationError, match=r"^record 7 is .* s after record 6"):
+            tick_training_pairs(records, 0.02)
 
     @pytest.mark.parametrize("count", [0, 1])
     def test_fewer_than_two_records_rejected(self, count):

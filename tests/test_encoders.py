@@ -172,20 +172,6 @@ class TestConvNode:
         for name in _CONV_PARAMS:
             assert params[name].grad.tobytes() == grads[name].tobytes(), name
 
-    def test_fd_at_exactly_zero_pre_activations(self):
-        # window 0 is all zeros and the conv biases are 0, so every one of
-        # its pre-activations is exactly 0 whatever the weights; the weights'
-        # gradients must match central differences there
-        spec, params = short_setup("cnn", seed=31)
-        rng = seeded_rng(32, "conv-zero")
-        x = rng.standard_normal((2, spec.window, 6))
-        x[0] = 0.0
-        mix = Tensor(rng.standard_normal((2, spec.latent_dim)))
-        fn = lambda: ad.tsum(ad.mul(encode(params, spec, x), mix))  # noqa: E731
-        weights = [params[n] for n in ("conv1_w", "conv2_w", "fc_w", "fc_b")]
-        check_grads(fn, weights)
-        assert np.all(params["conv1_b"].data == 0.0) and np.all(params["conv2_b"].data == 0.0)
-
     @pytest.mark.parametrize("kind", ["cnn", "dilated_cnn"])
     def test_directional_at_benchmark_batch(self, kind):
         # a step small enough that no pre-activation changes sign between
@@ -367,8 +353,8 @@ class TestDeterminismAndDropout:
 
 def fd_case(kind, train=False):
     """A shipped-width encoder on its shortest window: a scalar loss of its
-    latent, the trainable tensors and an rng; in train mode each evaluation
-    draws the same dropout mask."""
+    latent, the trainable tensors, an rng and the windows the loss reads; in
+    train mode each evaluation draws the same dropout mask."""
     spec, params = short_setup(kind, seed=10)
     rng = seeded_rng(11, "fd", kind)
     w = rng.standard_normal((2, spec.window, 6))
@@ -377,7 +363,7 @@ def fd_case(kind, train=False):
     def f():
         mask_rng = seeded_rng(12, "fd-mask", kind) if train else None
         return ad.tsum(ad.mul(encode(params, spec, w, train, mask_rng), mix))
-    return f, trainable(params), rng
+    return f, trainable(params), rng, w
 
 
 class TestEncoderGradients:
@@ -387,12 +373,21 @@ class TestEncoderGradients:
     def test_fd_all_weights(self, kind):
         # three random directions per tensor, two evaluations each: entry by
         # entry would take two per weight, over 130k for the transformer
-        f, tensors, rng = fd_case(kind, train=True)
+        f, tensors, rng, _ = fd_case(kind, train=True)
         for t in tensors:
             for _ in range(3):
                 check_directional(f, [t], rng, h=1e-4, rtol=1e-7)
 
     @pytest.mark.parametrize("kind", ["cnn", "dilated_cnn"])
     def test_fd_every_entry(self, kind):
-        f, tensors, _ = fd_case(kind)
-        check_grads(f, tensors, h=1e-5, rtol=1e-4)
+        # the conv biases start at 0, so with window 0 all zeros every one
+        # of its pre-activations is exactly 0 whatever the weights, and the
+        # weights' gradients must match central differences there. A bias's
+        # central difference straddles the ReLU kink on that window, so the
+        # biases are checked first, on nonzero windows
+        f, tensors, _, w = fd_case(kind)
+        biases = [t for t in tensors if t.name in ("conv1_b", "conv2_b")]
+        assert len(biases) == 2 and not any(np.any(t.data) for t in biases)
+        check_grads(f, biases, h=1e-5, rtol=1e-4)
+        w[0] = 0.0
+        check_grads(f, [t for t in tensors if t not in biases], h=1e-5, rtol=1e-4)

@@ -208,3 +208,34 @@ def test_no_public_signature_takes_keyword_catchall():
              for fn in public_functions(ast.parse(path.read_text()))
              if fn.args.kwarg is not None]
     assert not found, f"public signatures with a ** parameter: {found}"
+
+
+def node_protocol_sites(tree: ast.Module) -> list[tuple[str, int]]:
+    """(enclosing function or class path, line) of each store to a
+    `._backward` or `._parents` attribute and each `_parents=` keyword."""
+    found = []
+
+    def visit(node: ast.AST, scope: str) -> None:
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                visit(child, f"{scope}.{child.name}".lstrip("."))
+                continue
+            if (isinstance(child, ast.Attribute) and isinstance(child.ctx, ast.Store)
+                    and child.attr in ("_backward", "_parents")
+                    or isinstance(child, ast.keyword) and child.arg == "_parents"):
+                found.append((scope, child.lineno))
+            visit(child, scope)
+
+    visit(tree, "")
+    return found
+
+
+def test_only_node_records_a_backward():
+    """A graph node is built one way, by `autodiff._node`; `Tensor.__init__`
+    sets the fields it records."""
+    allowed = {("autodiff", "_node"), ("autodiff", "Tensor.__init__")}
+    found = [f"{path.stem}.py:{line} in {scope or '<module>'}"
+             for path in sorted((ROOT / "src" / "resdyn").glob("*.py"))
+             for scope, line in node_protocol_sites(ast.parse(path.read_text()))
+             if (path.stem, scope) not in allowed]
+    assert not found, f"graph nodes recorded outside autodiff._node: {found}"

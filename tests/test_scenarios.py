@@ -9,9 +9,8 @@ from scipy.integrate import solve_ivp
 
 from resdyn.core import ControlCommand, ValidationError, parse_log_row, write_log_csv
 from resdyn.dynamics import RuleBasedModel, rollout
-from resdyn.scenarios import (GOLDEN_NAMES, OracleParams, OracleState, ScenarioScript,
-                              Segment, _loop_script, generate_golden_set, golden_scripts,
-                              oracle_log, oracle_step)
+from resdyn.scenarios import (GOLDEN_NAMES, OracleParams, ScenarioScript, Segment, _drive,
+                              _loop_script, generate_golden_set, golden_scripts, oracle_log)
 
 
 def records_digest(logs) -> str:
@@ -29,6 +28,14 @@ def records_digest(logs) -> str:
     return h.hexdigest()
 
 
+REST = (0.0,) * 8   # x, y, heading, vx, vy, yaw_rate, accel_lag, wheel_angle
+
+
+def step(s, cmd, p=OracleParams()):
+    """The oracle's 8-float state s one 0.01 s command tick later."""
+    return _drive(p, 0.01, s, (cmd,))[1][:8]
+
+
 def heading_change(recs):
     hd = np.array([r.state.heading for r in recs])
     dh = np.diff(hd)
@@ -37,24 +44,25 @@ def heading_change(recs):
 
 class TestOracleStep:
     def test_stationary_at_rest(self):
-        s = OracleState()
+        s = REST
         for _ in range(100):
-            s = oracle_step(s, ControlCommand(0, 0, 0), 0.01)
-        assert (s.x, s.y, s.vx, s.vy, s.yaw_rate) == (0, 0, 0, 0, 0)
+            s = step(s, ControlCommand(0, 0, 0))
+        x, y, _, vx, vy, yaw_rate = s[:6]
+        assert (x, y, vx, vy, yaw_rate) == (0, 0, 0, 0, 0)
 
     def test_steady_state_cornering(self):
         # hold speed with a test-side throttle loop, steer constant, then
         # compare the settled yaw rate to the linear-bicycle closed form
         p = OracleParams()
-        s = OracleState(vx=8.0)
+        s = (0.0, 0.0, 0.0, 8.0, 0.0, 0.0, 0.0, 0.0)
         target_v, steering = 8.0, 0.25
         rates, speeds = [], []
         for i in range(3000):
-            thr = min(max(0.055 + 0.8 * (target_v - s.vx), 0.0), 1.0)
-            s = oracle_step(s, ControlCommand(thr, 0, steering), 0.01, p)
+            thr = min(max(0.055 + 0.8 * (target_v - s[3]), 0.0), 1.0)
+            s = step(s, ControlCommand(thr, 0, steering), p)
             if i >= 2500:
-                rates.append(s.yaw_rate)
-                speeds.append(s.vx)
+                rates.append(s[5])
+                speeds.append(s[3])
         wheel = steering * p.max_front_wheel_angle
         expect = p.steady_state_yaw_rate(float(np.mean(speeds)), wheel)
         assert np.mean(rates) == pytest.approx(expect, rel=0.02)
@@ -72,33 +80,32 @@ class TestOracleStep:
 
         ref = solve_ivp(ode, (0, 20.0), [0.0, 0.0], rtol=1e-8, atol=1e-10,
                         max_step=0.05, dense_output=True)
-        s = OracleState()
+        s = REST
         speeds = [0.0]
         for _ in range(2000):
-            s = oracle_step(s, ControlCommand(0.4, 0, 0), 0.01, p)
-            speeds.append(s.vx)
+            s = step(s, ControlCommand(0.4, 0, 0), p)
+            speeds.append(s[3])
         speeds = np.array(speeds)
         t = np.arange(2001) * 0.01
         assert np.all(np.diff(speeds) >= -1e-12)  # monotone approach
         assert np.max(np.abs(speeds - ref.sol(t)[0])) < 5e-3
 
     def test_oracle_log_drives_the_given_vehicle(self):
-        # a heavier, laggier vehicle: the log follows oracle_step with the
+        # a heavier, laggier vehicle: the log follows single steps with the
         # same params from rest, and not the nominal vehicle
         p = OracleParams(mass=2400.0, throttle_tau=0.5)
         cmds = golden_scripts(duration=5.0)[0].commands(0.01)
         recs = oracle_log(cmds, 0.01, p)
-        s = OracleState()
+        s = REST
         for cmd in cmds:
-            s = oracle_step(s, cmd, 0.01, p)
-        assert (recs[-1].pose.x, recs[-1].pose.y) == (s.x, s.y)
+            s = step(s, cmd, p)
+        assert (recs[-1].pose.x, recs[-1].pose.y) == s[:2]
         assert recs[-1].pose != oracle_log(cmds, 0.01)[-1].pose
 
     @pytest.mark.parametrize("dt", [0.0, -0.01, math.inf, -math.inf, math.nan])
     def test_dt_not_finite_and_positive_rejected(self, dt):
         cmds = [ControlCommand(0.5, 0, 0.1)] * 3
-        for run in (lambda: oracle_log([], dt), lambda: oracle_log(cmds, dt),
-                    lambda: oracle_step(OracleState(vx=5.0), cmds[0], dt)):
+        for run in (lambda: oracle_log([], dt), lambda: oracle_log(cmds, dt)):
             with pytest.raises(ValidationError, match=r"^dt must be finite and positive"):
                 run()
 
@@ -142,26 +149,10 @@ class TestOracleRanges:
         if field in GOOD_BOUNDARY:
             OracleParams(**{field: GOOD_BOUNDARY[field]})
 
-    @pytest.mark.parametrize("field", [f.name for f in dataclasses.fields(OracleState)])
-    def test_non_finite_state_rejected(self, field):
-        for value in (math.nan, math.inf, -math.inf):
-            with pytest.raises(ValidationError, match=f"^{field} must be finite"):
-                OracleState(**{field: value})
-
-    def test_negative_vx_rejected(self):
-        OracleState(vx=0.0)
-        with pytest.raises(ValidationError, match="^vx must be >= 0"):
-            OracleState(vx=-0.1)
-
     def test_kinematic_blend_cannot_divide_by_zero(self):
-        # a zero blend speed and a reversing vehicle used to reach
-        # w = vx / blend inside the stepper
-        with pytest.raises(ValidationError):
-            oracle_step(OracleState(vx=-0.1), ControlCommand(0, 0, 0), 0.01,
-                        OracleParams(low_speed_blend=0.0))
+        # a zero blend speed would reach w = vx / blend inside the stepper
         with pytest.raises(ValidationError, match="^low_speed_blend must be"):
-            oracle_step(OracleState(), ControlCommand(0, 0, 0), 0.01,
-                        OracleParams(low_speed_blend=0.0))
+            OracleParams(low_speed_blend=0.0)
 
 
 class TestGoldenSet:
@@ -258,6 +249,13 @@ class TestGoldenSet:
                     lambda: generate_golden_set(0, dt, loop_duration=5.0, scenario_duration=5.0)):
             with pytest.raises(ValidationError, match=r"^dt must be finite and positive"):
                 run()
+
+    def test_infinite_loop_duration_rejected(self):
+        # refused before planning: the planner adds segments until the
+        # duration is met, which an infinite one never is
+        with pytest.raises(ValidationError,
+                           match=r"^script 'loop': duration must be finite and >= 0, got inf"):
+            generate_golden_set(0, loop_duration=math.inf, scenario_duration=1.0)
 
     def test_oracle_log_is_well_formed(self, logs):
         recs = logs["left_turn"]

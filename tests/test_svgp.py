@@ -573,18 +573,21 @@ class TestPredictAfterChanges:
 
     @pytest.mark.parametrize("call", ["predict", "loss"])
     def test_zero_lengthscale_raises_and_caches_nothing(self, call):
-        # e^-800 underflows to a lengthscale of 0, so z / 0 holds inf and
-        # nan; the refusal is the only signal, with no divide warning first
+        # e^-800 underflows to a lengthscale of 0 and e^800 overflows to
+        # inf, at which the GP would predict its prior; both are refused
+        # before K_ZZ, with no overflow or divide warning first
         gp = self.gp()
         good, cache = gp.predict(self.X), gp._factor_cache
         restore = gp.log_lengthscales.data.copy()
-        gp.log_lengthscales.data[0] = -800.0
-        with pytest.raises(ValidationError, match=r"K_ZZ is not finite at log_lengthscales"):
-            if call == "predict":
-                gp.predict(self.X)
-            else:
-                gp.loss(self.X, np.ones((5, 2)), total_n=20)
-        assert gp._factor_cache is cache
+        for log_ls in (-800.0, 800.0):
+            gp.log_lengthscales.data[0] = log_ls
+            with pytest.raises(ValidationError, match=r"^log_lengthscales \[.+\] give "
+                               r"lengthscales \[ *(0\.|inf) .+\], not all finite and > 0"):
+                if call == "predict":
+                    gp.predict(self.X)
+                else:
+                    gp.loss(self.X, np.ones((5, 2)), total_n=20)
+            assert gp._factor_cache is cache
         gp.log_lengthscales.data[...] = restore
         assert same_bits(gp.predict(self.X), good)
 
