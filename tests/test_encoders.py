@@ -172,6 +172,27 @@ class TestConvNode:
         for name in _CONV_PARAMS:
             assert params[name].grad.tobytes() == grads[name].tobytes(), name
 
+    def test_fd_at_exactly_zero_pre_activations(self):
+        # an all-zero window with the conv biases at 0: every pre-activation
+        # is exactly 0 whatever the weights, so the latent is fc_b and the
+        # central difference along any weight is exactly 0. The backward must
+        # give exactly that, with relu'(0) = 0 for the conv biases. Entry by
+        # entry beside a nonzero window: TestEncoderGradients.test_fd_every_entry
+        spec, params = short_setup("cnn", seed=31)
+        rng = seeded_rng(32, "conv-zero")
+        mix = rng.standard_normal((1, spec.latent_dim))
+        x = np.zeros((1, spec.window, 6))
+        fn = lambda: ad.tsum(ad.mul(encode(params, spec, x), Tensor(mix)))  # noqa: E731
+        loss = fn()
+        backward(loss)
+        for name in ("conv1_w", "conv1_b", "conv2_w", "conv2_b", "fc_w"):
+            assert not np.any(params[name].grad), name
+        assert params["fc_b"].grad.tobytes() == mix[0].tobytes()
+        weights = [params[n] for n in ("conv1_w", "conv2_w", "fc_w")]
+        for t in weights:
+            t.data = t.data + 1e-3 * rng.standard_normal(t.data.shape)
+        assert fn().data.tobytes() == loss.data.tobytes()
+
     @pytest.mark.parametrize("kind", ["cnn", "dilated_cnn"])
     def test_directional_at_benchmark_batch(self, kind):
         # a step small enough that no pre-activation changes sign between
