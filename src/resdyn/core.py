@@ -4,6 +4,12 @@ The dataclasses check their fields once, where data comes in (logs,
 CSV rows, rollout start states), so per-tick loops work on plain floats
 and build no objects. Everything here is immutable after construction;
 operations are pure functions, safe to call from parallel workers.
+
+The trajectory CSV runs at the cost of CPython's float `repr` and `float`
+parsing: the writer formats a row's state cells in one f-string and the
+sigma cells once per run of equal sigma pairs; the reader converts whole
+columns and checks them at once, and only a file that fails a check is
+read again row by row, to name its first bad record by file line.
 """
 
 from __future__ import annotations
@@ -205,7 +211,12 @@ def write_trajectory_csv(path, traj: Trajectory,
     empty in a row where either sigma is not finite (warm-up ticks), and
     in every row when `sigmas` is None. `sigmas` other than (len(traj), 2),
     or with a finite entry below 0, raises a ValidationError naming the
-    path before the file is opened: `read_trajectory_csv` would refuse it."""
+    path before the file is opened: `read_trajectory_csv` would refuse it.
+
+    Each row's five state cells are one f-string of reprs. The sigma cells
+    are formatted once per run of consecutive rows whose sigmas have equal
+    bits (a corrected rollout holds one pair per window), so 0.0 and -0.0
+    start separate runs and every non-finite row shares one empty run."""
     n = len(traj)
     sigmas = np.full((n, 2), np.nan) if sigmas is None else np.asarray(sigmas, dtype=float)
     if sigmas.shape != (n, 2):
@@ -213,12 +224,16 @@ def write_trajectory_csv(path, traj: Trajectory,
     finite = np.isfinite(sigmas)
     if np.any(finite & (sigmas < 0.0)):
         raise ValidationError(f"{path}: negative finite sigma")
+    ok = finite.all(axis=1)
+    bits = np.where(ok[:, None], sigmas, np.nan).view(np.int64)
+    starts = np.flatnonzero(np.r_[True, (bits[1:] != bits[:-1]).any(axis=1)])
+    cells = [f"{sx!r},{sy!r}" if keep else "," for (sx, sy), keep
+             in zip(sigmas[starts].tolist(), ok[starts].tolist())]
+    runs = np.repeat(np.array(cells, dtype=object), np.diff(starts, append=n)).tolist()
     table = np.column_stack((traj.timestamps, traj.poses, traj.speeds)).tolist()
     lines = [",".join(TRAJ_CSV_FIELDS)]
-    for (t, x, y, heading, speed), sigma, ok in zip(table, sigmas.tolist(),
-                                                     finite.all(axis=1).tolist()):
-        lines.append(f"{t!r},{x!r},{y!r},{heading!r},{speed!r},"
-                     + (f"{sigma[0]!r},{sigma[1]!r}" if ok else ","))
+    lines += [f"{t!r},{x!r},{y!r},{heading!r},{speed!r},{cell}"
+              for (t, x, y, heading, speed), cell in zip(table, runs)]
     with open(path, "w", newline="") as fh:
         fh.write("\r\n".join(lines) + "\r\n")
 
@@ -229,9 +244,48 @@ def read_trajectory_csv(path) -> tuple[Trajectory, np.ndarray]:
     count, a t, x, y, heading or speed cell that is not a finite number, or
     a sigma cell neither empty nor finite and >= 0 raises a ValidationError
     naming `path:line`. Bytes that are not UTF-8 CSV, and rows that
-    `Trajectory` rejects (none, or no fixed step), raise one naming `path`."""
+    `Trajectory` rejects (none, or no fixed step), raise one naming `path`.
+
+    The file is tokenized once and each column converted with `float` into
+    one table, an empty sigma cell as NaN. Whole columns are then checked:
+    every row has 7 cells, the state cells are finite, and the sigma cells
+    in [0, inf) are exactly the non-empty ones (so a literal `nan` is
+    refused). Only when a check fails is the file read again, by
+    `_read_rows`, which names the first bad record by its file line."""
+    with open(path, newline="", encoding="utf-8") as fh:
+        try:
+            rows = list(csv.reader(fh))
+        except (UnicodeDecodeError, csv.Error) as exc:
+            raise ValidationError(f"{path}: not a UTF-8 CSV file ({exc})") from exc
+    if not rows or tuple(rows[0]) != TRAJ_CSV_FIELDS:
+        raise ValidationError(f"{path}: expected trajectory header {','.join(TRAJ_CSV_FIELDS)}")
+    body = list(filter(None, rows[1:]))
+    n, width = len(body), len(TRAJ_CSV_FIELDS)
+    if set(map(len, body)) - {width}:
+        return _read_rows(path)
+    table = np.empty((n, width))
+    cols = list(zip(*body))
+    try:
+        for j, col in enumerate(cols):
+            # an empty sigma cell reads as NaN
+            cells = map({"": "nan"}.get, col, col) if j >= 5 else col
+            table[:, j] = np.fromiter(map(float, cells), float, n)
+    except ValueError:
+        return _read_rows(path)
+    sig = table[:, 5:]
+    empty = sum(col.count("") for col in cols[5:])
+    if not (np.isfinite(table[:, :5]).all()
+            and np.count_nonzero((sig >= 0.0) & (sig < math.inf)) == 2 * n - empty):
+        return _read_rows(path)
+    return _trajectory(path, table)
+
+
+def _read_rows(path) -> tuple[Trajectory, np.ndarray]:
+    """`read_trajectory_csv` row by row: the one place that names a bad
+    record, the first in file-line order, as `path:line`. A file rewritten
+    since the column checks is read as it now is."""
     isfinite, inf, nan = math.isfinite, math.inf, math.nan
-    rows, sigmas = [], []
+    rows = []
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
         # (file line where the row starts, row): a quoted cell may span lines
@@ -262,11 +316,15 @@ def read_trajectory_csv(path) -> tuple[Trajectory, np.ndarray]:
                     raise ValueError(f"sigmas {row[5:]} not empty or finite and >= 0")
             except ValueError as exc:
                 raise ValidationError(f"{path}:{ln}: bad trajectory row ({exc})") from exc
-            rows.append((t, x, y, heading, speed))
-            sigmas.append((fx, fy))
-    table = np.array(rows).reshape(-1, 5)
+            rows.append((t, x, y, heading, speed, fx, fy))
+    return _trajectory(path, np.array(rows).reshape(-1, len(TRAJ_CSV_FIELDS)))
+
+
+def _trajectory(path, table: np.ndarray) -> tuple[Trajectory, np.ndarray]:
+    """(trajectory, sigmas) from the (n, 7) table of a file's rows; a
+    ValidationError from `Trajectory` is raised again naming `path`."""
     try:
         traj = Trajectory(table[:, 0], table[:, 1:4], table[:, 4])
     except ValidationError as exc:
         raise ValidationError(f"{path}: {exc}") from exc
-    return traj, np.array(sigmas).reshape(-1, 2)
+    return traj, table[:, 5:]

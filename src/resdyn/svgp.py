@@ -272,11 +272,12 @@ class VariationalGP:
         if not (np.isfinite(ls).all() and (ls > 0.0).all()):
             raise ValidationError(f"log_lengthscales {self.log_lengthscales.data} give "
                                   f"lengthscales {ls}, not all finite and > 0")
-        # an inf outputscale, or a z / ls that overflows, gives a K_ZZ that is refused
+        # an inf outputscale, or a z / ls that overflows or whose square does,
+        # gives a K_ZZ that is refused
         with np.errstate(over="ignore"):
             scale = np.exp(self.log_outputscale.data)
             zs = self.z.data / ls
-        zs2 = (zs * zs).sum(axis=1, keepdims=True).T
+            zs2 = (zs * zs).sum(axis=1, keepdims=True).T
         kzz, kzz_parts = _matern(zs, zs, zs2, scale)
         chol = self._chol_kzz(kzz)
         return (_inv_lower(chol), self._l_var(), ls, zs, zs2, scale), (chol, kzz_parts)

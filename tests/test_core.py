@@ -1,4 +1,7 @@
+import csv
 import dataclasses
+import functools
+import itertools
 import math
 import re
 import tempfile
@@ -11,7 +14,7 @@ from hypothesis import example, given, strategies as st
 
 from resdyn.core import (LOG_CSV_FIELDS, TRAJ_CSV_FIELDS, ControlCommand, LogRecord, Pose,
                          Trajectory, ValidationError, VehicleState, parse_log_row,
-                         read_trajectory_csv, wrap_angle, wrap_angle_array,
+                         read_trajectory_csv, wrap_angle, wrap_angle_array, write_log_csv,
                          write_trajectory_csv)
 from resdyn.dynamics import rollout_states
 
@@ -267,6 +270,50 @@ class TestParseLogRow:
             parse_log_row(["a"] * 9)
 
 
+def log_fields(r: LogRecord) -> tuple[float, ...]:
+    return (r.timestamp, r.command.throttle, r.command.brake, r.command.steering,
+            r.state.speed, r.state.acceleration, r.state.heading, r.pose.x, r.pose.y,
+            r.pose.heading)
+
+
+# each field's float boundaries inside its range: signed zeros, the
+# smallest subnormal, +-1e308 and a heading of exactly pi
+UNIT = st.floats(0.0, 1.0) | st.sampled_from((-0.0, 5e-324, 1.0))
+HEADING = st.floats(-math.pi, math.pi, exclude_min=True) | st.sampled_from(
+    (math.pi, math.nextafter(-math.pi, 0.0), 0.0, -0.0, 5e-324, -5e-324))
+LOG_RECORD = st.builds(
+    lambda t, thr, brk, steer, v, a, hd, x, y: LogRecord(
+        t, ControlCommand(thr, brk, steer), VehicleState(v, a, hd), Pose(x, y, hd)),
+    FINITE, UNIT, UNIT, st.floats(-1.0, 1.0) | st.sampled_from((-1.0, -0.0, -5e-324)),
+    SIGMA, FINITE, HEADING, FINITE, FINITE)
+LOG_CELL = st.text(max_size=6) | st.floats().map(repr) | st.sampled_from(
+    ("", "nan", "-inf", "1e999", "-0.0", "5e-324", "1e308", "3.141592653589793",
+     "3.1415926535897936", "-1", "2", " 1 ", "1_0", "0x1p0", "\x00"))
+
+
+class TestLogCsv:
+    @given(st.lists(LOG_RECORD, min_size=1, max_size=8))
+    @example([LogRecord(-0.0, ControlCommand(-0.0, 1.0, -1.0), VehicleState(5e-324, -1e308, math.pi),
+                        Pose(1e308, -1e308, math.pi))])
+    def test_write_read_round_trip_bit_exact(self, records):
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "log.csv"
+            write_log_csv(path, records)
+            with open(path, newline="") as fh:
+                header, *rows = csv.reader(fh)
+        assert tuple(header) == LOG_CSV_FIELDS
+        back = [parse_log_row(row) for row in rows]
+        assert np.array_equal(np.array([log_fields(r) for r in back]).view(np.int64),
+                              np.array([log_fields(r) for r in records]).view(np.int64))
+
+    @given(st.lists(LOG_CELL, min_size=9, max_size=9))
+    def test_any_row_raises_only_validation_error(self, row):
+        try:
+            parse_log_row(row)
+        except ValidationError:
+            pass
+
+
 class TestTrajectoryCsv:
     GOOD = "0.0,0.0,0.0,0.0,1.0,,"
 
@@ -371,18 +418,37 @@ class TestTrajectoryCsv:
                    b"0.03,1e-05,123456.789,2.0,5e-324,",
                    b"0.04,-1e+308,0.5,-0.0,3.0,")
 
+    # runs of sigma pairs, written after the pinned rows: equal pairs, 0.0
+    # then -0.0 in either column, a half-NaN and an inf row inside a run of
+    # equal pairs, one empty run of NaN, half-NaN and inf rows, and pairs
+    # that all differ
+    RUN_SIGMAS = [[0.5, 0.5], [0.5, 0.5], [0.0, 0.5], [-0.0, 0.5], [0.5, 0.0], [0.5, -0.0],
+                  [0.5, 0.5], [math.nan, 0.5], [0.5, 0.5], [0.5, math.inf], [0.5, 0.5],
+                  [math.nan, math.nan], [math.inf, 0.1], [0.1, math.nan], [math.nan, math.nan],
+                  [0.1, 0.2], [0.2, 0.1], [5e-324, 1e308], [0.30000000000000004, 0.3]]
+    RUN_CELLS = (b"0.5,0.5", b"0.5,0.5", b"0.0,0.5", b"-0.0,0.5", b"0.5,0.0", b"0.5,-0.0",
+                 b"0.5,0.5", b",", b"0.5,0.5", b",", b"0.5,0.5", b",", b",", b",", b",",
+                 b"0.1,0.2", b"0.2,0.1", b"5e-324,1e+308", b"0.30000000000000004,0.3")
+
     @pytest.mark.parametrize("with_sigmas", [True, False], ids=["sigmas", "no-sigmas"])
     def test_written_bytes(self, tmp_path, with_sigmas):
         # the format byte for byte: CRLF line ends, repr cells, both sigma
         # cells empty where either sigma is not finite
-        traj = Trajectory(**{k: np.array(v) for k, v in self.PINNED_TRAJ.items()})
+        pinned = {k: np.array(v) for k, v in self.PINNED_TRAJ.items()}
+        k = len(self.PINNED_ROWS) + np.arange(len(self.RUN_SIGMAS))
+        traj = Trajectory(np.r_[pinned["timestamps"], np.round(0.01 * k, 2)],
+                          np.r_[pinned["poses"], np.tile([1.0, 2.0, 0.5], (len(k), 1))],
+                          np.r_[pinned["speeds"], np.full(len(k), 3.0)])
+        rows = self.PINNED_ROWS + tuple(f"{t!r},1.0,2.0,0.5,3.0,".encode()
+                                        for t in traj.timestamps[len(self.PINNED_ROWS):].tolist())
         path = tmp_path / "traj.csv"
-        write_trajectory_csv(path, traj, np.array(self.PINNED_SIGMAS) if with_sigmas else None)
+        write_trajectory_csv(path, traj, np.array(self.PINNED_SIGMAS + self.RUN_SIGMAS)
+                             if with_sigmas else None)
         cells = ((b"0.25,0.30000000000000004", b",", b",", b"-0.0,5e-324", b",")
-                 if with_sigmas else (b",",) * 5)
+                 + self.RUN_CELLS if with_sigmas else (b",",) * len(rows))
         assert path.read_bytes() == b"".join(
             line + b"\r\n" for line in (b"t,x,y,heading,speed,sigma_x,sigma_y",
-                                        *(r + c for r, c in zip(self.PINNED_ROWS, cells))))
+                                        *(r + c for r, c in zip(rows, cells, strict=True))))
 
     @pytest.mark.parametrize("sigmas, match", [
         (np.array([[0.1, 0.1], [math.nan, math.nan], [0.1, -0.1], [0.1, 0.1], [0.1, 0.1]]),
@@ -426,6 +492,20 @@ MUTATION = st.tuples(st.sampled_from(("replace", "insert", "delete")),
                      st.integers(0, 1 << 16), CHUNK)
 
 
+def mutated(raw: bytes, mutations) -> bytes:
+    """raw after each (op, pos, chunk) of `MUTATION` in turn."""
+    raw = bytearray(raw)
+    for op, pos, chunk in mutations:
+        i = pos % (len(raw) + 1)
+        if op == "replace":
+            raw[i:i + len(chunk)] = chunk
+        elif op == "insert":
+            raw[i:i] = chunk
+        else:
+            del raw[i:i + len(chunk)]
+    return bytes(raw)
+
+
 class TestTrajectoryCsvFuzz:
     """Whatever the bytes, the reader returns a trajectory or raises a
     ValidationError, never another exception."""
@@ -446,17 +526,8 @@ class TestTrajectoryCsvFuzz:
 
     @given(st.lists(MUTATION, min_size=1, max_size=6))
     def test_mutated_valid_file(self, mutations):
-        raw = bytearray(valid_trajectory_bytes())
-        for op, pos, chunk in mutations:
-            i = pos % (len(raw) + 1)
-            if op == "replace":
-                raw[i:i + len(chunk)] = chunk
-            elif op == "insert":
-                raw[i:i] = chunk
-            else:
-                del raw[i:i + len(chunk)]
         try:
-            traj, sigmas = read_bytes(bytes(raw))
+            traj, sigmas = read_bytes(mutated(valid_trajectory_bytes(), mutations))
         except ValidationError:
             return
         assert sigmas.shape == (len(traj), 2)
@@ -465,3 +536,107 @@ class TestTrajectoryCsvFuzz:
         traj, sigmas = read_bytes(valid_trajectory_bytes())
         assert np.array_equal(traj.timestamps, [0.0, 0.01, 0.02])
         assert np.array_equal(sigmas, [[np.nan, np.nan], [0.1, 0.2], [0.0, 5e-324]], equal_nan=True)
+
+
+def reference_read_trajectory_csv(path) -> tuple[Trajectory, np.ndarray]:
+    """The row-by-row reader that `read_trajectory_csv` replaced, kept as
+    the reference it must match refusal for refusal and bit for bit."""
+    isfinite, inf, nan = math.isfinite, math.inf, math.nan
+    rows, sigmas = [], []
+    with open(path, newline="", encoding="utf-8") as fh:
+        reader = csv.reader(fh)
+        # (file line where the row starts, row): a quoted cell may span lines
+        numbered, line = [], 1
+        try:
+            for row in reader:
+                numbered.append((line, row))
+                line = reader.line_num + 1
+        except (UnicodeDecodeError, csv.Error) as exc:
+            raise ValidationError(f"{path}: not a UTF-8 CSV file ({exc})") from exc
+        if not numbered or tuple(numbered[0][1]) != TRAJ_CSV_FIELDS:
+            raise ValidationError(
+                f"{path}: expected trajectory header {','.join(TRAJ_CSV_FIELDS)}")
+        for ln, row in numbered[1:]:
+            if not row:
+                continue
+            try:
+                if len(row) != len(TRAJ_CSV_FIELDS):
+                    raise ValueError(f"{len(row)} cells, header has {len(TRAJ_CSV_FIELDS)}")
+                t, x, y, heading, speed, sx, sy = row
+                t, x, y, heading, speed = float(t), float(x), float(y), float(heading), float(speed)
+                if not (isfinite(t) and isfinite(x) and isfinite(y) and isfinite(heading)
+                        and isfinite(speed)):
+                    raise ValueError(f"t, x, y, heading and speed {row[:5]} not all finite")
+                fx = float(sx) if sx != "" else nan
+                fy = float(sy) if sy != "" else nan
+                if (sx != "" and not 0.0 <= fx < inf) or (sy != "" and not 0.0 <= fy < inf):
+                    raise ValueError(f"sigmas {row[5:]} not empty or finite and >= 0")
+            except ValueError as exc:
+                raise ValidationError(f"{path}:{ln}: bad trajectory row ({exc})") from exc
+            rows.append((t, x, y, heading, speed))
+            sigmas.append((fx, fy))
+    table = np.array(rows).reshape(-1, 5)
+    try:
+        traj = Trajectory(table[:, 0], table[:, 1:4], table[:, 4])
+    except ValidationError as exc:
+        raise ValidationError(f"{path}: {exc}") from exc
+    return traj, np.array(sigmas).reshape(-1, 2)
+
+
+def outcomes(raw: bytes) -> list:
+    """What `read_trajectory_csv` and the reference make of a file holding
+    `raw`: the refusal's message, or each returned array's shape and bits."""
+    found = []
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "traj.csv"
+        path.write_bytes(raw)
+        for read in (read_trajectory_csv, reference_read_trajectory_csv):
+            try:
+                traj, sigmas = read(path)
+            except ValidationError as exc:
+                found.append(str(exc))
+                continue
+            found.append([(a.shape, np.ascontiguousarray(a).view(np.int64).tobytes())
+                          for a in (traj.timestamps, traj.poses, traj.speeds, sigmas)])
+    return found
+
+
+@functools.cache
+def long_trajectory_lines() -> tuple[bytes, ...]:
+    """The lines of a written 2001-row trajectory whose sigmas run as a
+    corrected rollout's do: 100 empty rows, then one pair per 100 rows."""
+    rng = np.random.default_rng(25)
+    n = 2001
+    sigmas = np.repeat(np.abs(rng.standard_normal((21, 2))), 100, axis=0)[:n]
+    sigmas[:100] = np.nan
+    traj = Trajectory(np.arange(n) * 0.01, np.cumsum(rng.standard_normal((n, 3)), axis=0),
+                      np.abs(rng.standard_normal(n)))
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "long.csv"
+        write_trajectory_csv(path, traj, sigmas)
+        return tuple(path.read_bytes().split(b"\r\n"))
+
+
+class TestReaderMatchesReference:
+    """`read_trajectory_csv` accepts and refuses exactly what the row-by-row
+    reference does, with the same message, and returns the same bits."""
+
+    @given(st.lists(MUTATION, min_size=1, max_size=6))
+    def test_mutated_valid_file(self, mutations):
+        new, reference = outcomes(mutated(valid_trajectory_bytes(), mutations))
+        assert new == reference
+
+    @pytest.mark.parametrize("row", [1, 1001, 2001], ids=["first", "middle", "last"])
+    def test_one_bad_cell_in_a_long_file(self, row):
+        lines = long_trajectory_lines()
+        new, reference = outcomes(b"\r\n".join(lines))
+        assert new == reference and not isinstance(new, str)
+        for column, cell in itertools.product(range(len(TRAJ_CSV_FIELDS)),
+                                              (b"x", b"", b"nan", b"inf", b"-0.1", b"0.5,0.5")):
+            cells = lines[row].split(b",")
+            cells[column] = cell
+            new, reference = outcomes(b"\r\n".join(
+                lines[:row] + (b",".join(cells),) + lines[row + 1:]))
+            assert new == reference, (column, cell)
+            if cell in (b"x", b"nan", b"0.5,0.5"):
+                assert f"traj.csv:{row + 1}: bad trajectory row" in new

@@ -1,6 +1,7 @@
 import ast
 import importlib
 import re
+import sys
 from pathlib import Path
 
 import pytest
@@ -22,11 +23,24 @@ def imported_top_level_modules() -> set[str]:
     return names
 
 
+def declared_modules() -> dict[str, str]:
+    """Each declared runtime dependency's import name, mapped to its name."""
+    names = (re.match(r"[A-Za-z0-9_.-]+", r).group(0) for r in PROJECT["dependencies"])
+    return {name.lower().replace("-", "_"): name for name in names}
+
+
 def test_every_runtime_dependency_is_imported():
     used = imported_top_level_modules()
-    for requirement in PROJECT["dependencies"]:
-        name = re.match(r"[A-Za-z0-9_.-]+", requirement).group(0)
-        assert name.lower().replace("-", "_") in used, f"{name} is declared but never imported"
+    for module, name in declared_modules().items():
+        assert module in used, f"{name} is declared but never imported"
+
+
+def test_every_imported_module_is_stdlib_or_declared():
+    # an undeclared package imports fine wherever it happens to be installed
+    # (say orjson) and fails wherever resdyn is installed from its metadata
+    undeclared = (imported_top_level_modules() - set(sys.stdlib_module_names)
+                  - set(declared_modules()))
+    assert not undeclared, f"imported but neither stdlib nor declared: {sorted(undeclared)}"
 
 
 def test_every_script_target_resolves():

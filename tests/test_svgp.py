@@ -553,22 +553,27 @@ class TestPredictAfterChanges:
             gp.log_outputscale.data[...] = log_scale
             assert same_bits(gp.predict(self.X), good)
 
-    @pytest.mark.parametrize("log_scale", [800.0, math.nan])
+    @pytest.mark.parametrize("name, at, value", [("log_outputscale", ..., 800.0),
+                                                 ("log_outputscale", ..., math.nan),
+                                                 ("z", 0, (1e200, 0.0))],
+                             ids=["800.0", "nan", "z-1e200"])
     @pytest.mark.parametrize("call", ["predict", "loss"])
-    def test_nonfinite_kernel_raises_and_caches_nothing(self, call, log_scale):
-        # e^800 overflows: K_ZZ is inf, as it is nan at a nan outputscale;
-        # the refusal is the only signal, as a warning would fail the test
+    def test_nonfinite_kernel_raises_and_caches_nothing(self, call, name, at, value):
+        # e^800 overflows: K_ZZ is inf, as it is nan at a nan outputscale,
+        # and an inducing point of 1e200 overflows its squared norm; the
+        # refusal is the only signal, as a warning would fail the test
         gp = self.gp()
         good, cache = gp.predict(self.X), gp._factor_cache
-        restore = gp.log_outputscale.data.copy()
-        gp.log_outputscale.data[...] = log_scale
+        data = getattr(gp, name).data
+        restore = data.copy()
+        data[at] = value
         with pytest.raises(ValidationError, match=r"K_ZZ is not finite .*log_outputscale"):
             if call == "predict":
                 gp.predict(self.X)
             else:
                 gp.loss(self.X, np.ones((5, 2)), total_n=20)
         assert gp._factor_cache is cache
-        gp.log_outputscale.data[...] = restore
+        data[...] = restore
         assert same_bits(gp.predict(self.X), good)
 
     @pytest.mark.parametrize("call", ["predict", "loss"])
