@@ -2,11 +2,11 @@
 
 Define-by-run: every op is a module-level function (`add`, `matmul`,
 `tsum`, ...) that returns a Tensor holding the forward value. Tensors have
-no operators and no indexing. Every node, in this module or outside it, is
-built one way: `_node(data, parents, backward)`, where `backward(g,
-*parents)` scatters the upstream gradient g to the parents, calling a
-parent's `_acc` only when that parent requires a gradient. A backward
-never references the node it serves, so a graph holds no reference cycle:
+no operators and no indexing. A Tensor built directly is a leaf: only
+`_node(data, parents, backward)` links a node to its parents, and
+`backward(g, *parents)` scatters the upstream gradient g to them, calling
+a parent's `_acc` only when it requires a gradient. A backward never
+references the node it serves, so a graph holds no reference cycle:
 it is rebuilt each minibatch and freed by reference counting as soon as it
 is dropped. float64 everywhere: the models trained here are tiny and
 Cholesky robustness matters more than speed.
@@ -74,14 +74,12 @@ class Tensor:
 
     __slots__ = ("data", "grad", "requires_grad", "name", "_parents", "_backward")
 
-    def __init__(self, data, requires_grad: bool = False, name: str | None = None,
-                 _parents: tuple = ()):
+    def __init__(self, data, requires_grad: bool = False, name: str | None = None):
         self.data = np.asarray(data, dtype=np.float64)
         self.grad = None
-        self.requires_grad = requires_grad or any(p.requires_grad for p in _parents)
+        self.requires_grad = requires_grad
         self.name = name
-        # parents are only kept while a gradient path exists
-        self._parents = _parents if self.requires_grad else ()
+        self._parents = ()
         self._backward = None
 
     def _acc(self, g):
@@ -113,9 +111,9 @@ def _node(data, parents, backward):
     `_value` so it is converted once. When the node requires a gradient,
     `autodiff.backward` calls `backward(g, *parents)` with its gradient g
     and the parents as Tensors."""
-    out = Tensor(data, _parents=tuple(map(as_tensor, parents)))
-    if out.requires_grad:
-        out._backward = backward
+    parents, out = tuple(map(as_tensor, parents)), Tensor(data)
+    if any(p.requires_grad for p in parents):  # parents are kept only on a gradient path
+        out.requires_grad, out._parents, out._backward = True, parents, backward
     return out
 
 

@@ -7,9 +7,9 @@ operations are pure functions, safe to call from parallel workers.
 
 The trajectory CSV runs at the cost of CPython's float `repr` and `float`
 parsing: the writer formats a row's state cells in one f-string and the
-sigma cells once per run of equal sigma pairs; the reader converts whole
-columns and checks them at once, and only a file that fails a check is
-read again row by row, to name its first bad record by file line.
+sigma cells once per run of equal sigma pairs; the reader reads a file
+once, converts whole columns and checks them at once, and walks the rows
+it read only to word a refusal, naming the first bad record by file line.
 """
 
 from __future__ import annotations
@@ -246,85 +246,64 @@ def read_trajectory_csv(path) -> tuple[Trajectory, np.ndarray]:
     naming `path:line`. Bytes that are not UTF-8 CSV, and rows that
     `Trajectory` rejects (none, or no fixed step), raise one naming `path`.
 
-    The file is tokenized once and each column converted with `float` into
-    one table, an empty sigma cell as NaN. Whole columns are then checked:
-    every row has 7 cells, the state cells are finite, and the sigma cells
-    in [0, inf) are exactly the non-empty ones (so a literal `nan` is
-    refused). Only when a check fails is the file read again, by
-    `_read_rows`, which names the first bad record by its file line."""
+    The file is read and tokenized once, keeping each record's end line.
+    Each column is converted with `float` into one table, an empty sigma
+    cell as NaN, and whole columns are checked: every row has 7 cells, the
+    state cells are finite, and the sigma cells in [0, inf) are exactly the
+    non-empty ones (so a literal `nan` is refused). Only to word a refusal
+    are the rows walked, by `_row_fault`, for the first bad record."""
     with open(path, newline="", encoding="utf-8") as fh:
+        reader = csv.reader(fh)
+        rows, ends = [], []
         try:
-            rows = list(csv.reader(fh))
+            for row in reader:
+                rows.append(row)
+                ends.append(reader.line_num)
         except (UnicodeDecodeError, csv.Error) as exc:
             raise ValidationError(f"{path}: not a UTF-8 CSV file ({exc})") from exc
     if not rows or tuple(rows[0]) != TRAJ_CSV_FIELDS:
         raise ValidationError(f"{path}: expected trajectory header {','.join(TRAJ_CSV_FIELDS)}")
     body = list(filter(None, rows[1:]))
     n, width = len(body), len(TRAJ_CSV_FIELDS)
-    if set(map(len, body)) - {width}:
-        return _read_rows(path)
     table = np.empty((n, width))
-    cols = list(zip(*body))
     try:
+        if set(map(len, body)) - {width}:
+            raise ValueError
+        cols = list(zip(*body))
         for j, col in enumerate(cols):
             # an empty sigma cell reads as NaN
             cells = map({"": "nan"}.get, col, col) if j >= 5 else col
             table[:, j] = np.fromiter(map(float, cells), float, n)
+        sig = table[:, 5:]
+        empty = sum(col.count("") for col in cols[5:])
+        if not (np.isfinite(table[:, :5]).all()
+                and np.count_nonzero((sig >= 0.0) & (sig < math.inf)) == 2 * n - empty):
+            raise ValueError
     except ValueError:
-        return _read_rows(path)
-    sig = table[:, 5:]
-    empty = sum(col.count("") for col in cols[5:])
-    if not (np.isfinite(table[:, :5]).all()
-            and np.count_nonzero((sig >= 0.0) & (sig < math.inf)) == 2 * n - empty):
-        return _read_rows(path)
-    return _trajectory(path, table)
-
-
-def _read_rows(path) -> tuple[Trajectory, np.ndarray]:
-    """`read_trajectory_csv` row by row: the one place that names a bad
-    record, the first in file-line order, as `path:line`. A file rewritten
-    since the column checks is read as it now is."""
-    isfinite, inf, nan = math.isfinite, math.inf, math.nan
-    rows = []
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        # (file line where the row starts, row): a quoted cell may span lines
-        numbered, line = [], 1
-        try:
-            for row in reader:
-                numbered.append((line, row))
-                line = reader.line_num + 1
-        except (UnicodeDecodeError, csv.Error) as exc:
-            raise ValidationError(f"{path}: not a UTF-8 CSV file ({exc})") from exc
-        if not numbered or tuple(numbered[0][1]) != TRAJ_CSV_FIELDS:
-            raise ValidationError(
-                f"{path}: expected trajectory header {','.join(TRAJ_CSV_FIELDS)}")
-        for ln, row in numbered[1:]:
-            if not row:
-                continue
-            try:
-                if len(row) != len(TRAJ_CSV_FIELDS):
-                    raise ValueError(f"{len(row)} cells, header has {len(TRAJ_CSV_FIELDS)}")
-                t, x, y, heading, speed, sx, sy = row
-                t, x, y, heading, speed = float(t), float(x), float(y), float(heading), float(speed)
-                if not (isfinite(t) and isfinite(x) and isfinite(y) and isfinite(heading)
-                        and isfinite(speed)):
-                    raise ValueError(f"t, x, y, heading and speed {row[:5]} not all finite")
-                fx = float(sx) if sx != "" else nan
-                fy = float(sy) if sy != "" else nan
-                if (sx != "" and not 0.0 <= fx < inf) or (sy != "" and not 0.0 <= fy < inf):
-                    raise ValueError(f"sigmas {row[5:]} not empty or finite and >= 0")
-            except ValueError as exc:
-                raise ValidationError(f"{path}:{ln}: bad trajectory row ({exc})") from exc
-            rows.append((t, x, y, heading, speed, fx, fy))
-    return _trajectory(path, np.array(rows).reshape(-1, len(TRAJ_CSV_FIELDS)))
-
-
-def _trajectory(path, table: np.ndarray) -> tuple[Trajectory, np.ndarray]:
-    """(trajectory, sigmas) from the (n, 7) table of a file's rows; a
-    ValidationError from `Trajectory` is raised again naming `path`."""
+        for i, row in enumerate(rows[1:]):
+            fault = row and _row_fault(row)
+            if fault:  # a record starts after the last one's end: quoted cells span lines
+                raise ValidationError(
+                    f"{path}:{ends[i] + 1}: bad trajectory row ({fault})") from None
+        raise  # the row checks accept what the column checks refused
     try:
         traj = Trajectory(table[:, 0], table[:, 1:4], table[:, 4])
     except ValidationError as exc:
         raise ValidationError(f"{path}: {exc}") from exc
     return traj, table[:, 5:]
+
+
+def _row_fault(row: list[str]) -> str | None:
+    """Why `read_trajectory_csv` refuses a non-empty record, or None."""
+    if len(row) != len(TRAJ_CSV_FIELDS):
+        return f"{len(row)} cells, header has {len(TRAJ_CSV_FIELDS)}"
+    try:
+        state = [float(cell) for cell in row[:5]]
+        if not all(map(math.isfinite, state)):
+            return f"t, x, y, heading and speed {row[:5]} not all finite"
+        sigmas = [float(cell) for cell in row[5:] if cell != ""]
+    except ValueError as exc:
+        return str(exc)
+    if not all(0.0 <= s < math.inf for s in sigmas):
+        return f"sigmas {row[5:]} not empty or finite and >= 0"
+    return None

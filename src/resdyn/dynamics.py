@@ -57,7 +57,10 @@ class MlpDynamicModel:
     """5 -> 8 (ReLU) -> 2 network over z-scored per-tick features.
 
     Inputs (throttle, brake, steering, speed, acceleration); outputs
-    (acceleration, heading rate), de-normalized.
+    (acceleration, heading rate), de-normalized. A model is the 8 arrays of
+    `_SHAPES`, by their checkpoint names: the layers w1, b1, w2 and b2, and
+    the z-scoring in_mean, in_std of the inputs and out_mean, out_std of
+    the outputs.
     """
 
     HIDDEN = 8
@@ -65,22 +68,21 @@ class MlpDynamicModel:
     _SHAPES = {"w1": (5, HIDDEN), "b1": (HIDDEN,), "w2": (HIDDEN, 2), "b2": (2,),
                "in_mean": (5,), "in_std": (5,), "out_mean": (2,), "out_std": (2,)}
 
-    def __init__(self, weights: dict[str, np.ndarray],
-                 in_mean: np.ndarray, in_std: np.ndarray,
-                 out_mean: np.ndarray, out_std: np.ndarray):
-        given = dict(weights, in_mean=in_mean, in_std=in_std,
-                     out_mean=out_mean, out_std=out_std)
-        arrays = {k: np.asarray(given[k], dtype=float) for k in self._SHAPES}
+    def __init__(self, arrays: dict[str, np.ndarray]):
+        """The one check of a model's arrays: a missing entry, a wrong shape,
+        a non-finite value or a std <= 0 raises a ValidationError naming it."""
+        missing = [k for k in self._SHAPES if k not in arrays]
+        if missing:
+            raise ValidationError(f"checkpoint has no {missing[0]!r} entry")
+        self.arrays = {k: np.asarray(arrays[k], dtype=float) for k in self._SHAPES}
         for key, shape in self._SHAPES.items():
-            a = arrays[key]
+            a = self.arrays[key]
             if a.shape != shape or not np.all(np.isfinite(a)):
                 raise ValidationError(
                     f"{key} must be a finite array of shape {shape}, got shape {a.shape}")
             if key.endswith("_std") and np.any(a <= 0):
                 raise ValidationError(f"{key}: normalization stds must be positive")
-        self.weights = {k: arrays[k] for k in ("w1", "b1", "w2", "b2")}
-        self.in_mean, self.in_std = arrays["in_mean"], arrays["in_std"]
-        self.out_mean, self.out_std = arrays["out_mean"], arrays["out_std"]
+        self.weights = {k: self.arrays[k] for k in ("w1", "b1", "w2", "b2")}
 
     def tick(self, throttle: float, brake: float, steering: float,
              speed: float, acceleration: float) -> tuple[float, float]:
@@ -91,27 +93,20 @@ class MlpDynamicModel:
     def tick_batch(self, features: np.ndarray) -> np.ndarray:
         """Rows of (throttle, brake, steering, speed, acceleration), or one
         such 1-D row, to (accel, heading rate)."""
-        xn = (features - self.in_mean) / self.in_std
-        h = np.maximum(xn @ self.weights["w1"] + self.weights["b1"], 0.0)
-        return (h @ self.weights["w2"] + self.weights["b2"]) * self.out_std + self.out_mean
+        a = self.arrays
+        xn = (features - a["in_mean"]) / a["in_std"]
+        h = np.maximum(xn @ a["w1"] + a["b1"], 0.0)
+        return (h @ a["w2"] + a["b2"]) * a["out_std"] + a["out_mean"]
 
     def save(self, path) -> None:
-        arrays = dict(self.weights)
-        arrays.update(in_mean=self.in_mean, in_std=self.in_std,
-                      out_mean=self.out_mean, out_std=self.out_std)
-        save_checkpoint(path, arrays)
+        save_checkpoint(path, self.arrays)
 
     @classmethod
     def load(cls, path) -> "MlpDynamicModel":
-        """Model saved by `save`. A missing entry, or one of the wrong shape,
-        raises a ValidationError naming the path and the entry."""
-        a = load_checkpoint(path)
-        missing = [k for k in cls._SHAPES if k not in a]
-        if missing:
-            raise ValidationError(f"{path}: checkpoint has no {missing[0]!r} entry")
+        """Model saved by `save`; a refusal names the path."""
+        arrays = load_checkpoint(path)
         try:
-            return cls({k: a[k] for k in ("w1", "b1", "w2", "b2")},
-                       a["in_mean"], a["in_std"], a["out_mean"], a["out_std"])
+            return cls(arrays)
         except ValidationError as exc:
             raise ValidationError(f"{path}: {exc}") from exc
 
@@ -222,7 +217,8 @@ def train_dm_lb(features: np.ndarray, labels: np.ndarray, seed: int = 0,
             stall += 1
             if stall >= patience:
                 break
-    return MlpDynamicModel(best, in_mean, in_std, out_mean, out_std), report
+    return MlpDynamicModel(dict(best, in_mean=in_mean, in_std=in_std, out_mean=out_mean,
+                                out_std=out_std)), report
 
 
 def rollout(model, start_pose: Pose, start_state: VehicleState,

@@ -22,7 +22,7 @@ from numpy.lib.stride_tricks import as_strided
 
 from . import autodiff as ad
 from .autodiff import Tensor, _node, _value, parameter
-from .core import ValidationError, check_positive_int
+from .core import ValidationError, check_finite, check_positive_int
 
 # the shipped latent size of each kind
 _LATENT_DIMS = {"cnn": 250, "dilated_cnn": 200, "lstm": 128, "attention": 200,
@@ -163,13 +163,15 @@ def sinusoidal_positions(length: int, dim: int) -> np.ndarray:
 def encode(params: dict[str, Tensor], spec: EncoderSpec, windows: np.ndarray | Tensor,
            train: bool = False, rng: np.random.Generator | None = None) -> Tensor:
     """Latent vectors (B, latent_dim) for a batch of normalized windows
-    (B, N, F). N must equal the configured window length."""
+    (B, N, F). N must equal the configured window length, and every entry
+    must be finite: an lstm's saturated gates would hide an infinity."""
     x = ad.as_tensor(windows)
     if x.data.ndim != 3 or x.data.shape[2] != spec.features:
         raise ValidationError(f"windows must be (B, N, {spec.features}), got {x.data.shape}")
     if x.data.shape[1] != spec.window:
         raise ValidationError(
             f"window length {x.data.shape[1]} differs from configured {spec.window}")
+    check_finite(x.data, "window entry (window, tick, feature)")
     if spec.kind in ("cnn", "dilated_cnn"):
         return _encode_conv(params, x, _DILATIONS[spec.kind], _STRIDE)
     if spec.kind == "lstm":

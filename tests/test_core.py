@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, strategies as st
 
+import resdyn.core
 from resdyn.core import (LOG_CSV_FIELDS, TRAJ_CSV_FIELDS, ControlCommand, LogRecord, Pose,
                          Trajectory, ValidationError, VehicleState, parse_log_row,
                          read_trajectory_csv, wrap_angle, wrap_angle_array, write_log_csv,
@@ -339,6 +340,29 @@ class TestTrajectoryCsv:
                           "0.02,bad,0.0,0.0,1.0,,")
         with pytest.raises(ValidationError, match=re.escape(f"{path}:5: ")):
             read_trajectory_csv(path)
+        # a quoted "\r\n" ends one line, a quoted lone "\r" another: the
+        # first record spans lines 2-3, the second 4-5, the bad row is line 6
+        path.write_bytes(",".join(TRAJ_CSV_FIELDS).encode() + b'\n"0.0\r\n",0.0,0.0,0.0,1.0,,\n'
+                         b'"0.01\r",0.0,0.0,0.0,1.0,,\r\n0.02,bad,0.0,0.0,1.0,,\r\n')
+        with pytest.raises(ValidationError, match=re.escape(f"{path}:6: ")):
+            read_trajectory_csv(path)
+
+    @pytest.mark.parametrize("x", ["0.0", "bad"], ids=["accepted", "refused"])
+    def test_file_opened_once(self, tmp_path, monkeypatch, x):
+        path = self.write(tmp_path, self.GOOD, f"0.01,{x},0.0,0.0,1.0,,")
+        opened = []
+
+        def counting_open(*args, **kwargs):
+            opened.append(args[0])
+            return open(*args, **kwargs)
+
+        monkeypatch.setattr(resdyn.core, "open", counting_open, raising=False)
+        try:
+            read_trajectory_csv(path)
+            refused = False
+        except ValidationError:
+            refused = True
+        assert (opened, refused) == ([path], x == "bad")
 
     @pytest.mark.parametrize("cell", ["inf", "nan"])
     @pytest.mark.parametrize("column", [1, 4])

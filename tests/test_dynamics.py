@@ -31,10 +31,14 @@ def reference_table(model, pose, state, commands, dt=0.01):
     return np.array(rows)
 
 
+def mlp_arrays():
+    return {"w1": np.zeros((5, 8)), "b1": np.zeros(8), "w2": np.zeros((8, 2)),
+            "b2": np.zeros(2), "in_mean": np.zeros(5), "in_std": np.ones(5),
+            "out_mean": np.zeros(2), "out_std": np.ones(2)}
+
+
 def zero_mlp():
-    w = {"w1": np.zeros((5, 8)), "b1": np.zeros(8),
-         "w2": np.zeros((8, 2)), "b2": np.zeros(2)}
-    return MlpDynamicModel(w, np.zeros(5), np.ones(5), np.zeros(2), np.ones(2))
+    return MlpDynamicModel(mlp_arrays())
 
 
 class TestRuleBased:
@@ -81,34 +85,25 @@ class TestMlpModel:
         w1[4, 0], w1[4, 1] = 1.0, -1.0
         w2 = np.zeros((8, 2))
         w2[0, 0], w2[1, 0] = 1.0, -1.0
-        m = MlpDynamicModel({"w1": w1, "b1": np.zeros(8), "w2": w2, "b2": np.zeros(2)},
-                            np.zeros(5), np.ones(5), np.zeros(2), np.ones(2))
+        m = MlpDynamicModel(dict(mlp_arrays(), w1=w1, w2=w2))
         for accel in (-2.0, 0.0, 1.7):
             out = m.tick(0.4, 0, 0.1, 3, accel)
             assert out[0] == pytest.approx(accel)
             assert out[1] == 0.0
 
     def test_rejects_nonpositive_std(self):
-        w = {"w1": np.zeros((5, 8)), "b1": np.zeros(8),
-             "w2": np.zeros((8, 2)), "b2": np.zeros(2)}
         with pytest.raises(ValidationError):
-            MlpDynamicModel(w, np.zeros(5), np.zeros(5), np.zeros(2), np.ones(2))
+            MlpDynamicModel(dict(mlp_arrays(), in_std=np.zeros(5)))
 
     def test_save_load_deterministic(self, tmp_path):
         rng = seeded_rng(0, "mlp-io")
-        w = {"w1": rng.standard_normal((5, 8)), "b1": rng.standard_normal(8),
-             "w2": rng.standard_normal((8, 2)), "b2": rng.standard_normal(2)}
-        m = MlpDynamicModel(w, np.zeros(5), np.ones(5), np.zeros(2), np.ones(2))
+        m = MlpDynamicModel(dict(mlp_arrays(), w1=rng.standard_normal((5, 8)),
+                                 b1=rng.standard_normal(8), w2=rng.standard_normal((8, 2)),
+                                 b2=rng.standard_normal(2)))
         m.save(tmp_path / "dm.ckpt")
         m2 = MlpDynamicModel.load(tmp_path / "dm.ckpt")
         row = (0.3, 0.1, -0.2, 4, 0.5)
         assert m.tick(*row) == m2.tick(*row)
-
-
-def mlp_arrays():
-    return {"w1": np.zeros((5, 8)), "b1": np.zeros(8), "w2": np.zeros((8, 2)),
-            "b2": np.zeros(2), "in_mean": np.zeros(5), "in_std": np.ones(5),
-            "out_mean": np.zeros(2), "out_std": np.ones(2)}
 
 
 class TestMlpCheckpointBoundary:
@@ -120,6 +115,8 @@ class TestMlpCheckpointBoundary:
         save_checkpoint(path, arrays)
         with pytest.raises(ValidationError, match=f"dm.ckpt: checkpoint has no '{key}' entry"):
             MlpDynamicModel.load(path)
+        with pytest.raises(ValidationError, match=f"^checkpoint has no '{key}' entry"):
+            MlpDynamicModel(arrays)
 
     @pytest.mark.parametrize("key, bad", [
         ("in_mean", np.zeros(3)), ("in_std", np.ones(3)), ("in_std", np.ones((5, 1))),
@@ -146,10 +143,8 @@ class TestMlpCheckpointBoundary:
         with pytest.raises(ValidationError, match=f"dm.ckpt: entry '{key}' holds non-finite"):
             MlpDynamicModel.load(path)
         arrays[key] = np.full(arrays[key].shape, np.nan)
-        weights = {k: arrays[k] for k in ("w1", "b1", "w2", "b2")}
         with pytest.raises(ValidationError, match=f"^{key} must be a finite array"):
-            MlpDynamicModel(weights, arrays["in_mean"], arrays["in_std"],
-                            arrays["out_mean"], arrays["out_std"])
+            MlpDynamicModel(arrays)
 
 
 class TestTickTrainingPairs:

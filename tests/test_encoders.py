@@ -1,3 +1,4 @@
+import re
 from dataclasses import fields
 
 import numpy as np
@@ -97,6 +98,17 @@ class TestShapes:
         spec, params = short_setup("lstm")
         with pytest.raises(ValidationError):
             encode(params, spec, np.zeros((2, 7, 5)))
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_nonfinite_window_entry_named(self, kind, value):
+        # an lstm's saturated gates map an infinity to a finite latent
+        spec, params = short_setup(kind)
+        windows = np.zeros((2, SHORT[kind], 6))
+        windows[1, 3, 2] = value
+        with pytest.raises(ValidationError, match=re.escape(
+                "non-finite window entry (window, tick, feature) at index (1, 3, 2)")):
+            encode(params, spec, windows)
 
 
 def graph_nodes(out: Tensor) -> int:
