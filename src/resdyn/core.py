@@ -52,26 +52,17 @@ def check_finite(values: np.ndarray, what: str) -> None:
         raise ValidationError(f"non-finite {what} at index {first}")
 
 
-def wrap_angle(theta: float) -> float:
-    """Wrap an angle to (-pi, pi]."""
-    if not math.isfinite(theta):
-        raise ValidationError(f"non-finite angle: {theta!r}")
-    if -math.pi < theta <= math.pi:
-        return theta
-    # the modulo rounds up to 2*pi just above pi, e.g. at nextafter(pi, 4)
-    w = math.pi - (math.pi - theta) % (2.0 * math.pi)
-    return math.pi if w == -math.pi else w
-
-
 def wrap_angle_array(theta: np.ndarray) -> np.ndarray:
-    """Vectorized `wrap_angle`: in-range angles come back unchanged, and a
-    non-finite angle raises, naming the first index that holds one."""
+    """Wrap angles to (-pi, pi], elementwise, for any shape (0-d too).
+    In-range angles come back unchanged. A non-finite angle raises,
+    naming the first index that holds one (no index for a 0-d input)."""
     theta = np.asarray(theta, dtype=float)
     bad = np.argwhere(~np.isfinite(theta))
     if len(bad):
         at = tuple(int(k) for k in bad[0])
-        raise ValidationError(f"non-finite angle at index {at[0] if len(at) == 1 else at}: "
-                              f"{float(theta[at])!r}")
+        where = f" at index {at[0] if len(at) == 1 else at}" if at else ""
+        raise ValidationError(f"non-finite angle{where}: {float(theta[at])!r}")
+    # the modulo rounds up to 2*pi just above pi, e.g. at nextafter(pi, 4)
     w = np.pi - np.mod(np.pi - theta, 2.0 * np.pi)
     w = np.where(w == -np.pi, np.pi, w)
     return np.where((-np.pi < theta) & (theta <= np.pi), theta, w)
@@ -205,20 +196,19 @@ def parse_log_row(row: list[str]) -> LogRecord:
 TRAJ_CSV_FIELDS = ("t", "x", "y", "heading", "speed", "sigma_x", "sigma_y")
 
 
-def write_trajectory_csv(path, traj: Trajectory,
-                         sigmas: np.ndarray | None = None) -> None:
+def write_trajectory_csv(path, traj: Trajectory, sigmas: np.ndarray) -> None:
     """Rows `t,x,y,heading,speed,sigma_x,sigma_y`; both sigma cells are
-    empty in a row where either sigma is not finite (warm-up ticks), and
-    in every row when `sigmas` is None. `sigmas` other than (len(traj), 2),
-    or with a finite entry below 0, raises a ValidationError naming the
-    path before the file is opened: `read_trajectory_csv` would refuse it.
+    empty in a row where either sigma is not finite (warm-up ticks).
+    `sigmas` other than (len(traj), 2), or with a finite entry below 0,
+    raises a ValidationError naming the path before the file is opened:
+    `read_trajectory_csv` would refuse it.
 
     Each row's five state cells are one f-string of reprs. The sigma cells
     are formatted once per run of consecutive rows whose sigmas have equal
     bits (a corrected rollout holds one pair per window), so 0.0 and -0.0
     start separate runs and every non-finite row shares one empty run."""
     n = len(traj)
-    sigmas = np.full((n, 2), np.nan) if sigmas is None else np.asarray(sigmas, dtype=float)
+    sigmas = np.asarray(sigmas, dtype=float)
     if sigmas.shape != (n, 2):
         raise ValidationError(f"{path}: sigmas of shape {sigmas.shape}, trajectory needs ({n}, 2)")
     finite = np.isfinite(sigmas)

@@ -20,7 +20,7 @@ from . import autodiff as ad
 from .autodiff import Adam, Tensor, backward, load_checkpoint, parameter, save_checkpoint
 from .core import (DEFAULT_DT, ControlCommand, LogRecord, Pose, Trajectory,
                    ValidationError, VehicleState, check_dt, check_finite,
-                   check_positive_int, wrap_angle)
+                   check_positive_int, wrap_angle_array)
 from .rng import seeded_rng
 
 # DM-RB calibration. Module constants, not class attributes: CPython 3.11
@@ -70,11 +70,12 @@ class MlpDynamicModel:
 
     def __init__(self, arrays: dict[str, np.ndarray]):
         """The one check of a model's arrays: a missing entry, a wrong shape,
-        a non-finite value or a std <= 0 raises a ValidationError naming it."""
+        a non-finite value or a std <= 0 raises a ValidationError naming it.
+        The model keeps copies, so a later write to `arrays` cannot undo it."""
         missing = [k for k in self._SHAPES if k not in arrays]
         if missing:
             raise ValidationError(f"checkpoint has no {missing[0]!r} entry")
-        self.arrays = {k: np.asarray(arrays[k], dtype=float) for k in self._SHAPES}
+        self.arrays = {k: np.array(arrays[k], dtype=float) for k in self._SHAPES}
         for key, shape in self._SHAPES.items():
             a = self.arrays[key]
             if a.shape != shape or not np.all(np.isfinite(a)):
@@ -115,23 +116,28 @@ def tick_training_pairs(records: list[LogRecord], dt: float) -> tuple[np.ndarray
     """(features, labels) per tick; labels are the effective accel and heading
     rate realized over the next tick, finite-differenced from the log. A dt
     that is not finite and positive, fewer than 2 records, or a record not
-    dt after the one before it (within 1e-9 s) raises a ValidationError."""
+    dt after the one before it (within 1e-9 s) raises a ValidationError.
+
+    The records' fields are read into one table in one pass; the step
+    check, features and labels are then slices of it."""
     check_dt(dt)
-    n = len(records) - 1
-    if n < 1:
-        raise ValidationError(f"tick training pairs need at least 2 records, got {n + 1}")
-    x = np.empty((n, 5))
-    y = np.empty((n, 2))
-    for i in range(n):
-        r, nxt = records[i], records[i + 1]
-        if not abs((nxt.timestamp - r.timestamp) - dt) <= 1e-9:
-            raise ValidationError(f"record {i + 1} is {nxt.timestamp - r.timestamp!r} s after "
+    if len(records) < 2:
+        raise ValidationError(f"tick training pairs need at least 2 records, got {len(records)}")
+    # columns throttle, brake, steering, speed, acceleration, heading, t
+    table = np.array([(r.command.throttle, r.command.brake, r.command.steering, r.state.speed,
+                       r.state.acceleration, r.state.heading, r.timestamp) for r in records],
+                     dtype=float)
+    # an overflow gives inf without a warning, as it does in float arithmetic
+    with np.errstate(over="ignore", invalid="ignore"):
+        steps = np.diff(table[:, 6])
+        late = np.flatnonzero(~(np.abs(steps - dt) <= 1e-9))
+        if len(late):
+            i = int(late[0])
+            raise ValidationError(f"record {i + 1} is {float(steps[i])!r} s after "
                                   f"record {i}, not dt = {dt!r} s (within 1e-9 s)")
-        x[i] = (r.command.throttle, r.command.brake, r.command.steering,
-                r.state.speed, r.state.acceleration)
-        dh = wrap_angle(nxt.state.heading - r.state.heading)
-        y[i] = ((nxt.state.speed - r.state.speed) / dt, dh / dt)
-    return x, y
+        changes = np.diff(table[:, 3:6:2], axis=0)   # of speed and heading over a tick
+        changes[:, 1] = wrap_angle_array(changes[:, 1])
+        return table[:-1, :5].copy(), changes / dt
 
 
 @dataclass
@@ -258,8 +264,8 @@ def rollout_states(model, start_pose: Pose, start_state: VehicleState,
             raise ValidationError(f"non-finite model output at tick {i}: "
                                   f"accel {accel!r}, heading rate {rate!r}")
         heading += rate * dt
-        if not -pi < heading <= pi:   # wrap_angle returns in-range values as they are
-            heading = wrap_angle(heading)
+        if not -pi < heading <= pi:   # the wrap returns in-range values as they are
+            heading = float(wrap_angle_array(heading))
         speed += accel * dt
         if not speed > 0.0:           # max(0.0, speed): -0.0 becomes 0.0 too
             speed = 0.0

@@ -20,7 +20,7 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from .core import (DEFAULT_DT, ControlCommand, LogRecord, Pose,
-                   ValidationError, VehicleState, check_dt, wrap_angle)
+                   ValidationError, VehicleState, check_dt, wrap_angle_array)
 
 SUBSTEPS = 10
 
@@ -177,8 +177,8 @@ def _drive(p: OracleParams, dt: float, s: tuple, commands) -> tuple[list, tuple]
             else:
                 vy = vy + h * dvy
                 yaw_rate = yaw_rate + h * dr
-        if not -pi < heading <= pi:   # wrap_angle returns in-range values as they are
-            heading = wrap_angle(heading)
+        if not -pi < heading <= pi:   # the wrap returns in-range values as they are
+            heading = float(wrap_angle_array(heading))
         rows += (x, y, heading, vx, ax)
     return rows, (x, y, heading, vx, vy, yaw_rate, accel_lag, wheel_angle, ax)
 

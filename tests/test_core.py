@@ -11,11 +11,12 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 from hypothesis import example, given, strategies as st
+from reference import wrap_angle
 
 import resdyn.core
 from resdyn.core import (LOG_CSV_FIELDS, TRAJ_CSV_FIELDS, ControlCommand, LogRecord, Pose,
                          Trajectory, ValidationError, VehicleState, parse_log_row,
-                         read_trajectory_csv, wrap_angle, wrap_angle_array, write_log_csv,
+                         read_trajectory_csv, wrap_angle_array, write_log_csv,
                          write_trajectory_csv)
 from resdyn.dynamics import rollout_states
 
@@ -35,13 +36,13 @@ ROW = st.tuples(FINITE, FINITE, FINITE, FINITE,
 
 class TestWrapAngle:
     def test_zero(self):
-        assert wrap_angle(0.0) == 0.0
+        assert wrap_angle_array(0.0) == 0.0
 
     def test_three_pi(self):
-        assert wrap_angle(3 * math.pi) == pytest.approx(math.pi)
+        assert wrap_angle_array(3 * math.pi) == pytest.approx(math.pi)
 
     def test_minus_pi_maps_to_plus_pi(self):
-        assert wrap_angle(-math.pi) == pytest.approx(math.pi)
+        assert wrap_angle_array(-math.pi) == pytest.approx(math.pi)
 
     @given(st.floats(-50.0, 50.0))
     @example(EDGE_ANGLES[0])
@@ -51,18 +52,24 @@ class TestWrapAngle:
     @example(EDGE_ANGLES[4])
     @example(EDGE_ANGLES[5])
     def test_range_and_congruence(self, theta):
-        w = wrap_angle(theta)
+        w = float(wrap_angle_array(theta))
         assert -math.pi < w <= math.pi
         assert math.isclose(math.sin(w), math.sin(theta), abs_tol=1e-9)
         assert math.isclose(math.cos(w), math.cos(theta), abs_tol=1e-9)
 
-    def test_array_matches_scalar(self):
-        # in range, both return the input itself: 1e-20 and 0.1 stay as they are
-        thetas = np.concatenate([np.linspace(-20, 20, 401), EDGE_ANGLES, [1e-20, -1e-20, 0.1]])
-        wrapped = wrap_angle_array(thetas)
-        for t, w in zip(thetas, wrapped):
-            assert w == wrap_angle(float(t))
-            assert -math.pi < w <= math.pi
+    @given(st.lists(FINITE | st.sampled_from(EDGE_ANGLES), min_size=1, max_size=16))
+    # in range, both return the input itself: 1e-20 and 0.1 stay as they are
+    @example([*np.linspace(-20, 20, 401), *EDGE_ANGLES, 1e-20, -1e-20, 0.1])
+    @example([*EDGE_ANGLES, *EDGE_FLOATS])
+    def test_array_matches_scalar(self, thetas):
+        # bit for bit, signed zeros too, as 0-d, 1-d and 2-d input
+        want = np.array([wrap_angle(t) for t in thetas])
+        assert np.all((-math.pi < want) & (want <= math.pi))
+        got = [wrap_angle_array(np.array(thetas)), wrap_angle_array(np.array(thetas)[:, None]),
+               np.array([wrap_angle_array(t) for t in thetas])]
+        for wrapped in got:
+            assert wrapped.tobytes() == want.tobytes()
+        assert all(wrap_angle_array(t).shape == () for t in thetas[:3])
 
     @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
     def test_array_non_finite_rejected(self, bad):
@@ -70,6 +77,10 @@ class TestWrapAngle:
             wrap_angle_array(np.array([0.5, 4.0, bad, bad, 1.0]))
         with pytest.raises(ValidationError, match=r"non-finite angle at index \(1, 0\)"):
             wrap_angle_array(np.array([[0.5, 4.0], [bad, 1.0]]))
+        # a 0-d angle has no index to name, as the scalar refusal names none
+        for wrap in (wrap_angle_array, wrap_angle):
+            with pytest.raises(ValidationError, match=rf"^non-finite angle: {bad!r}$"):
+                wrap(bad)
 
 
 class Replay:
@@ -457,7 +468,8 @@ class TestTrajectoryCsv:
     @pytest.mark.parametrize("with_sigmas", [True, False], ids=["sigmas", "no-sigmas"])
     def test_written_bytes(self, tmp_path, with_sigmas):
         # the format byte for byte: CRLF line ends, repr cells, both sigma
-        # cells empty where either sigma is not finite
+        # cells empty where either sigma is not finite, and in every row
+        # of a trajectory whose sigmas are all NaN
         pinned = {k: np.array(v) for k, v in self.PINNED_TRAJ.items()}
         k = len(self.PINNED_ROWS) + np.arange(len(self.RUN_SIGMAS))
         traj = Trajectory(np.r_[pinned["timestamps"], np.round(0.01 * k, 2)],
@@ -467,7 +479,7 @@ class TestTrajectoryCsv:
                                         for t in traj.timestamps[len(self.PINNED_ROWS):].tolist())
         path = tmp_path / "traj.csv"
         write_trajectory_csv(path, traj, np.array(self.PINNED_SIGMAS + self.RUN_SIGMAS)
-                             if with_sigmas else None)
+                             if with_sigmas else np.full((len(traj), 2), np.nan))
         cells = ((b"0.25,0.30000000000000004", b",", b",", b"-0.0,5e-324", b",")
                  + self.RUN_CELLS if with_sigmas else (b",",) * len(rows))
         assert path.read_bytes() == b"".join(

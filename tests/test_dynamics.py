@@ -4,14 +4,15 @@ import math
 
 import numpy as np
 import pytest
+import reference
 
 from resdyn.autodiff import save_checkpoint
 from resdyn.core import (ControlCommand, Pose, ValidationError, VehicleState, parse_log_row,
-                         wrap_angle, write_log_csv)
+                         write_log_csv)
 from resdyn.dynamics import (MlpDynamicModel, RuleBasedModel, rollout, rollout_states,
                              tick_training_pairs, train_dm_lb)
 from resdyn.rng import seeded_rng
-from resdyn.scenarios import generate_golden_set
+from resdyn.scenarios import generate_golden_set, oracle_log
 
 CMD0 = ControlCommand(0, 0, 0)
 REST = VehicleState(0, 0, 0)
@@ -26,7 +27,7 @@ def reference_table(model, pose, state, commands, dt=0.01):
     for c in commands:
         a, rate = model.tick(c.throttle, c.brake, c.steering, v, a)
         x, y, h, v = (x + v * math.cos(h) * dt, y + v * math.sin(h) * dt,
-                      wrap_angle(h + rate * dt), max(0.0, v + a * dt))
+                      reference.wrap_angle(h + rate * dt), max(0.0, v + a * dt))
         rows.append((v, a, h, x, y))
     return np.array(rows)
 
@@ -105,6 +106,21 @@ class TestMlpModel:
         row = (0.3, 0.1, -0.2, 4, 0.5)
         assert m.tick(*row) == m2.tick(*row)
 
+    def test_writes_to_the_given_arrays_change_nothing(self, tmp_path):
+        # the model checked copies: a zero std written afterwards would
+        # otherwise divide by zero in every tick
+        rng = seeded_rng(0, "mlp-copy")
+        arrays = {k: rng.uniform(0.5, 1.5, v.shape) for k, v in mlp_arrays().items()}
+        m = MlpDynamicModel(arrays)
+        row = (0.3, 0.1, -0.2, 4, 0.5)
+        before = m.tick(*row)
+        m.save(tmp_path / "before.ckpt")
+        for a in arrays.values():
+            a[...] = 0.0
+        assert m.tick(*row) == before
+        m.save(tmp_path / "after.ckpt")
+        assert (tmp_path / "after.ckpt").read_bytes() == (tmp_path / "before.ckpt").read_bytes()
+
 
 class TestMlpCheckpointBoundary:
     @pytest.mark.parametrize("key", list(mlp_arrays()))
@@ -177,6 +193,41 @@ class TestTickTrainingPairs:
         with pytest.raises(ValidationError, match=f"at least 2 records, got {count}$"):
             tick_training_pairs(records[:count], 0.01)
 
+    @pytest.mark.parametrize("dt", [0.01, 0.02])
+    def test_equal_to_record_by_record_reference(self, dt):
+        # the golden logs, and constant-steer laps whose heading crosses
+        # +-pi; C-contiguous arrays with the reference's bytes
+        logs = dict(generate_golden_set(0, dt=dt, loop_duration=6.0, scenario_duration=3.0),
+                    circle=oracle_log([ControlCommand(0.5, 0.0, 0.3)] * 1500, dt))
+        for name, records in logs.items():
+            got, want = tick_training_pairs(records, dt), reference.tick_training_pairs(records, dt)
+            for g, w in zip(got, want, strict=True):
+                assert g.flags.c_contiguous and g.shape == w.shape, name
+                assert g.tobytes() == w.tobytes(), name
+        heading = np.array([r.state.heading for r in logs["circle"]])
+        assert np.sum(np.abs(np.diff(heading)) > math.pi) >= 1
+
+    @pytest.mark.parametrize("times", [
+        {}, {1: 0.01 + 2e-9}, {20: 0.3}, {5: 0.04}, {3: math.inf}, {3: math.nan},
+        {3: -1e308, 4: 1e308}],
+        ids=["none", "late-first", "late-last", "early", "inf", "nan", "step-overflows"])
+    def test_same_refusal_or_bytes_as_reference(self, times):
+        # records with the given timestamps, and a speed change over a tick
+        # that overflows to an infinite label: the reference's bytes or
+        # refusal, and no warning from an overflow
+        records = generate_golden_set(0, loop_duration=0.2, scenario_duration=0.1)["loop"]
+        for i, t in times.items():
+            records[i] = dataclasses.replace(records[i], timestamp=t)
+        records[10] = dataclasses.replace(records[10], state=VehicleState(1e308, 0.0, 0.0))
+        outcomes = []
+        for pairs in (tick_training_pairs, reference.tick_training_pairs):
+            try:
+                outcomes.append(b"".join(a.tobytes() for a in pairs(records, 0.01)))
+            except ValidationError as exc:
+                outcomes.append(str(exc))
+        assert outcomes[0] == outcomes[1]
+        assert isinstance(outcomes[0], bytes) == (not times)
+
 
 class TestTrainDmLb:
     def test_empty_dataset_rejected(self):
@@ -206,6 +257,9 @@ class TestTrainDmLb:
             train_dm_lb(np.ones((10, 5)), np.ones((10, 2)), **{name: value})
 
     def test_identical_rows_converge_to_constant(self):
+        """Margin, measured over train seeds 0-8: the last train MSE is at
+        most 5.5e-7 (seed 6) against the bound 1e-4, 180 times below it, and
+        both outputs are within 4.1e-12 of their targets against 1e-3."""
         x = np.tile([0.3, 0.0, 0.1, 5.0, 0.5], (64, 1))
         y = np.tile([0.5, 0.02], (64, 1))
         model, report = train_dm_lb(x, y, seed=1, epochs=60)
@@ -215,6 +269,11 @@ class TestTrainDmLb:
         assert out[1] == pytest.approx(0.02, abs=1e-3)
 
     def test_linear_ground_truth(self):
+        """Margin, measured over train seeds 0-8 on this data: the
+        de-normalized best validation MSE is at most 6.0e-4 (seed 0)
+        against the bound 1e-3, 1.7 times below it, and 5.8e-5 at seed 2.
+        With the data drawn from the same seeds as the training, it is at
+        most 1.3e-4."""
         rng = seeded_rng(2, "lin")
         x = rng.uniform([0, 0, -1, 0, -2], [1, 1, 1, 15, 2], size=(2000, 5))
         y = np.stack([2.0 * x[:, 0] - 3.0 * x[:, 1] - 0.01 * x[:, 3],
@@ -237,6 +296,11 @@ class TestTrainDmLb:
             assert loaded.tick(*row) == model.tick(*row)
 
     def test_oracle_logs_beat_untrained_and_rule_based(self):
+        """Margin, measured over train seeds 0-8: the best validation MSE
+        is at most 0.046 of the first epoch's (seed 4) against the bound
+        0.1, 2.2 times below it, and DM-LB's held-out one-step RMSE is at
+        most 0.703 of DM-RB's (seed 7) against 1, 1.42 times below it. At
+        seed 3 the two ratios are 0.015 and 0.702."""
         logs = generate_golden_set(0, loop_duration=45.0, scenario_duration=1.0)
         recs = logs["loop"]
         x, y = tick_training_pairs(recs, 0.01)

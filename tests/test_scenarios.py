@@ -102,6 +102,17 @@ class TestOracleStep:
         assert (recs[-1].pose.x, recs[-1].pose.y) == s[:2]
         assert recs[-1].pose != oracle_log(cmds, 0.01)[-1].pose
 
+    def test_circle_records_equal_pinned_digest(self):
+        # five constant-steer laps each way: the heading leaves (-pi, pi]
+        # above pi and at or below -pi, and the kernel wraps it back
+        logs = {name: oracle_log([ControlCommand(0.5, 0.0, steering)] * 5000)
+                for name, steering in (("left_circle", 0.3), ("right_circle", -0.3))}
+        for recs in logs.values():
+            hd = np.array([r.state.heading for r in recs])
+            assert np.sum(np.abs(np.diff(hd)) > math.pi) == 5
+        assert records_digest(logs) == \
+            "f30f44d6311d7bc01c0f2cff01bbd2ac92484e0af13b2dfe33e404163ddf509a"
+
     @pytest.mark.parametrize("dt", [0.0, -0.01, math.inf, -math.inf, math.nan])
     def test_dt_not_finite_and_positive_rejected(self, dt):
         cmds = [ControlCommand(0.5, 0, 0.1)] * 3
