@@ -167,14 +167,24 @@ class Trajectory:
 
 
 def write_log_csv(path, records: list[LogRecord]) -> None:
+    """Rows of `LOG_CSV_FIELDS`, one per record, each cell a float's repr.
+    A field that is not a finite number (`LogRecord` leaves the timestamp
+    unchecked) raises a ValidationError naming the path, the record's index
+    and the field before the file is opened: `parse_log_row` would refuse
+    it."""
+    table = np.array([(r.timestamp, r.command.throttle, r.command.brake,
+                       r.command.steering, r.state.speed, r.state.acceleration,
+                       r.state.heading, r.pose.x, r.pose.y) for r in records],
+                     dtype=float).reshape(-1, len(LOG_CSV_FIELDS))
+    bad = np.argwhere(~np.isfinite(table))
+    if len(bad):
+        i, j = bad[0]
+        raise ValidationError(f"{path}: record {i} field {LOG_CSV_FIELDS[j]!r} is "
+                              f"{float(table[i, j])!r}, not a finite number")
     with open(path, "w", newline="") as fh:
         w = csv.writer(fh)
         w.writerow(LOG_CSV_FIELDS)
-        for r in records:
-            w.writerow([repr(float(v)) for v in (
-                r.timestamp, r.command.throttle, r.command.brake,
-                r.command.steering, r.state.speed, r.state.acceleration,
-                r.state.heading, r.pose.x, r.pose.y)])
+        w.writerows([list(map(repr, row)) for row in table.tolist()])
 
 
 def parse_log_row(row: list[str]) -> LogRecord:

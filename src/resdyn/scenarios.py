@@ -6,8 +6,14 @@ integration. It is deliberately richer than the open-loop models so their
 rollouts accumulate a structured, learnable residual.
 
 One kernel, `_drive`, steps a whole command list on plain floats, with
-both midpoint stages written out in its substep loop; `oracle_log` runs it
-for a log, then builds the records.
+both midpoint stages written out in its substep loop. `_oracle_logs` runs
+it for a set of logs, then builds the records, and drives each command
+prefix the logs share only once: from rest, with the same dt and params,
+the rows and state after a prefix depend on its commands' bits alone. A
+later log holds the earlier one's records before the shared prefix ends
+and is driven on from the state there. `oracle_log` is the one-log case;
+in `generate_golden_set` the turn maneuvers share their opening blocks,
+and each right-hand one its left-hand twin's up to the first steer.
 A script's commands are evaluated for every tick in one numpy pass, with
 the same IEEE operations a per-tick evaluation would make.
 """
@@ -16,6 +22,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, fields
+from itertools import pairwise
 
 import numpy as np
 
@@ -183,22 +190,83 @@ def _drive(p: OracleParams, dt: float, s: tuple, commands) -> tuple[list, tuple]
     return rows, (x, y, heading, vx, vy, yaw_rate, accel_lag, wheel_angle, ax)
 
 
+def _shared_prefixes(command_lists: list[list[ControlCommand]]) -> list[tuple[int, int]]:
+    """For each command list, (i, k): of the lists before it, list i shares
+    the longest prefix with it, k commands long (0 for none). Commands are
+    equal when their three fields have equal bits, so 0.0 and -0.0 differ;
+    of equal prefixes the earliest list's wins, so k is above what list i
+    itself shares with any list before it."""
+    if len(command_lists) < 2:
+        return [(0, 0)] * len(command_lists)
+    tables = []
+    for commands in command_lists:
+        table = np.empty((len(commands), 3))
+        table[:, 0] = [c.throttle for c in commands]
+        table[:, 1] = [c.brake for c in commands]
+        table[:, 2] = [c.steering for c in commands]
+        tables.append(table.view(np.int64))
+    shared = []
+    for j, b in enumerate(tables):
+        best = (0, 0)
+        for i, a in enumerate(tables[:j]):
+            m = min(len(a), len(b))
+            differ = np.flatnonzero((a[:m] != b[:m]).any(axis=1))
+            k = int(differ[0]) if len(differ) else m
+            if k > best[1]:
+                best = (i, k)
+        shared.append(best)
+    return shared
+
+
+def _oracle_logs(command_lists: list[list[ControlCommand]], dt: float,
+                 params: OracleParams | None = None) -> list[list[LogRecord]]:
+    """`oracle_log` of every command list, each a list of its own, with each
+    shared command prefix driven once. A list that shares its first k
+    commands with an earlier one holds that log's first k record objects,
+    and is driven on from the earlier log's state after tick k, which that
+    log's drive returns at a cut there. The rows and state after a prefix
+    depend on its commands' bits alone (the drive starts from rest with the
+    same dt and params), so every log equals its own `oracle_log` bit for
+    bit."""
+    check_dt(dt)
+    p = params or OracleParams()
+    shared = _shared_prefixes(command_lists)
+    cuts = [set() for _ in command_lists]   # per log, where later logs' shared prefixes end
+    for i, k in shared:
+        if k:
+            cuts[i].add(k)
+    states = {}   # (log, tick): the 8 floats of `_drive`'s state, then the tick's ax
+    logs = []
+    for j, (commands, (i, k)) in enumerate(zip(command_lists, shared)):
+        s = states[i, k] if k else (0.0,) * 9
+        rows = [s[0], s[1], s[2], s[3], s[8]]   # the row of tick k
+        for start, stop in pairwise([k, *sorted(cuts[j]), len(commands)]):
+            if start < stop:
+                segment, s = _drive(p, dt, s[:8], commands[start:stop])
+                rows += segment
+            states[j, stop] = s
+        # record n holds the command of the tick that starts there, and the
+        # last record repeats the last command; the kernel leaves vx >= 0
+        # and the heading wrapped
+        cmds = commands[k:] + (commands[-1:] or [ControlCommand(0.0, 0.0, 0.0)])
+        records = logs[i][:k] if k else []
+        it = iter(rows)
+        records += [LogRecord(n * dt, cmd, VehicleState(vx, ax, heading), Pose(x, y, heading))
+                    for n, (cmd, x, y, heading, vx, ax) in enumerate(zip(cmds, it, it, it, it, it), k)]
+        logs.append(records)
+    return logs
+
+
 def oracle_log(commands: list[ControlCommand], dt: float = DEFAULT_DT,
                params: OracleParams | None = None) -> list[LogRecord]:
     """Drive the oracle from rest at the origin through a command sequence;
     one record per tick, |commands|+1 records, each holding the command of
     the tick that starts there (the last command repeats in the last one).
     A dt that is not finite and positive raises a ValidationError, also
-    for no commands."""
-    rows, _ = _drive(params or OracleParams(), dt, (0.0,) * 8, commands)
-    cmd0 = commands[0] if commands else ControlCommand(0.0, 0.0, 0.0)
-    records = [LogRecord(0.0, cmd0, VehicleState(0.0, 0.0, 0.0), Pose(0.0, 0.0, 0.0))]
-    it = iter(rows)
-    # the kernel leaves vx >= 0 and the heading wrapped
-    for i, (cmd, x, y, heading, vx, ax) in enumerate(
-            zip(commands[1:] + commands[-1:], it, it, it, it, it), 1):
-        records.append(LogRecord(i * dt, cmd, VehicleState(vx, ax, heading), Pose(x, y, heading)))
-    return records
+    for no commands. `_oracle_logs` drives a prefix that logs share (equal
+    bits, from rest, the same dt and params) once; this is its one-log
+    case, which compares no commands."""
+    return _oracle_logs([commands], dt, params)[0]
 
 
 # -- scenario scripts ---------------------------------------------------
@@ -464,13 +532,16 @@ def generate_golden_set(seed: int = 0, dt: float = DEFAULT_DT,
     """The eight golden maneuvers plus one long mixed loop, driven by the
     nominal vehicle `OracleParams()`.
 
+    The logs are `_oracle_logs` of the scripts' commands, so a command
+    prefix that logs share (equal bits, from rest, the same dt and
+    params) is driven once and its records are the same objects in each;
+    every log equals `oracle_log(script.commands(dt), dt)` bit for bit. A
+    bad dt or loop duration raises before any tick is driven.
+
     The scripts are deterministic; the seed perturbs nothing physical and
     is kept for interface stability of callers that thread it through.
     """
     del seed  # scripted catalogue; generation is deterministic by design
-    loop = _loop_script(loop_duration)      # planned first: a bad duration costs no driving
-    logs = {}
-    for script in golden_scripts(scenario_duration):
-        logs[script.name] = oracle_log(script.commands(dt), dt)
-    logs[loop.name] = oracle_log(loop.commands(dt), dt)
-    return logs
+    scripts = golden_scripts(scenario_duration) + [_loop_script(loop_duration)]
+    logs = _oracle_logs([script.commands(dt) for script in scripts], dt)
+    return {script.name: log for script, log in zip(scripts, logs)}

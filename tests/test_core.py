@@ -318,6 +318,18 @@ class TestLogCsv:
         assert np.array_equal(np.array([log_fields(r) for r in back]).view(np.int64),
                               np.array([log_fields(r) for r in records]).view(np.int64))
 
+    @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
+    def test_non_finite_timestamp_rejected_before_writing(self, tmp_path, bad):
+        # LogRecord leaves its timestamp unchecked; the reader refuses the cell
+        good = LogRecord(0.0, ControlCommand(0.5, 0.0, 0.1), VehicleState(1.0, 0.2, 0.3),
+                         Pose(4.0, 5.0, 0.3))
+        records = [dataclasses.replace(good, timestamp=t) for t in (0.0, 0.01, bad, -bad)]
+        path = tmp_path / "log.csv"
+        with pytest.raises(ValidationError, match=re.escape(
+                f"{path}: record 2 field 't' is {bad!r}, not a finite number")):
+            write_log_csv(path, records)
+        assert not path.exists()
+
     @given(st.lists(LOG_CELL, min_size=9, max_size=9))
     def test_any_row_raises_only_validation_error(self, row):
         try:

@@ -5,12 +5,15 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 from scipy.integrate import solve_ivp
 
+import resdyn.scenarios
 from resdyn.core import ControlCommand, ValidationError, parse_log_row, write_log_csv
 from resdyn.dynamics import RuleBasedModel, rollout
 from resdyn.scenarios import (GOLDEN_NAMES, OracleParams, ScenarioScript, Segment, _drive,
-                              _loop_script, generate_golden_set, golden_scripts, oracle_log)
+                              _loop_script, _oracle_logs, generate_golden_set, golden_scripts,
+                              oracle_log)
 
 
 def records_digest(logs) -> str:
@@ -26,6 +29,18 @@ def records_digest(logs) -> str:
                            r.command.steering, r.state.speed, r.state.acceleration,
                            r.state.heading, r.pose.x, r.pose.y, r.pose.heading)).encode())
     return h.hexdigest()
+
+
+def record_bits(records) -> list[tuple[int, ...]]:
+    """Every field of every record as its float's bits, so 0.0 and -0.0
+    differ where `==` would call them equal."""
+    return np.array([(r.timestamp, r.command.throttle, r.command.brake, r.command.steering,
+                      r.state.speed, r.state.acceleration, r.state.heading, r.pose.x, r.pose.y,
+                      r.pose.heading) for r in records]).view(np.int64).tolist()
+
+
+def bits(values) -> list[int]:
+    return np.array(values, dtype=float).view(np.int64).tolist()
 
 
 REST = (0.0,) * 8   # x, y, heading, vx, vy, yaw_rate, accel_lag, wheel_angle
@@ -132,6 +147,63 @@ class TestOracleStep:
             OracleParams(cornering_front=2e5, cornering_rear=1e5)
 
 
+# command fields with their boundaries, signed zeros among them
+UNIT = st.floats(0.0, 1.0) | st.sampled_from((0.0, -0.0, 1.0))
+COMMAND = st.builds(ControlCommand, UNIT, UNIT,
+                    st.floats(-1.0, 1.0) | st.sampled_from((0.0, -0.0, -1.0, 1.0)))
+STATE = st.just(REST) | st.tuples(
+    st.floats(-1e4, 1e4), st.floats(-1e4, 1e4),
+    st.floats(-math.pi, math.pi, exclude_min=True) | st.sampled_from((math.pi, -3.14159)),
+    st.floats(0.0, 40.0), st.floats(-2.0, 2.0), st.floats(-1.0, 1.0), st.floats(-8.0, 4.0),
+    st.floats(-0.47, 0.47))
+DT = st.sampled_from((0.01, 0.02, 0.005))
+
+
+def flip_zeros(cmd: ControlCommand) -> ControlCommand:
+    """cmd with the sign of each zero field flipped: equal under ==, not in bits."""
+    return ControlCommand(*(-v if v == 0.0 else v for v in (cmd.throttle, cmd.brake, cmd.steering)))
+
+
+class TestSharedDrive:
+    @given(st.lists(COMMAND, max_size=40), st.data(), STATE, DT)
+    def test_resumed_drive_equals_one_drive(self, commands, data, start, dt):
+        # the 8-float state carries everything a tick reads: ax is set by
+        # each substep before use, so a drive cut at any tick k resumes exactly
+        k = data.draw(st.integers(0, len(commands)), label="k")
+        p = OracleParams()
+        rows, end = _drive(p, dt, start, commands)
+        head, cut = _drive(p, dt, start, commands[:k])
+        tail, resumed = _drive(p, dt, cut[:8], commands[k:])
+        assert bits(head + tail) == bits(rows)
+        # an empty drive returns its start state with an ax of 0.0, so
+        # with nothing after the cut the cut's own state is the end
+        assert bits(resumed if k < len(commands) else cut) == bits(end)
+        assert bits(resumed[:8]) == bits(end[:8])
+
+    @given(st.lists(COMMAND, max_size=30),
+           st.lists(st.tuples(st.integers(0, 30), st.booleans(), st.lists(COMMAND, max_size=8)),
+                    max_size=4), DT)
+    def test_shared_drive_equals_each_list_alone(self, base, variants, dt):
+        # lists cut from one base at drawn ticks, some going on with the
+        # base's commands with their zeros' signs flipped, then a drawn tail
+        lists = [base] + [base[:k] + ([flip_zeros(c) for c in base[k:]] if flipped else []) + tail
+                          for k, flipped, tail in variants]
+        logs = _oracle_logs(lists, dt)
+        assert len({id(log) for log in logs}) == len(lists)
+        for commands, log in zip(lists, logs, strict=True):
+            assert record_bits(log) == record_bits(oracle_log(commands, dt))
+
+    def test_signed_zero_steering_is_not_shared(self):
+        # equal under ==, so sharing by == would hand `minus`
+        # the records of `plus`, whose commands hold +0.0
+        plus = [ControlCommand(0.4, 0.0, 0.0)] * 50 + [ControlCommand(0.4, 0.0, 0.3)] * 50
+        minus = plus[:20] + [ControlCommand(0.4, 0.0, -0.0)] * 30 + plus[50:]
+        for lists in ([plus, minus], [minus, plus]):
+            logs = _oracle_logs(lists, 0.01)
+            for commands, log in zip(lists, logs, strict=True):
+                assert record_bits(log) == record_bits(oracle_log(commands, 0.01))
+
+
 # out-of-range values per OracleParams field; NaN and both infinities are
 # added to each, and the in-range boundary values must be accepted
 BAD_PARAMS = {
@@ -199,6 +271,20 @@ class TestGoldenSet:
             assert len(logs[name]) == 6001
         assert len(logs["loop"]) == 6001  # loop_duration=60 here
 
+    @pytest.mark.parametrize("scenario_s, loop_s", [(20.0, 24.0), (60.0, 60.0)])
+    def test_logs_equal_oracle_log_of_each_script(self, logs, scenario_s, loop_s):
+        # the shared prefixes are driven once; at 20 s right_turn_stop's
+        # commands equal left_turn_stop's, so it shares every tick
+        if scenario_s != 60.0:
+            logs = generate_golden_set(0, loop_duration=loop_s, scenario_duration=scenario_s)
+            assert all(a is b for a, b in zip(logs["right_turn_stop"][:-1], logs["left_turn_stop"]))
+        scripts = golden_scripts(scenario_s) + [_loop_script(loop_s)]
+        assert [s.name for s in scripts] == list(logs)
+        assert len({id(log) for log in logs.values()}) == len(logs)
+        for script in scripts:
+            alone = oracle_log(script.commands(0.01), 0.01)
+            assert record_bits(logs[script.name]) == record_bits(alone), script.name
+
     def test_same_seed_byte_identical(self, tmp_path):
         a = generate_golden_set(7, loop_duration=10.0, scenario_duration=10.0)
         b = generate_golden_set(7, loop_duration=10.0, scenario_duration=10.0)
@@ -260,6 +346,14 @@ class TestGoldenSet:
                     lambda: generate_golden_set(0, dt, loop_duration=5.0, scenario_duration=5.0)):
             with pytest.raises(ValidationError, match=r"^dt must be finite and positive"):
                 run()
+
+    @pytest.mark.parametrize("dt, loop_s", [(math.nan, 5.0), (0.01, -1.0)])
+    def test_bad_dt_or_loop_duration_rejected_before_driving(self, monkeypatch, dt, loop_s):
+        def drive(*args):
+            raise AssertionError("drove a tick")
+        monkeypatch.setattr(resdyn.scenarios, "_drive", drive)
+        with pytest.raises(ValidationError):
+            generate_golden_set(0, dt, loop_duration=loop_s, scenario_duration=5.0)
 
     def test_infinite_loop_duration_rejected(self):
         # refused before planning: the planner adds segments until the
