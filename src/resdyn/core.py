@@ -8,15 +8,15 @@ operations are pure functions, safe to call from parallel workers.
 The trajectory CSV runs at the cost of CPython's float `repr` and `float`
 parsing: the writer formats a row's state cells in one f-string and the
 sigma cells once per run of equal sigma pairs; the reader reads a file
-once, converts whole columns and checks them at once, and walks the rows
-it read only to word a refusal, naming the first bad record by file line.
+once and converts whole columns, leaves the state cells to `Trajectory`
+to check, and walks the rows only to word a refusal, naming the file line.
 """
 
 from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -52,6 +52,25 @@ def check_finite(values: np.ndarray, what: str) -> None:
         raise ValidationError(f"non-finite {what} at index {first}")
 
 
+def _checked_array(arrays: dict, key: str, shape: tuple | None = None) -> np.ndarray:
+    """A float copy of arrays[key], of `shape` when one is given, all finite:
+    the one check of a learned model's named arrays. A refusal names the key."""
+    if key not in arrays:
+        raise ValidationError(f"missing array {key!r}")
+    a = np.array(arrays[key], dtype=float)
+    if shape is not None and a.shape != shape:
+        raise ValidationError(f"array {key!r} has shape {a.shape}, expected {shape}")
+    check_finite(a, f"array {key!r}")
+    return a
+
+
+def _non_finite_field(instance, kind: str) -> ValidationError:
+    """The refusal of `instance`'s first field that is not finite, naming it;
+    built only once a check of all the fields at once has failed."""
+    name = next(f.name for f in fields(instance) if not math.isfinite(getattr(instance, f.name)))
+    return ValidationError(f"non-finite {kind} field {name!r}: {getattr(instance, name)!r}")
+
+
 def wrap_angle_array(theta: np.ndarray) -> np.ndarray:
     """Wrap angles to (-pi, pi], elementwise, for any shape (0-d too).
     In-range angles come back unchanged. A non-finite angle raises,
@@ -77,7 +96,7 @@ class ControlCommand:
     def __post_init__(self):
         if not (math.isfinite(self.throttle) and math.isfinite(self.brake)
                 and math.isfinite(self.steering)):
-            raise ValidationError("non-finite command field")
+            raise _non_finite_field(self, "command")
         if not 0.0 <= self.throttle <= 1.0:
             raise ValidationError(f"throttle {self.throttle} outside [0, 1]")
         if not 0.0 <= self.brake <= 1.0:
@@ -95,7 +114,7 @@ class VehicleState:
     def __post_init__(self):
         if not (math.isfinite(self.speed) and math.isfinite(self.acceleration)
                 and math.isfinite(self.heading)):
-            raise ValidationError("non-finite state field")
+            raise _non_finite_field(self, "state")
         if self.speed < 0.0:
             raise ValidationError(f"negative speed {self.speed}")
         if not -math.pi < self.heading <= math.pi:
@@ -111,7 +130,7 @@ class Pose:
     def __post_init__(self):
         if not (math.isfinite(self.x) and math.isfinite(self.y)
                 and math.isfinite(self.heading)):
-            raise ValidationError("non-finite pose field")
+            raise _non_finite_field(self, "pose")
 
 
 @dataclass(frozen=True, slots=True)
@@ -145,9 +164,9 @@ class Trajectory:
                 f"{len(ts)} timestamps vs {len(ps)} poses and speeds of shape {vs.shape}")
         if len(ts) == 0:
             raise ValidationError("empty trajectory")
-        if not (np.all(np.isfinite(ts)) and np.all(np.isfinite(ps))
-                and np.all(np.isfinite(vs))):
-            raise ValidationError("non-finite trajectory entry")
+        check_finite(ts, "trajectory timestamps")
+        check_finite(ps, "trajectory poses")
+        check_finite(vs, "trajectory speeds")
         if len(ts) > 1:
             with np.errstate(over="ignore"):
                 steps = np.diff(ts)
@@ -248,10 +267,11 @@ def read_trajectory_csv(path) -> tuple[Trajectory, np.ndarray]:
 
     The file is read and tokenized once, keeping each record's end line.
     Each column is converted with `float` into one table, an empty sigma
-    cell as NaN, and whole columns are checked: every row has 7 cells, the
-    state cells are finite, and the sigma cells in [0, inf) are exactly the
-    non-empty ones (so a literal `nan` is refused). Only to word a refusal
-    are the rows walked, by `_row_fault`, for the first bad record."""
+    cell as NaN, and whole columns are checked: every row has 7 cells, and
+    the sigma cells in [0, inf) are exactly the non-empty ones (so a literal
+    `nan` is refused). The state cells are checked by `Trajectory`, built
+    from the table. Only to word a refusal are the rows walked, by
+    `_row_fault`, for the first bad record."""
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
         rows, ends = [], []
@@ -276,21 +296,16 @@ def read_trajectory_csv(path) -> tuple[Trajectory, np.ndarray]:
             table[:, j] = np.fromiter(map(float, cells), float, n)
         sig = table[:, 5:]
         empty = sum(col.count("") for col in cols[5:])
-        if not (np.isfinite(table[:, :5]).all()
-                and np.count_nonzero((sig >= 0.0) & (sig < math.inf)) == 2 * n - empty):
+        if np.count_nonzero((sig >= 0.0) & (sig < math.inf)) != 2 * n - empty:
             raise ValueError
-    except ValueError:
+        return Trajectory(table[:, 0], table[:, 1:4], table[:, 4]), sig
+    except ValueError as exc:   # a ValidationError of `Trajectory` too
         for i, row in enumerate(rows[1:]):
             fault = row and _row_fault(row)
             if fault:  # a record starts after the last one's end: quoted cells span lines
                 raise ValidationError(
                     f"{path}:{ends[i] + 1}: bad trajectory row ({fault})") from None
-        raise  # the row checks accept what the column checks refused
-    try:
-        traj = Trajectory(table[:, 0], table[:, 1:4], table[:, 4])
-    except ValidationError as exc:
-        raise ValidationError(f"{path}: {exc}") from exc
-    return traj, table[:, 5:]
+        raise ValidationError(f"{path}: {exc}") from exc   # no rows, or no fixed step
 
 
 def _row_fault(row: list[str]) -> str | None:

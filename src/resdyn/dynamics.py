@@ -19,7 +19,7 @@ import numpy as np
 from . import autodiff as ad
 from .autodiff import Adam, Tensor, backward, load_checkpoint, parameter, save_checkpoint
 from .core import (DEFAULT_DT, ControlCommand, LogRecord, Pose, Trajectory,
-                   ValidationError, VehicleState, check_dt, check_finite,
+                   ValidationError, VehicleState, _checked_array, check_dt, check_finite,
                    check_positive_int, wrap_angle_array)
 from .rng import seeded_rng
 
@@ -69,20 +69,13 @@ class MlpDynamicModel:
                "in_mean": (5,), "in_std": (5,), "out_mean": (2,), "out_std": (2,)}
 
     def __init__(self, arrays: dict[str, np.ndarray]):
-        """The one check of a model's arrays: a missing entry, a wrong shape,
-        a non-finite value or a std <= 0 raises a ValidationError naming it.
-        The model keeps copies, so a later write to `arrays` cannot undo it."""
-        missing = [k for k in self._SHAPES if k not in arrays]
-        if missing:
-            raise ValidationError(f"checkpoint has no {missing[0]!r} entry")
-        self.arrays = {k: np.array(arrays[k], dtype=float) for k in self._SHAPES}
-        for key, shape in self._SHAPES.items():
-            a = self.arrays[key]
-            if a.shape != shape or not np.all(np.isfinite(a)):
-                raise ValidationError(
-                    f"{key} must be a finite array of shape {shape}, got shape {a.shape}")
-            if key.endswith("_std") and np.any(a <= 0):
-                raise ValidationError(f"{key}: normalization stds must be positive")
+        """`core._checked_array` checks each array, and a std <= 0 raises a
+        ValidationError naming it. The model keeps copies, so a later write
+        to `arrays` cannot undo the checks."""
+        self.arrays = {k: _checked_array(arrays, k, shape) for k, shape in self._SHAPES.items()}
+        for key in ("in_std", "out_std"):
+            if np.any(self.arrays[key] <= 0):
+                raise ValidationError(f"array {key!r}: normalization stds must be positive")
         self.weights = {k: self.arrays[k] for k in ("w1", "b1", "w2", "b2")}
 
     def tick(self, throttle: float, brake: float, steering: float,

@@ -190,10 +190,8 @@ def _encode_conv(p, x, dilations, stride):
     input gradient is col2im, taps from last to first as np.add.at adds.
     Latent and gradients equal, bit for bit, those of the same layers as a
     graph of conv, relu, reshape and affine nodes. x takes no gradient: an
-    x that requires one is refused, not dropped."""
-    if stride < 1 or min(dilations) < 1:
-        raise ValidationError(
-            f"conv stride {stride} and dilations {dilations} must each be at least 1")
+    x that requires one is refused, not dropped. The stride and dilations,
+    at least 1, are the module constants `encode` passes."""
     xd, ws = _value(x), [_value(p[n]) for n in _CONV_PARAMS]
     if xd.ndim != 3 or not xd.shape[0]:
         raise ValidationError(f"conv encoder input must be (B>=1, N, F), got {xd.shape}")

@@ -95,8 +95,8 @@ def _drive(p: OracleParams, dt: float, s: tuple, commands) -> tuple[list, tuple]
     floats of `s` followed by `ax`; `ax` is the realized longitudinal accel
     of a tick's last substep (0.0 with no commands), and every tick ends with
     the heading wrapped. Both midpoint stages are written out on float
-    locals, and the parameters are read once here, not on every substep."""
-    check_dt(dt)
+    locals, and the parameters are read once here, not on every substep.
+    Its one caller, `_oracle_logs`, checks dt."""
     mass, inertia, lf, lr = p.mass, p.yaw_inertia, p.lf, p.lr
     neg_cf, neg_cr, wheelbase = -p.cornering_front, -p.cornering_rear, p.wheelbase
     throttle_tau, steering_tau, blend = p.throttle_tau, p.steering_tau, p.low_speed_blend
@@ -317,9 +317,14 @@ class ScenarioScript:
 
     def commands(self, dt: float = DEFAULT_DT) -> list[ControlCommand]:
         """The command at every tick t = i * dt of the script, in one numpy
-        pass over the ticks; dt must be finite and > 0."""
+        pass over the ticks; dt must be finite and > 0, and small enough that
+        numpy can size an array of the ticks."""
         check_dt(dt)
-        t = np.arange(int(round(self.duration / dt))) * dt
+        ticks = self.duration / dt   # inf where the quotient overflows
+        if not ticks <= np.iinfo(np.intp).max / 8:   # bytes of the float64 tick array
+            raise ValidationError(f"script {self.name!r}: duration {self.duration!r} at dt "
+                                  f"{dt!r} is {ticks!r} ticks, more than numpy can size")
+        t = np.arange(int(round(ticks))) * dt
         t0, t1 = np.array([[seg.t0, seg.t1] for seg in self.segments]).T
         # t is sorted, so the ticks inside [t0, t1) are one index range per
         # segment; filled last to first, the first segment holding a tick wins

@@ -50,7 +50,7 @@ from scipy.linalg.lapack import dtrtri
 from scipy.spatial.distance import cdist
 
 from .autodiff import Tensor, _node, _value, parameter
-from .core import ValidationError, check_finite, check_positive_int
+from .core import ValidationError, _checked_array, check_finite, check_positive_int
 
 LOG_2PI = math.log(2.0 * math.pi)
 MAX_JITTER = 1e-4
@@ -64,17 +64,6 @@ def _same_bits(a: np.ndarray, b: np.ndarray) -> bool:
     """Equal shapes, both float64, equal bytes (so -0.0 differs from 0.0)."""
     return (a.shape == b.shape and a.dtype == b.dtype == np.float64
             and np.array_equal(a.view(np.int64), b.view(np.int64)))
-
-
-def _checkpoint_array(arrays: dict, key: str, shape: tuple | None = None) -> np.ndarray:
-    """arrays[key] as a finite float array, of `shape` when given."""
-    if key not in arrays:
-        raise ValidationError(f"GP arrays have no {key!r}")
-    a = np.array(arrays[key], dtype=float)
-    if shape is not None and a.shape != shape:
-        raise ValidationError(f"GP array {key!r} has shape {a.shape}, expected {shape}")
-    check_finite(a, f"GP array {key!r}")
-    return a
 
 
 def _kmeans_pp_seeds(data: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarray:
@@ -414,25 +403,25 @@ class VariationalGP:
         """The GP `to_arrays` describes. A missing key, a non-finite value, a
         shape that disagrees with `z` and `num_tasks`, or a `num_tasks` that
         is not a positive integer raises a ValidationError naming the key."""
-        z = _checkpoint_array(arrays, "z")
+        z = _checked_array(arrays, "z")
         if z.ndim != 2 or 0 in z.shape:
             raise ValidationError(
-                f"GP array 'z' must be (M, dim) with M, dim >= 1, got {z.shape}")
-        num_tasks = float(_checkpoint_array(arrays, "num_tasks", ()))
+                f"array 'z' must be (M, dim) with M, dim >= 1, got {z.shape}")
+        num_tasks = float(_checked_array(arrays, "num_tasks", ()))
         if num_tasks < 1 or num_tasks != int(num_tasks):
             raise ValidationError(
-                f"GP array 'num_tasks' must be a positive integer, got {num_tasks}")
+                f"array 'num_tasks' must be a positive integer, got {num_tasks}")
         # the per-task arrays are read before anything is sized by num_tasks,
         # so a count the keys do not back fails at its first missing key
         m = z.shape[0]
-        tasks = {name: np.stack([_checkpoint_array(arrays, f"{name}{t}", shape)
+        tasks = {name: np.stack([_checked_array(arrays, f"{name}{t}", shape)
                                  for t in range(int(num_tasks))])
                  for name, shape in zip(_TASK_PARAMS, ((m,), (m, m), (), ()))}
         gp = cls(z.shape[1], m, num_tasks=int(num_tasks),
-                 input_mean=_checkpoint_array(arrays, "input_mean", z.shape[1:]),
-                 input_std=_checkpoint_array(arrays, "input_std", z.shape[1:]))
+                 input_mean=_checked_array(arrays, "input_mean", z.shape[1:]),
+                 input_std=_checked_array(arrays, "input_std", z.shape[1:]))
         for p in gp.parameters():
             p.data = (tasks[p.name] if p.name in tasks
-                      else _checkpoint_array(arrays, p.name, p.data.shape))
+                      else _checked_array(arrays, p.name, p.data.shape))
         return gp
 

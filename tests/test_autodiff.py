@@ -235,13 +235,6 @@ class TestConv1d:
                               g_h.reshape(2, -1) @ np.ascontiguousarray(cols.T))
         assert np.array_equal(p["conv1_b"].grad, g_h.transpose(1, 0, 2).sum(axis=(0, 2)))
 
-    @pytest.mark.parametrize("stride, dilation", [(0, 1), (-1, 1), (1, 0), (1, -2), (0, 0)])
-    def test_stride_and_dilation_below_one_rejected(self, stride, dilation):
-        p = conv_params(seeded_rng(0, "conv-bad"), [(1, 1, 3), (1,), (1, 1, 1), (1,), (6, 1),
-                                                    (1,)])
-        with pytest.raises(ValidationError, match="must each be at least 1"):
-            _encode_conv(p, Tensor(np.zeros((1, 8, 1))), (dilation, 1), stride)
-
     def test_too_short_rejected(self):
         p = conv_params(seeded_rng(0, "conv-short"), [(1, 1, 6), (1,), (1, 1, 1), (1,),
                                                       (1, 1), (1,)])

@@ -154,7 +154,8 @@ class TestIntegrateStep:
 
     # what each start value, model output or dt is refused by
     REFUSALS = {"x": "non-finite rollout state", "y": "non-finite rollout state",
-                "heading": "non-finite state field", "speed": "non-finite state field",
+                "heading": "non-finite state field 'heading'",
+                "speed": "non-finite state field 'speed'",
                 "accel": "non-finite model output at tick 0",
                 "heading_rate": "non-finite model output at tick 0",
                 "dt": "dt must be finite and positive"}
@@ -212,6 +213,23 @@ class TestTypes:
         with pytest.raises(ValidationError):
             VehicleState(1, 0, -math.pi)  # open at -pi
         VehicleState(1, 0, math.pi)  # closed at +pi
+
+    @pytest.mark.parametrize("make, message", [
+        (lambda: ControlCommand(0.5, math.inf, 0.0), "non-finite command field 'brake': inf"),
+        (lambda: VehicleState(1.0, math.nan, math.nan),
+         "non-finite state field 'acceleration': nan"),
+        (lambda: Pose(0.0, 0.0, -math.inf), "non-finite pose field 'heading': -inf"),
+        (lambda: Trajectory(np.zeros(2), np.zeros((2, 3)), np.array([1.0, math.nan])),
+         r"non-finite trajectory speeds at index \(1,\)"),
+        (lambda: Trajectory(np.array([0.0, math.inf]), np.zeros((2, 3)), np.zeros(2)),
+         r"non-finite trajectory timestamps at index \(1,\)"),
+        (lambda: Trajectory(np.zeros(2), np.array([[0.0] * 3, [0.0, math.nan, 0.0]]),
+                            np.zeros(2)), r"non-finite trajectory poses at index \(1, 1\)"),
+    ], ids=["ControlCommand", "VehicleState", "Pose", "speeds", "timestamps", "poses"])
+    def test_non_finite_field_named(self, make, message):
+        # the first non-finite field, where more than one is
+        with pytest.raises(ValidationError, match=f"^{message}$"):
+            make()
 
     @pytest.mark.parametrize("make", [
         lambda: ControlCommand(0.5, 0.0, -0.25),

@@ -61,16 +61,22 @@ def test_every_script_target_resolves():
         assert callable(obj), f"script {script} -> {target} is not callable"
 
 
-def public_top_level_names(tree: ast.Module) -> list[str]:
-    names = []
+def public_symbols(tree: ast.Module) -> list[tuple[str, str]]:
+    """(symbol, the name code refers to it by) for each public top-level
+    name, and for each public method or property of a public class, which
+    code refers to by its attribute name; dunders are not public."""
+    found = []
     for node in tree.body:
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
-            names.append(node.name)
+            found.append((node.name, node.name))
         elif isinstance(node, ast.Assign):
-            names += [t.id for t in node.targets if isinstance(t, ast.Name)]
+            found += [(t.id, t.id) for t in node.targets if isinstance(t, ast.Name)]
         elif isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name):
-            names.append(node.target.id)
-    return [n for n in names if not n.startswith("_")]
+            found.append((node.target.id, node.target.id))
+        if isinstance(node, ast.ClassDef) and not node.name.startswith("_"):
+            found += [(f"{node.name}.{fn.name}", fn.name) for fn in node.body
+                      if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef))]
+    return [(symbol, name) for symbol, name in found if not name.startswith("_")]
 
 
 def referenced_names(tree: ast.AST) -> set[str]:
@@ -95,13 +101,14 @@ def parsed(folder: str) -> tuple[tuple[Path, ast.Module], ...]:
 
 
 def unreferenced_symbols(folders: tuple[str, ...]) -> list[str]:
-    """`module.name` of each public `src/` symbol nothing in `folders` refers to."""
+    """`module.symbol` of each public `src/` symbol (`module.Class.method`
+    for a method) that nothing in `folders` refers to."""
     referenced = set()
     for folder in folders:
         for _, tree in parsed(folder):
             referenced |= referenced_names(tree)
-    return [f"{path.stem}.{n}" for path, tree in parsed("src/resdyn")
-            for n in public_top_level_names(tree) if n not in referenced]
+    return [f"{path.stem}.{symbol}" for path, tree in parsed("src/resdyn")
+            for symbol, name in public_symbols(tree) if name not in referenced]
 
 
 def test_every_public_symbol_has_a_caller():
@@ -217,6 +224,8 @@ def test_every_optional_parameter_is_set():
 ONLY_TESTS_REACH = {
     "core.write_log_csv": 1,            # the CLI writes logs
     "core.parse_log_row": 3,            # columnar logs replace it
+    "dynamics.MlpDynamicModel.save": 1,  # the CLI's train writes DM-LB checkpoints
+    "dynamics.MlpDynamicModel.load": 1,  # and its rollout reads them
     "encoders.encode(train)": 1,        # the joint trainer trains with dropout
     "encoders.encode(rng)": 1,
     **{f"scenarios.OracleParams({field})": 4 for field in (   # randomized vehicles
@@ -255,6 +264,20 @@ def test_optional_parameter_guard_sees_dataclass_fields_and_literal_keys():
     assert parameters_passed(ast.parse("Spec(**{'b': 2})")) == {("Spec", "b")}
     assert parameters_passed(ast.parse("Spec(**{key: 2})")) == {("Spec", "**")}
     assert parameters_passed(ast.parse("Spec(**kw)")) == {("Spec", "**")}
+
+
+def test_symbol_guard_sees_public_methods_and_properties():
+    tree = ast.parse(
+        "class Model:\n"
+        "    def __init__(self): pass\n"
+        "    def save(self): pass\n"
+        "    @property\n"
+        "    def width(self): pass\n"
+        "    def _fit(self): pass\n"
+        "class _Plan:\n"
+        "    def cruise(self): pass\n")
+    assert public_symbols(tree) == [("Model", "Model"), ("Model.save", "save"),
+                                    ("Model.width", "width")]
 
 
 def public_functions(tree: ast.Module) -> list[ast.FunctionDef]:

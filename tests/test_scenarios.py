@@ -2,6 +2,7 @@ import csv
 import dataclasses
 import hashlib
 import math
+import re
 
 import numpy as np
 import pytest
@@ -345,6 +346,21 @@ class TestGoldenSet:
         for run in (lambda: script.commands(dt),
                     lambda: generate_golden_set(0, dt, loop_duration=5.0, scenario_duration=5.0)):
             with pytest.raises(ValidationError, match=r"^dt must be finite and positive"):
+                run()
+
+    @pytest.mark.parametrize("dt", [5e-324, 1e-300])
+    def test_dt_too_small_for_numpy_to_size_the_ticks_rejected(self, monkeypatch, dt):
+        # 5 s over 5e-324 s overflows to inf ticks; over 1e-300 s it is a
+        # count whose float64 array numpy cannot size
+        def drive(*args):
+            raise AssertionError("drove a tick")
+        monkeypatch.setattr(resdyn.scenarios, "_drive", drive)
+        script = golden_scripts(duration=5.0)[0]
+        message = re.escape(f"script '{script.name}': duration 5.0 at dt {dt!r} is "
+                            f"{5.0 / dt!r} ticks, more than numpy can size")
+        for run in (lambda: script.commands(dt),
+                    lambda: generate_golden_set(0, dt, loop_duration=5.0, scenario_duration=5.0)):
+            with pytest.raises(ValidationError, match=message):
                 run()
 
     @pytest.mark.parametrize("dt, loop_s", [(math.nan, 5.0), (0.01, -1.0)])
